@@ -30,9 +30,11 @@ __all__ = [
     "combine_paths",
     "enumerate_combinations",
     "min_feasible_combination",
+    "MAX_A2A_PATHS",
 ]
 
 SPEED_OF_LIGHT_M_S = 2.998e8
+MAX_A2A_PATHS = 3       # longest relay ladder in the canonical combination order
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,8 @@ def da2g_path(
     """Direct path: backhaul -> base-station queue -> K diversity branches.
 
     All branches carry a clone, so the radio loss is the product of branch
-    errors and the radio delay is the fastest branch's mean delay.
+    errors and the radio delay is the fastest branch's mean delay. A branch
+    passed more than once is one estimate, not independent ones.
     """
     branches = list(branches)
     if not branches:
@@ -154,10 +157,15 @@ def da2g_path(
         "queue_gbs": gbs_queue.violation_prob,
         "radio_da2g": radio_eps,
     }
+    # copies of one estimate are fully correlated: their partial
+    # derivatives add before squaring, so K copies give K eps^(K-1) sigma
     radio_var = 0.0
-    for i, b in enumerate(branches):
-        partial = math.prod(x.eps_t_bar for j, x in enumerate(branches) if j != i)
-        radio_var += (b.std_error * partial) ** 2
+    for est in {id(b): b for b in branches}.values():
+        partial = sum(
+            math.prod(x.eps_t_bar for j, x in enumerate(branches) if j != i)
+            for i, b in enumerate(branches) if b is est
+        )
+        radio_var += (est.std_error * partial) ** 2
     eps_stderr = _chain_eps_stderr(terms, {"radio_da2g": math.sqrt(radio_var)})
     return _finish(label, breakdown, terms, qos, eps_stderr, _radio_delay_var(best))
 
@@ -272,7 +280,7 @@ def enumerate_combinations(
     the platform path appended: DA2G; DA2G+1-A2A; DA2G+2-A2A; DA2G+3-A2A;
     DA2G+HAP; DA2G+1-A2A+HAP; DA2G+2-A2A+HAP; DA2G+3-A2A+HAP.
     """
-    a2a_paths = list(a2a_paths)[:3]
+    a2a_paths = list(a2a_paths)[:MAX_A2A_PATHS]
     combos = [combine_paths([da2g], qos, label="DA2G")]
     for m in range(1, len(a2a_paths) + 1):
         combos.append(

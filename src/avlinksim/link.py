@@ -4,8 +4,8 @@ Provides:
  - RadioParams / ChannelSpec / Interferer / InterfererSet : link description
  - sinr_sample          : Monte Carlo SINR draws under Rician fading
  - fbl_rate / fbl_error : finite-blocklength rate and decoding error
- - decoding_error_stats : mean decoding error over given SINR draws
- - avg_decoding_error   : full Monte Carlo link statistic (LinkStats)
+ - decoding_error_stats : streaming Monte Carlo link statistic (LinkStats)
+                          at every rate from batches of SINR draws
  - arq_delay            : mean persistent-retransmission delay
  - freq_diversity       : error/delay combining over diversity branches
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mathfun import RngStream, gaussian_q, gaussian_q_inv, sample_rician_power
+from .mathfun import gaussian_q, gaussian_q_inv, sample_rician_power
 
 __all__ = [
     "RadioParams",
@@ -30,7 +30,6 @@ __all__ = [
     "fbl_rate",
     "fbl_error",
     "decoding_error_stats",
-    "avg_decoding_error",
     "arq_delay",
     "freq_diversity",
 ]
@@ -158,21 +157,44 @@ def sinr_sample(
 # Finite-blocklength rate and error
 # ============================================================
 
-def _dispersion(gamma: np.ndarray) -> np.ndarray:
-    # V = 1 - (1 + gamma)^-2, written to stay accurate for tiny gamma
-    return -np.expm1(-2.0 * np.log1p(gamma))
+def _dispersion(log1p_gamma: np.ndarray) -> np.ndarray:
+    # V = 1 - (1 + gamma)^-2 from ln(1 + gamma), accurate for tiny gamma
+    return -np.expm1(-2.0 * log1p_gamma)
+
+
+def _fbl_terms(gamma: np.ndarray, bandwidth_hz: float):
+    """Rate-free parts (a, b) of the FBL error argument.
+
+    Q's argument at rate R and slot d_t is sqrt(d_t) * (a - R * b) with
+    a = B ln(1 + gamma) / sqrt(B V) and b = ln 2 / sqrt(B V). gamma == 0
+    has zero dispersion and zero capacity, which is certain failure:
+    a = -inf there.
+    """
+    log1p_gamma = np.log1p(gamma)
+    root = np.sqrt(bandwidth_hz * _dispersion(log1p_gamma))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.where(root > 0.0, bandwidth_hz * log1p_gamma / root, -np.inf)
+        b = np.where(root > 0.0, _LN2 / root, 0.0)
+    return a, b
+
+
+def _check_gamma(gamma) -> np.ndarray:
+    g = np.asarray(gamma, dtype=float)
+    if np.any(g < 0.0):
+        raise ValueError("gamma must be non-negative")
+    return g
 
 
 def fbl_rate(gamma, bandwidth_hz: float, d_t_s: float, eps: float):
     """Achievable rate [bit/s] at blocklength B*d_t and target error eps."""
     if bandwidth_hz <= 0.0 or d_t_s <= 0.0:
         raise ValueError("bandwidth_hz and d_t_s must be positive")
-    g = np.asarray(gamma, dtype=float)
-    if np.any(g < 0.0):
-        raise ValueError("gamma must be non-negative")
+    g = _check_gamma(gamma)
     q_inv = gaussian_q_inv(eps)
-    capacity = bandwidth_hz * np.log1p(g) / _LN2
-    penalty = bandwidth_hz * np.sqrt(_dispersion(g) / (bandwidth_hz * d_t_s)) * q_inv / _LN2
+    log1p_gamma = np.log1p(g)
+    capacity = bandwidth_hz * log1p_gamma / _LN2
+    penalty = (bandwidth_hz * np.sqrt(_dispersion(log1p_gamma) / (bandwidth_hz * d_t_s))
+               * q_inv / _LN2)
     out = capacity - penalty
     return float(out) if np.isscalar(gamma) else out
 
@@ -181,27 +203,9 @@ def fbl_error(gamma, bandwidth_hz: float, d_t_s: float, packet_bits: float):
     """Decoding error of a packet_bits packet sent over d_t_s seconds."""
     if bandwidth_hz <= 0.0 or d_t_s <= 0.0 or packet_bits <= 0.0:
         raise ValueError("bandwidth_hz, d_t_s and packet_bits must be positive")
-    g = np.asarray(gamma, dtype=float)
-    if np.any(g < 0.0):
-        raise ValueError("gamma must be non-negative")
-    rate = packet_bits / d_t_s
-    capacity = bandwidth_hz * np.log1p(g) / _LN2
-    v = _dispersion(g)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        arg = (capacity - rate) * _LN2 / np.sqrt(bandwidth_hz * v / d_t_s)
-    # gamma == 0 has zero dispersion and zero capacity: certain failure
-    arg = np.where(v > 0.0, arg, -np.inf)
-    out = gaussian_q(arg)
+    a, b = _fbl_terms(_check_gamma(gamma), bandwidth_hz)
+    out = gaussian_q(math.sqrt(d_t_s) * (a - (packet_bits / d_t_s) * b))
     return float(out) if np.isscalar(gamma) else out
-
-
-def decoding_error_stats(gamma: np.ndarray, bandwidth_hz, d_t_s, packet_bits):
-    """Mean decoding error and its standard error over given SINR draws."""
-    errs = fbl_error(gamma, bandwidth_hz, d_t_s, packet_bits)
-    n = errs.size
-    mean = float(errs.mean())
-    var = float(errs.var())
-    return mean, math.sqrt(var / n)
 
 
 def arq_delay(d_t_s: float, eps_bar: float) -> float:
@@ -211,41 +215,76 @@ def arq_delay(d_t_s: float, eps_bar: float) -> float:
     return d_t_s / (1.0 - eps_bar)
 
 
-def avg_decoding_error(
-    desired: ChannelSpec,
-    interferers: InterfererSet,
-    radio: RadioParams,
-    packet_bits: float,
-    d_t_s: float,
-    n_samples: int,
-    stream: RngStream,
-    batch_size: int = 1 << 15,
-) -> LinkStats:
-    """Monte Carlo link statistic over n_samples fading/interference draws.
+# ============================================================
+# Monte Carlo link statistic
+# ============================================================
 
-    Samples fan out over fixed-size batches, one child stream per batch
-    index, and are reduced in batch order: the result depends only on
-    (stream, n_samples, batch_size), never on scheduling.
+# gaussian_q(x) is exactly 0.0 in float64 for x >= 37.68; the margin keeps
+# every element with a non-zero error
+_Q_CUTOFF = 38.5
+
+
+def _batch_moments(gamma, bandwidth_hz, packet_bits, rates, order):
+    """Per rate: mean error of one batch and its sum of squared deviations.
+
+    The rates run from highest to lowest. Q's argument only grows as the
+    rate falls, so an element past the cutoff stays at error 0 for every
+    later rate and is dropped from the working arrays.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    batch_ix = 0
-    while done < n_samples:
-        n = min(batch_size, n_samples - done)
-        rng = stream.child(batch_ix).generator()
-        gamma = sinr_sample(desired, interferers, radio, rng, size=n)
-        errs = fbl_error(gamma, radio.bandwidth_hz, d_t_s, packet_bits)
-        total += float(errs.sum())
-        total_sq += float((errs * errs).sum())
-        done += n
-        batch_ix += 1
-    mean = total / n_samples
-    var = max(total_sq / n_samples - mean * mean, 0.0)
-    delay = arq_delay(d_t_s, mean) if mean < 1.0 else math.inf
-    return LinkStats(mean, delay, n_samples, math.sqrt(var / n_samples))
+    n = gamma.size
+    a, b = _fbl_terms(gamma, bandwidth_hz)
+    mean = np.empty(rates.size)
+    m2 = np.empty(rates.size)
+    for i in order:
+        rate = rates[i]
+        arg = math.sqrt(packet_bits / rate) * (a - rate * b)
+        live = arg < _Q_CUTOFF
+        if not live.all():
+            a, b, arg = a[live], b[live], arg[live]
+        q = gaussian_q(arg)
+        m = float(q.sum()) / n
+        mean[i] = m
+        # the dropped elements are exact zeros, each m away from the mean
+        m2[i] = float(np.square(q - m).sum()) + (n - q.size) * m * m
+    return mean, m2
+
+
+def decoding_error_stats(batches, bandwidth_hz: float, packet_bits: float,
+                         rates_bps) -> list:
+    """Monte Carlo decoding error and ARQ delay of one link at every rate.
+
+    batches yields arrays of SINR draws. Each batch is evaluated once for
+    all rates (slot d_t = packet_bits / rate) and then dropped, so memory
+    is bounded by the batch size. The per-batch means and sums of squared
+    deviations merge in batch order (Chan, Golub & LeVeque), so the result
+    depends only on the draws and the batch boundaries. Returns one
+    LinkStats per entry of rates_bps, in the given order.
+    """
+    if bandwidth_hz <= 0.0 or packet_bits <= 0.0:
+        raise ValueError("bandwidth_hz and packet_bits must be positive")
+    rates = np.asarray(rates_bps, dtype=float)
+    if rates.ndim != 1 or rates.size == 0 or np.any(rates <= 0.0):
+        raise ValueError("rates_bps must be a non-empty list of positive rates")
+    order = np.argsort(-rates, kind="stable")
+    count = 0
+    mean = np.zeros(rates.size)
+    m2 = np.zeros(rates.size)
+    for gamma in batches:
+        g = _check_gamma(gamma)
+        b_mean, b_m2 = _batch_moments(g, bandwidth_hz, packet_bits, rates, order)
+        total = count + g.size
+        delta = b_mean - mean
+        mean = mean + delta * (g.size / total)
+        m2 = m2 + b_m2 + np.square(delta) * (count * g.size / total)
+        count = total
+    if count == 0:
+        raise ValueError("at least one SINR draw is required")
+    out = []
+    for rate, eps, dev2 in zip(rates.tolist(), mean.tolist(), m2.tolist()):
+        d_t = packet_bits / rate
+        delay = arq_delay(d_t, eps) if eps < 1.0 else math.inf
+        out.append(LinkStats(eps, delay, count, math.sqrt(dev2 / count / count)))
+    return out
 
 
 def freq_diversity(branches) -> LinkStats:

@@ -21,7 +21,6 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-import numpy as np
 import yaml
 
 from . import channel as ch
@@ -31,9 +30,7 @@ from .link import (
     ChannelSpec,
     Interferer,
     InterfererSet,
-    LinkStats,
     RadioParams,
-    arq_delay,
     decoding_error_stats,
     sinr_sample,
 )
@@ -194,7 +191,7 @@ class ScenarioConfig:
 
 
 def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
 def _check(cond: bool, key: str, want: str, value) -> None:
@@ -312,6 +309,9 @@ def _build_config(overrides: dict) -> ScenarioConfig:
         raise ConfigError("config key 'av_altitude_m': must exceed gbs_height_m")
     if cfg.hap_altitude_m <= cfg.av_altitude_m:
         raise ConfigError("config key 'hap_altitude_m': must exceed av_altitude_m")
+    if cfg.a2a_relay_count > e2e.MAX_A2A_PATHS:
+        raise ConfigError(f"config key 'a2a_relay_count': at most {e2e.MAX_A2A_PATHS} "
+                          f"relayed paths, got {cfg.a2a_relay_count}")
     if cfg.a2a_relay_count > cfg.av_count - 1:
         raise ConfigError("config key 'a2a_relay_count': needs av_count - 1 candidates")
     return cfg
@@ -595,25 +595,27 @@ def instantiate(config: ScenarioConfig, stream, r_ga_m: float | None = None) -> 
 _NS_SWEEP_TOPO, _NS_SWEEP_SAMP, _NS_REGION_TOPO, _NS_REGION_SAMP = 0, 1, 2, 3
 
 
-def _draw_gammas(setup: LinkSetup, config: ScenarioConfig, stream: RngStream) -> np.ndarray:
-    """All SINR draws for one link, batched in fixed stream order."""
-    parts = []
-    done, batch_ix = 0, 0
-    while done < config.n_samples:
+def _gamma_batches(setup: LinkSetup, config: ScenarioConfig, stream: RngStream):
+    """SINR draws of one link, one mc_batch_size batch at a time, each batch
+    from its own child stream."""
+    for batch_ix, done in enumerate(range(0, config.n_samples, config.mc_batch_size)):
         n = min(config.mc_batch_size, config.n_samples - done)
         rng = stream.child(batch_ix).generator()
-        parts.append(sinr_sample(setup.desired, setup.interferers, setup.radio, rng, size=n))
-        done += n
-        batch_ix += 1
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        yield sinr_sample(setup.desired, setup.interferers, setup.radio, rng, size=n)
 
 
-def _link_stats(gamma: np.ndarray, bandwidth_hz: float, rate_bps: float,
-                packet_bits: int) -> LinkStats:
-    d_t = packet_bits / rate_bps
-    mean, stderr = decoding_error_stats(gamma, bandwidth_hz, d_t, packet_bits)
-    delay = arq_delay(d_t, mean) if mean < 1.0 else math.inf
-    return LinkStats(mean, delay, gamma.size, stderr)
+def _rate_stats(topology: Topology, config: ScenarioConfig, stream: RngStream,
+                rates_bps) -> list:
+    """Per rate, {link name: LinkStats}; link i draws from stream.child(i)."""
+    per_link = {
+        name: decoding_error_stats(
+            _gamma_batches(setup, config, stream.child(link_ix)),
+            setup.radio.bandwidth_hz, config.packet_bits, rates_bps,
+        )
+        for link_ix, (name, setup) in enumerate(topology.links.items())
+    }
+    return [{name: stats[i] for name, stats in per_link.items()}
+            for i in range(len(rates_bps))]
 
 
 def _queue_gates(config: ScenarioConfig) -> dict:
@@ -648,15 +650,11 @@ def _gated_combinations(da2g, a2a_paths, hap, qos, gates) -> list:
     return combos
 
 
-def _paths_for_rate(topology: Topology, gammas: dict, config: ScenarioConfig,
-                    rate_bps: float):
-    """Per-path outcomes at one rate: (da2g, [a2a...], hap)."""
+def _paths_for_rate(topology: Topology, stats: dict, config: ScenarioConfig):
+    """Per-path outcomes at one rate from that rate's {link name: LinkStats}:
+    (da2g, [a2a...], hap)."""
     qos = config.qos()
     backhaul = config.backhaul()
-    stats = {}
-    for name, setup in topology.links.items():
-        stats[name] = _link_stats(gammas[name], setup.radio.bandwidth_hz,
-                                  rate_bps, config.packet_bits)
     gates = _queue_gates(config)
 
     branches = [stats["g2a_dest"]] * config.diversity_branches
@@ -721,15 +719,12 @@ class SweepResult:
 def _sweep_topology(config: ScenarioConfig, topo_ix: int):
     root = RngStream(config.master_seed)
     topology = instantiate(config, root.child(_NS_SWEEP_TOPO, topo_ix))
-    gammas = {
-        name: _draw_gammas(setup, config, root.child(_NS_SWEEP_SAMP, topo_ix, link_ix))
-        for link_ix, (name, setup) in enumerate(topology.links.items())
-    }
+    rates = [rate_kbps * 1e3 for rate_kbps in config.sweep_rates_kbps]
+    per_rate = _rate_stats(topology, config, root.child(_NS_SWEEP_SAMP, topo_ix), rates)
     gates = _queue_gates(config)
     out = {}
-    for rate_kbps in config.sweep_rates_kbps:
-        rate = rate_kbps * 1e3
-        da2g, a2a_paths, hap = _paths_for_rate(topology, gammas, config, rate)
+    for rate, stats in zip(rates, per_rate):
+        da2g, a2a_paths, hap = _paths_for_rate(topology, stats, config)
         qos = config.qos()
         rows = {
             "DA2G": da2g,
@@ -839,16 +834,12 @@ def _region_column(config: ScenarioConfig, col_ix: int):
         topology = instantiate(
             config, root.child(_NS_REGION_TOPO, col_ix, topo_ix), r_ga_m=r_center
         )
-        gammas = {
-            name: _draw_gammas(
-                setup, config, root.child(_NS_REGION_SAMP, col_ix, topo_ix, link_ix)
-            )
-            for link_ix, (name, setup) in enumerate(topology.links.items())
-        }
-        for rate_ix, rate_kbps in enumerate(config.region_rates_kbps):
-            da2g, a2a_paths, hap = _paths_for_rate(
-                topology, gammas, config, rate_kbps * 1e3
-            )
+        stats_per_rate = _rate_stats(
+            topology, config, root.child(_NS_REGION_SAMP, col_ix, topo_ix),
+            [rate_kbps * 1e3 for rate_kbps in config.region_rates_kbps],
+        )
+        for rate_ix, stats in enumerate(stats_per_rate):
+            da2g, a2a_paths, hap = _paths_for_rate(topology, stats, config)
             combos = _gated_combinations(da2g, a2a_paths, hap, qos, gates)
             per_rate[rate_ix].append({c.label: c for c in combos})
     labels = []
@@ -889,8 +880,9 @@ def run_operating_region(config: ScenarioConfig, threads: int = 1) -> RegionResu
 def _parallel_map(fn, arg_tuples, threads: int) -> list:
     """Map with optional process workers; collected in submission order so
     the result never depends on the worker count."""
-    if threads <= 1 or len(arg_tuples) <= 1:
+    workers = min(threads, len(arg_tuples))
+    if workers <= 1:
         return [fn(*args) for args in arg_tuples]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, *args) for args in arg_tuples]
         return [f.result() for f in futures]

@@ -99,6 +99,22 @@ class TestDa2gPath:
         partial = (1.0 - 1e-6) * (1.0 - 1e-7)
         assert_allclose(out.eps_std_error, radio_se * partial, rtol=1e-12)
 
+    def test_cloned_branches_are_one_estimate(self):
+        # K copies of one estimate: d(eps^K)/d eps = K eps^(K-1), so the
+        # radio SE at K = 2 is 2 * 1e-2 * 1e-3 = 2e-5, not sqrt(2) * 1e-5
+        one = _stats(1e-2, se=1e-3)
+        out = da2g_path(BACKHAUL, QUEUE, [one, one], LOOSE_QOS)
+        partial = (1.0 - 1e-6) * (1.0 - 1e-7)
+        assert_allclose(out.eps_std_error, 2e-5 * partial, rtol=1e-12)
+        three = da2g_path(BACKHAUL, QUEUE, [one] * 3, LOOSE_QOS)
+        assert_allclose(three.eps_std_error, 3 * 1e-4 * 1e-3 * partial, rtol=1e-12)
+
+    def test_equal_but_separate_estimates_stay_independent(self):
+        branches = [_stats(1e-2, se=1e-3), _stats(1e-2, se=1e-3)]
+        out = da2g_path(BACKHAUL, QUEUE, branches, LOOSE_QOS)
+        partial = (1.0 - 1e-6) * (1.0 - 1e-7)
+        assert_allclose(out.eps_std_error, math.sqrt(2.0) * 1e-5 * partial, rtol=1e-12)
+
     def test_feasibility_flips(self):
         good = da2g_path(BACKHAUL, QUEUE, [_stats(1e-7, 0.5e-3)], QOS)
         assert good.feasible

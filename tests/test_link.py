@@ -19,15 +19,15 @@ from avlinksim.link import (
     InterfererSet,
     LinkStats,
     RadioParams,
+    _Q_CUTOFF,
     arq_delay,
-    avg_decoding_error,
     decoding_error_stats,
     fbl_error,
     fbl_rate,
     freq_diversity,
     sinr_sample,
 )
-from avlinksim.mathfun import RngStream
+from avlinksim.mathfun import RngStream, gaussian_q
 
 
 def _radio(bandwidth_hz=0.4e6, tx_power_w=1.0, nf_db=0.0):
@@ -255,11 +255,45 @@ class TestArqDelay:
 # Monte Carlo link statistic
 # ============================================================
 
+def _batches(desired, radio, n_samples, stream, batch_size=1 << 15):
+    """SINR draws in fixed batches, one child stream per batch index."""
+    for ix, done in enumerate(range(0, n_samples, batch_size)):
+        m = min(batch_size, n_samples - done)
+        yield sinr_sample(desired, NO_INTERFERENCE, radio, stream.child(ix).generator(), size=m)
+
+
+def _reference(gamma, bandwidth_hz, packet_bits, rate_bps):
+    """Mean error and SE over the whole draw array, evaluated directly."""
+    d_t = packet_bits / rate_bps
+    capacity = bandwidth_hz * np.log1p(gamma) / math.log(2.0)
+    v = -np.expm1(-2.0 * np.log1p(gamma))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        arg = (capacity - rate_bps) * math.log(2.0) / np.sqrt(bandwidth_hz * v / d_t)
+    errs = gaussian_q(np.where(v > 0.0, arg, -np.inf))
+    return float(errs.mean()), math.sqrt(float(errs.var()) / errs.size)
+
+
+def _assert_matches_reference(stats, gamma, bandwidth_hz, packet_bits, rates):
+    for got, rate in zip(stats, rates):
+        mean, stderr = _reference(gamma, bandwidth_hz, packet_bits, rate)
+        assert_allclose(got.eps_t_bar, mean, rtol=1e-12, atol=0.0)
+        assert_allclose(got.std_error, stderr, rtol=1e-12, atol=0.0)
+        assert got.n_samples == gamma.size
+
+
+def _rician_draws(n, seed=12):
+    desired = ChannelSpec(pl_db=135.0, tx_gain=1.0, rx_gain=1.0, k_db=6.0)
+    return sinr_sample(desired, NO_INTERFERENCE, _radio(), RngStream(seed).generator(), size=n)
+
+
 class TestAvgDecodingError:
+    """The streaming estimator, fed one batch per child stream as in scenario runs."""
+
     def test_deterministic_channel_matches_closed_form(self):
         desired, radio = _unit_gamma_setup()
-        stats = avg_decoding_error(
-            desired, NO_INTERFERENCE, radio, 256.0, 6.4e-4, 5000, RngStream(8)
+        rate = 256.0 / 6.4e-4
+        (stats,) = decoding_error_stats(
+            _batches(desired, radio, 5000, RngStream(8)), radio.bandwidth_hz, 256.0, [rate]
         )
         expected = fbl_error(1.0, radio.bandwidth_hz, 6.4e-4, 256.0)
         assert_allclose(stats.eps_t_bar, expected, rtol=1e-12)
@@ -269,10 +303,10 @@ class TestAvgDecodingError:
     def test_repeatable_and_batch_structured(self):
         desired = ChannelSpec(pl_db=135.0, tx_gain=1.0, rx_gain=1.0, k_db=9.0)
         radio = _radio()
-        a = avg_decoding_error(desired, NO_INTERFERENCE, radio, 256.0, 1e-3,
-                               70_000, RngStream(9, 4))
-        b = avg_decoding_error(desired, NO_INTERFERENCE, radio, 256.0, 1e-3,
-                               70_000, RngStream(9, 4))
+        a = decoding_error_stats(_batches(desired, radio, 70_000, RngStream(9, 4)),
+                                 radio.bandwidth_hz, 256.0, [256e3])
+        b = decoding_error_stats(_batches(desired, radio, 70_000, RngStream(9, 4)),
+                                 radio.bandwidth_hz, 256.0, [256e3])
         assert a == b
 
     def test_matches_manual_batch_loop(self):
@@ -280,38 +314,99 @@ class TestAvgDecodingError:
         radio = _radio()
         stream = RngStream(10, 2)
         n, batch = 50_000, 1 << 15
-        stats = avg_decoding_error(desired, NO_INTERFERENCE, radio, 256.0, 1e-3,
-                                   n, stream, batch_size=batch)
-        parts = []
-        done, ix = 0, 0
-        while done < n:
-            m = min(batch, n - done)
-            rng = stream.child(ix).generator()
-            parts.append(sinr_sample(desired, NO_INTERFERENCE, radio, rng, size=m))
-            done += m
-            ix += 1
-        gamma = np.concatenate(parts)
-        mean, stderr = decoding_error_stats(gamma, radio.bandwidth_hz, 1e-3, 256.0)
-        assert_allclose(stats.eps_t_bar, mean, rtol=1e-12)
-        assert_allclose(stats.std_error, stderr, rtol=1e-9)
+        rates = [256e3, 1e6]
+        stats = decoding_error_stats(_batches(desired, radio, n, stream, batch),
+                                     radio.bandwidth_hz, 256.0, rates)
+        gamma = np.concatenate(list(_batches(desired, radio, n, stream, batch)))
+        _assert_matches_reference(stats, gamma, radio.bandwidth_hz, 256.0, rates)
 
     def test_error_grows_with_rate(self):
         # 135 dB loss puts the mean SNR near 20, keeping every sampled
         # error away from the 0/1 saturation points
         desired = ChannelSpec(pl_db=135.0, tx_gain=1.0, rx_gain=1.0, k_db=9.0)
         radio = _radio()
-        eps = [
-            avg_decoding_error(desired, NO_INTERFERENCE, radio, 256.0,
-                               256.0 / rate, 20_000, RngStream(11)).eps_t_bar
-            for rate in (1e5, 3e5, 6e5, 1e6)
-        ]
+        stats = decoding_error_stats(_batches(desired, radio, 20_000, RngStream(11)),
+                                     radio.bandwidth_hz, 256.0, [1e5, 3e5, 6e5, 1e6])
+        eps = [s.eps_t_bar for s in stats]
         assert all(a < b for a, b in zip(eps, eps[1:]))
 
     def test_validation(self):
         desired, radio = _unit_gamma_setup()
         with pytest.raises(ValueError):
-            avg_decoding_error(desired, NO_INTERFERENCE, radio, 256.0, 1e-3,
-                               0, RngStream(1))
+            decoding_error_stats(_batches(desired, radio, 0, RngStream(1)),
+                                 radio.bandwidth_hz, 256.0, [256e3])
+        with pytest.raises(ValueError):
+            decoding_error_stats([np.ones(4)], radio.bandwidth_hz, 256.0, [])
+        with pytest.raises(ValueError):
+            decoding_error_stats([np.ones(4)], radio.bandwidth_hz, 256.0, [1e5, 0.0])
+        with pytest.raises(ValueError):
+            decoding_error_stats([np.array([1.0, -1.0])], radio.bandwidth_hz, 256.0, [1e5])
+
+
+class TestStreamingEstimator:
+    """Against a direct evaluation over the whole draw array."""
+
+    BW = 0.4e6
+
+    def test_unsorted_and_duplicate_rates(self):
+        gamma = _rician_draws(9000)
+        rates = [800e3, 100e3, 800e3, 30e3, 2e6, 450e3, 100e3]
+        stats = decoding_error_stats(np.split(gamma, 3), self.BW, 256.0, rates)
+        _assert_matches_reference(stats, gamma, self.BW, 256.0, rates)
+        assert stats[0] == stats[2] and stats[1] == stats[6]
+        for got, rate in zip(stats, rates):
+            assert_allclose(got.d_t_bar, arq_delay(256.0 / rate, got.eps_t_bar), rtol=1e-15)
+
+    def test_zero_sinr_is_certain_failure(self):
+        gamma = _rician_draws(4000)
+        gamma[::7] = 0.0
+        rates = [50e3, 400e3, 1.2e6]
+        stats = decoding_error_stats([gamma[:1500], gamma[1500:]], self.BW, 256.0, rates)
+        _assert_matches_reference(stats, gamma, self.BW, 256.0, rates)
+        zeros = np.count_nonzero(gamma == 0.0) / gamma.size
+        assert all(s.eps_t_bar >= zeros for s in stats)
+        (all_zero,) = decoding_error_stats([np.zeros(10)], self.BW, 256.0, [1e5])
+        assert all_zero.eps_t_bar == 1.0 and all_zero.d_t_bar == math.inf
+        assert all_zero.std_error == 0.0
+
+    def test_rates_where_every_error_underflows(self):
+        # SNR 0-30 dB at 1-5 kbps puts Q's argument far past the cutoff;
+        # 600 kbps exceeds the 0 dB capacity of 400 kbps
+        gamma = 10.0 ** np.linspace(0.0, 3.0, 2000)
+        rates = [5e3, 600e3, 1e3]
+        stats = decoding_error_stats(np.split(gamma, 4), self.BW, 256.0, rates)
+        assert stats[0].eps_t_bar == 0.0 and stats[0].std_error == 0.0
+        assert stats[2].eps_t_bar == 0.0 and stats[2].std_error == 0.0
+        assert stats[0].d_t_bar == 256.0 / 5e3
+        assert stats[1].eps_t_bar > 0.0
+        _assert_matches_reference(stats, gamma, self.BW, 256.0, rates)
+
+    def test_sample_count_not_a_multiple_of_the_batch(self):
+        desired = ChannelSpec(pl_db=135.0, tx_gain=1.0, rx_gain=1.0, k_db=6.0)
+        radio = _radio()
+        stream = RngStream(13, 1)
+        rates = [200e3, 700e3]
+        stats = decoding_error_stats(_batches(desired, radio, 10_007, stream, 1000),
+                                     radio.bandwidth_hz, 256.0, rates)
+        gamma = np.concatenate(list(_batches(desired, radio, 10_007, stream, 1000)))
+        assert gamma.size == 10_007
+        _assert_matches_reference(stats, gamma, radio.bandwidth_hz, 256.0, rates)
+
+    def test_batch_boundaries_only_regroup_the_sums(self):
+        gamma = _rician_draws(6000, seed=14)
+        rates = [300e3, 900e3]
+        one = decoding_error_stats([gamma], self.BW, 256.0, rates)
+        many = decoding_error_stats(np.split(gamma, [1, 5, 2500, 2501]), self.BW, 256.0, rates)
+        for a, b in zip(one, many):
+            assert_allclose(b.eps_t_bar, a.eps_t_bar, rtol=1e-12)
+            assert_allclose(b.std_error, a.std_error, rtol=1e-12)
+
+    def test_q_is_exactly_zero_past_the_cutoff(self):
+        # the estimator drops elements past the cutoff as exact zeros
+        xs = np.concatenate([np.linspace(_Q_CUTOFF, 60.0, 2001), [1e3, np.inf]])
+        assert np.all(gaussian_q(xs) == 0.0)
+        assert gaussian_q(_Q_CUTOFF) == 0.0
+        assert gaussian_q(37.5) > 0.0
 
 
 class TestFreqDiversity:

@@ -1,12 +1,14 @@
 """Tests for configuration loading, topology instantiation, the rate sweep,
 and the operating-region search."""
 
+import concurrent.futures
 import dataclasses
 import textwrap
 
 import pytest
 
 from avlinksim import geometry as geo
+from avlinksim import scenario
 from avlinksim.mathfun import RngStream
 from avlinksim.scenario import (
     CANONICAL_COMBINATIONS,
@@ -128,6 +130,21 @@ class TestLoadConfig:
     def test_relay_count_needs_candidates(self, tmp_path):
         with pytest.raises(ConfigError, match="'a2a_relay_count'"):
             load_config(_write(tmp_path, "av_count: 2\na2a_relay_count: 3\n"))
+
+    @pytest.mark.parametrize("text", [
+        "isd_m: .inf\n",
+        "tx_power_av_dbm: .nan\n",
+        "region_r_edges_m: [0, .inf]\n",
+    ])
+    def test_non_finite_numbers_rejected(self, tmp_path, text):
+        key = text.split(":")[0]
+        with pytest.raises(ConfigError, match=key):
+            load_config(_write(tmp_path, text))
+
+    def test_relay_count_capped_at_three(self, tmp_path):
+        with pytest.raises(ConfigError, match="a2a_relay_count"):
+            load_config(_write(tmp_path, "a2a_relay_count: 4\n"))
+        assert load_config(_write(tmp_path, "a2a_relay_count: 3\n")).a2a_relay_count == 3
 
     def test_region_edges_must_increase(self, tmp_path):
         with pytest.raises(ConfigError, match="'region_r_edges_m'"):
@@ -387,3 +404,49 @@ class TestOperatingRegion:
             for k in range(len(cfg.region_rates_kbps))
         ]
         assert indices == sorted(indices)
+
+
+# ============================================================
+# Worker pool
+# ============================================================
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: runs each job in-process and
+    records the requested worker count."""
+
+    requested = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        done = concurrent.futures.Future()
+        done.set_result(fn(*args))
+        return done
+
+
+class TestParallelMap:
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        monkeypatch.setattr(scenario, "ProcessPoolExecutor", _RecordingPool)
+        _RecordingPool.requested = []
+        return _RecordingPool
+
+    def test_workers_clamped_to_work_items(self, pool):
+        out = scenario._parallel_map(pow, [(2, 1), (2, 2), (2, 3)], 256)
+        assert out == [2, 4, 8]
+        assert pool.requested == [3]
+
+    def test_fewer_threads_than_items_kept(self, pool):
+        assert scenario._parallel_map(pow, [(3, k) for k in range(5)], 2) == [1, 3, 9, 27, 81]
+        assert pool.requested == [2]
+
+    def test_single_item_runs_in_process(self, pool):
+        assert scenario._parallel_map(pow, [(5, 2)], 64) == [25]
+        assert pool.requested == []
