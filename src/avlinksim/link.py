@@ -118,11 +118,16 @@ class LinkStats:
 # ============================================================
 
 def _channel_draw(spec: ChannelSpec, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Received gain mean_gain * fade (* shadow), in the fade's buffer."""
     power = sample_rician_power(spec.k_db, rng, size=n)
+    power *= spec.mean_gain
     if spec.sf_sigma_db > 0.0:
-        shadow_db = spec.sf_sigma_db * rng.standard_normal(size=n)
-        return spec.mean_gain * power * 10.0 ** (-shadow_db / 10.0)
-    return spec.mean_gain * power
+        shadow = rng.standard_normal(size=n)
+        shadow *= -spec.sf_sigma_db
+        shadow /= 10.0
+        np.power(10.0, shadow, out=shadow)
+        power *= shadow
+    return power
 
 
 def sinr_sample(
@@ -135,22 +140,31 @@ def sinr_sample(
     """Draw SINR realizations for one link.
 
     Draw order is fixed (desired channel, then each interferer in member
-    order, then activity marks), so results are reproducible for a given
-    generator state.
+    order, in bernoulli mode each followed by its activity marks), so
+    results are reproducible for a given generator state. Interferer
+    powers are added into one running sum in member order, so memory is
+    a few size-long arrays whatever the member count.
     """
     n = int(size)
-    signal = radio.tx_power_w * _channel_draw(desired, rng, n)
+    signal = _channel_draw(desired, rng, n)
+    signal *= radio.tx_power_w
+    if not interferers.members or interferers.p_interf == 0.0:
+        signal /= radio.noise_power_w
+        return signal
+    bernoulli = interferers.mode == "bernoulli"
     interference = np.zeros(n)
-    if interferers.members and interferers.p_interf > 0.0:
-        powers = np.empty((len(interferers.members), n))
-        for i, member in enumerate(interferers.members):
-            powers[i] = member.tx_power_w * _channel_draw(member.channel, rng, n)
-        if interferers.mode == "expected":
-            interference = interferers.p_interf * powers.sum(axis=0)
-        else:
-            active = rng.random(size=powers.shape) < interferers.p_interf
-            interference = (powers * active).sum(axis=0)
-    return signal / (interference + radio.noise_power_w)
+    for member in interferers.members:
+        power = _channel_draw(member.channel, rng, n)
+        power *= member.tx_power_w
+        if bernoulli:
+            power *= rng.random(size=n) < interferers.p_interf
+        interference += power
+        del power   # freed before the next member draws
+    if not bernoulli:
+        interference *= interferers.p_interf
+    interference += radio.noise_power_w
+    signal /= interference
+    return signal
 
 
 # ============================================================

@@ -159,10 +159,18 @@ def sample_rician_power(k_db: float, rng: np.random.Generator, size=None):
     else:
         rho = np.sqrt(k_lin / (k_lin + 1.0))
         sigma = np.sqrt(0.5 / (k_lin + 1.0))
-    shape = () if size is None else ((size,) if np.isscalar(size) else tuple(size))
-    z = rng.standard_normal(size=(2,) + shape)
-    power = (rho + sigma * z[0]) ** 2 + (sigma * z[1]) ** 2
-    return float(power) if size is None else power
+    shape = (1,) if size is None else size
+    # in-phase then quadrature normals, the same variates as one (2, size)
+    # draw; each part is computed in its own normal buffer
+    power = rng.standard_normal(size=shape)
+    power *= sigma
+    power += rho
+    np.square(power, out=power)
+    quadrature = rng.standard_normal(size=shape)
+    quadrature *= sigma
+    np.square(quadrature, out=quadrature)
+    power += quadrature
+    return float(power[0]) if size is None else power
 
 
 def sample_lognormal_shadow_db(sigma_db: float, rng: np.random.Generator, size=None):

@@ -630,51 +630,52 @@ def _queue_gates(config: ScenarioConfig) -> dict:
     return gates
 
 
-def _gate(outcome: e2e.PathOutcome, ok: bool) -> e2e.PathOutcome:
-    if ok or not outcome.feasible:
+def _label_gate(label: str, gates: dict) -> bool:
+    """Queue gate of a path or combination label: every node type it
+    traverses must pass. All but the single HAP path cross the base
+    station; A2A adds the relay AV, HAP the ground station and platform."""
+    ok = label == "HAP" or gates["gbs"]
+    if "A2A" in label:
+        ok = ok and gates["av"]
+    if "HAP" in label:
+        ok = ok and gates["gs"] and gates["hap"]
+    return ok
+
+
+def _gate(outcome: e2e.PathOutcome, gates: dict) -> e2e.PathOutcome:
+    if _label_gate(outcome.label, gates) or not outcome.feasible:
         return outcome
     return dataclasses.replace(outcome, feasible=False)
 
 
 def _gated_combinations(da2g, a2a_paths, hap, qos, gates) -> list:
-    """Combinations with queue gates re-applied; a combo inherits the gate
-    of every node type it traverses (all of them cross the base station)."""
-    combos = []
-    for combo in e2e.enumerate_combinations(da2g, a2a_paths, hap, qos):
-        ok = gates["gbs"]
-        if "A2A" in combo.label:
-            ok = ok and gates["av"]
-        if "HAP" in combo.label:
-            ok = ok and gates["gs"] and gates["hap"]
-        combos.append(_gate(combo, ok))
-    return combos
+    """Combinations with queue gates re-applied."""
+    return [_gate(combo, gates)
+            for combo in e2e.enumerate_combinations(da2g, a2a_paths, hap, qos)]
 
 
-def _paths_for_rate(topology: Topology, stats: dict, config: ScenarioConfig):
+def _paths_for_rate(topology: Topology, stats: dict, config: ScenarioConfig,
+                    gates: dict):
     """Per-path outcomes at one rate from that rate's {link name: LinkStats}:
     (da2g, [a2a...], hap)."""
     qos = config.qos()
     backhaul = config.backhaul()
-    gates = _queue_gates(config)
 
     branches = [stats["g2a_dest"]] * config.diversity_branches
-    da2g = _gate(
-        e2e.da2g_path(backhaul, config.queue("gbs"), branches, qos),
-        gates["gbs"],
-    )
+    da2g = _gate(e2e.da2g_path(backhaul, config.queue("gbs"), branches, qos), gates)
     a2a_paths = []
     for m in range(1, len(topology.relays) + 1):
         outcome = e2e.a2a_path(
             backhaul, config.queue("gbs"), stats[f"g2a_relay_{m}"],
             config.queue("av"), stats[f"a2a_{m}"], qos, label=f"A2A-{m}",
         )
-        a2a_paths.append(_gate(outcome, gates["gbs"] and gates["av"]))
+        a2a_paths.append(_gate(outcome, gates))
     hap = _gate(
         e2e.hap_path(
             backhaul, config.queue("gs"), stats["g2h"], topology.d_g2h_m,
             config.queue("hap"), stats["h2a"], topology.d_h2a_m, qos,
         ),
-        gates["gs"] and gates["hap"],
+        gates,
     )
     return da2g, a2a_paths, hap
 
@@ -724,7 +725,7 @@ def _sweep_topology(config: ScenarioConfig, topo_ix: int):
     gates = _queue_gates(config)
     out = {}
     for rate, stats in zip(rates, per_rate):
-        da2g, a2a_paths, hap = _paths_for_rate(topology, stats, config)
+        da2g, a2a_paths, hap = _paths_for_rate(topology, stats, config, gates)
         qos = config.qos()
         rows = {
             "DA2G": da2g,
@@ -738,8 +739,9 @@ def _sweep_topology(config: ScenarioConfig, topo_ix: int):
     return out
 
 
-def _mean_outcomes(per_topology: list, qos: e2e.QosTarget):
-    """Average eps/delay per label across topologies, then threshold."""
+def _mean_outcomes(per_topology: list, qos: e2e.QosTarget, gates: dict):
+    """Average eps/delay per label across topologies, then threshold and
+    apply the label's queue gate."""
     labels = list(per_topology[0].keys())
     merged = {}
     t = len(per_topology)
@@ -750,9 +752,8 @@ def _mean_outcomes(per_topology: list, qos: e2e.QosTarget):
         eps_se = math.sqrt(sum(o.eps_std_error ** 2 for o in outs)) / t
         finite = [o.d_std_error for o in outs if math.isfinite(o.d_std_error)]
         delay_se = (math.sqrt(sum(s ** 2 for s in finite)) / t) if finite else math.inf
-        gated = all(o.feasible or o.eps_e2e > qos.eps_th or o.d_e2e > qos.d_max_s
-                    for o in outs)
-        feasible = bool(eps <= qos.eps_th and delay <= qos.d_max_s and gated)
+        feasible = bool(eps <= qos.eps_th and delay <= qos.d_max_s
+                        and _label_gate(label, gates))
         merged[label] = (eps, eps_se, delay, delay_se, feasible)
     return merged
 
@@ -763,11 +764,12 @@ def run_rate_sweep(config: ScenarioConfig, threads: int = 1) -> SweepResult:
         _sweep_topology, [(config, t) for t in range(config.sweep_topologies)], threads
     )
     qos = config.qos()
+    gates = _queue_gates(config)
     rows = []
     labels = None
     for rate_kbps in config.sweep_rates_kbps:
         rate = rate_kbps * 1e3
-        merged = _mean_outcomes([res[rate] for res in topo_results], qos)
+        merged = _mean_outcomes([res[rate] for res in topo_results], qos, gates)
         if labels is None:
             labels = tuple(merged.keys())
         for label, (eps, eps_se, delay, delay_se, feasible) in merged.items():
@@ -777,7 +779,7 @@ def run_rate_sweep(config: ScenarioConfig, threads: int = 1) -> SweepResult:
             node: effective_bandwidth(config.queue(node))
             for node in ("gbs", "av", "hap", "gs")
         },
-        "queue_gates": _queue_gates(config),
+        "queue_gates": gates,
         "topologies": config.sweep_topologies,
         "n_samples": config.n_samples,
     }
@@ -839,12 +841,12 @@ def _region_column(config: ScenarioConfig, col_ix: int):
             [rate_kbps * 1e3 for rate_kbps in config.region_rates_kbps],
         )
         for rate_ix, stats in enumerate(stats_per_rate):
-            da2g, a2a_paths, hap = _paths_for_rate(topology, stats, config)
+            da2g, a2a_paths, hap = _paths_for_rate(topology, stats, config, gates)
             combos = _gated_combinations(da2g, a2a_paths, hap, qos, gates)
             per_rate[rate_ix].append({c.label: c for c in combos})
     labels = []
     for rate_ix in range(len(config.region_rates_kbps)):
-        merged = _mean_outcomes(per_rate[rate_ix], qos)
+        merged = _mean_outcomes(per_rate[rate_ix], qos, gates)
         chosen = "none"
         for label, (_, _, _, _, feasible) in merged.items():
             if feasible:

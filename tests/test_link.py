@@ -5,6 +5,7 @@ uses an independently integrated expectation of the inverse fading power.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,30 @@ class TestContainers:
 # ============================================================
 # SINR sampling
 # ============================================================
+
+def _stacked_sinr(desired, interferers, radio, rng, n):
+    """Expected-mode SINR by stacking every interferer's power, then summing:
+    the formula sinr_sample evaluates as a running sum."""
+    def draw(spec):
+        k = 10.0 ** (spec.k_db / 10.0)
+        if np.isinf(k):
+            rho, sigma = 1.0, 0.0
+        else:
+            rho, sigma = np.sqrt(k / (k + 1.0)), np.sqrt(0.5 / (k + 1.0))
+        z = rng.standard_normal(size=(2, n))
+        power = (rho + sigma * z[0]) ** 2 + (sigma * z[1]) ** 2
+        if spec.sf_sigma_db > 0.0:
+            shadow_db = spec.sf_sigma_db * rng.standard_normal(size=n)
+            return spec.mean_gain * power * 10.0 ** (-shadow_db / 10.0)
+        return spec.mean_gain * power
+
+    signal = radio.tx_power_w * draw(desired)
+    powers = np.empty((len(interferers.members), n))
+    for i, member in enumerate(interferers.members):
+        powers[i] = member.tx_power_w * draw(member.channel)
+    interference = interferers.p_interf * powers.sum(axis=0)
+    return signal / (interference + radio.noise_power_w)
+
 
 class TestSinrSample:
     def test_deterministic_unit_snr(self):
@@ -156,6 +181,48 @@ class TestSinrSample:
         b = sinr_sample(shadowed, NO_INTERFERENCE, radio, RngStream(7).generator(), size=20_000)
         assert float(np.std(np.log10(a))) < 1e-12
         assert float(np.std(10.0 * np.log10(b))) == pytest.approx(4.0, rel=0.05)
+
+    def test_matches_stack_and_sum_formula(self):
+        # the running interferer sum must reproduce the stacked formula bit
+        # for bit, so a sampler change cannot silently redraw
+        radio = _radio(tx_power_w=0.2, nf_db=9.0)
+        desired = ChannelSpec(pl_db=95.0, tx_gain=3.0, rx_gain=1.0, k_db=12.0,
+                              sf_sigma_db=4.0)
+        rs = np.random.default_rng(11)
+        members = tuple(
+            Interferer(
+                ChannelSpec(pl_db=float(rs.uniform(95.0, 115.0)),
+                            tx_gain=float(rs.uniform(0.1, 2.0)), rx_gain=1.0,
+                            k_db=k_db, sf_sigma_db=sf),
+                39.8,
+            )
+            for k_db, sf in [(5.0, 6.0), (12.0, 0.0), (np.inf, 4.0),
+                             (-np.inf, 0.0), (15.0, 6.0)] * 8
+        )
+        iset = InterfererSet(members, p_interf=0.3, mode="expected")
+        got = sinr_sample(desired, iset, radio, RngStream(5, 9).generator(), size=4099)
+        want = _stacked_sinr(desired, iset, radio, RngStream(5, 9).generator(), 4099)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("mode", ["expected", "bernoulli"])
+    def test_traced_peak_bounded_by_batch(self, mode):
+        n = 32768
+        radio = _radio()
+        spec = ChannelSpec(pl_db=100.0, tx_gain=1.0, rx_gain=1.0, k_db=12.0,
+                           sf_sigma_db=4.0)
+        peaks = []
+        for count in (6, 90):
+            iset = InterfererSet((Interferer(spec, 1.0),) * count, p_interf=0.2,
+                                 mode=mode)
+            rng = RngStream(1).generator()
+            tracemalloc.start()
+            try:
+                sinr_sample(spec, iset, radio, rng, size=n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 8 * n * 8
+        assert peaks[1] <= peaks[0]
 
 
 # ============================================================

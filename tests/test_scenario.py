@@ -7,6 +7,7 @@ import textwrap
 
 import pytest
 
+from avlinksim import e2e
 from avlinksim import geometry as geo
 from avlinksim import scenario
 from avlinksim.mathfun import RngStream
@@ -351,6 +352,26 @@ class TestQueueGates:
                 assert not row.feasible
             else:
                 assert row.feasible == open_by[(row.rate_bps, row.label)].feasible
+
+    def test_gate_survives_topology_average(self):
+        # each topology fails the platform gate and one threshold, but the
+        # averages (7.55e-6, 6.5 ms) meet both thresholds
+        label = "DA2G + HAP"
+        outcomes = [
+            {label: e2e.PathOutcome(label, 1.5e-5, 1e-3, False)},
+            {label: e2e.PathOutcome(label, 1e-7, 12e-3, False)},
+        ]
+        qos = FAST.qos()
+        gates = {"gbs": True, "av": True, "gs": True, "hap": False}
+        assert not scenario._mean_outcomes(outcomes, qos, gates)[label][4]
+        open_gates = dict.fromkeys(gates, True)
+        assert scenario._mean_outcomes(outcomes, qos, open_gates)[label][4]
+
+    def test_platform_path_does_not_cross_base_station(self):
+        gates = {"gbs": False, "av": True, "gs": True, "hap": True}
+        assert scenario._label_gate("HAP", gates)
+        assert not scenario._label_gate("DA2G + HAP", gates)
+        assert not scenario._label_gate("A2A", gates)
 
 
 # ============================================================
