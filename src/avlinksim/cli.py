@@ -212,7 +212,7 @@ _common = [
                  default="csv", show_default=True),
     click.option("--threads", type=click.IntRange(1, 256), default=1,
                  show_default=True,
-                 help="Worker processes; results are identical for any value."),
+                 help="Worker threads; results are identical for any value."),
     click.option("--quiet", is_flag=True, help="Suppress progress messages."),
 ]
 

@@ -7,7 +7,6 @@ Provides:
  - decoding_error_stats : streaming Monte Carlo link statistic (LinkStats)
                           at every rate from batches of SINR draws
  - arq_delay            : mean persistent-retransmission delay
- - freq_diversity       : error/delay combining over diversity branches
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ __all__ = [
     "fbl_error",
     "decoding_error_stats",
     "arq_delay",
-    "freq_diversity",
 ]
 
 _LN2 = math.log(2.0)
@@ -300,24 +298,3 @@ def decoding_error_stats(batches, bandwidth_hz: float, packet_bits: float,
         out.append(LinkStats(eps, delay, count, math.sqrt(dev2 / count / count)))
     return out
 
-
-def freq_diversity(branches) -> LinkStats:
-    """Combine diversity branches: errors multiply, delays take the minimum.
-
-    The standard error of the product is propagated to first order.
-    """
-    branches = list(branches)
-    if not branches:
-        raise ValueError("at least one branch is required")
-    eps = np.array([b.eps_t_bar for b in branches])
-    prod = float(np.prod(eps))
-    var = 0.0
-    for i, b in enumerate(branches):
-        partial = float(np.prod(np.delete(eps, i)))
-        var += (b.std_error * partial) ** 2
-    return LinkStats(
-        eps_t_bar=prod,
-        d_t_bar=min(b.d_t_bar for b in branches),
-        n_samples=min(b.n_samples for b in branches),
-        std_error=math.sqrt(var),
-    )

@@ -18,7 +18,7 @@ import dataclasses
 import hashlib
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import yaml
@@ -604,20 +604,6 @@ def _gamma_batches(setup: LinkSetup, config: ScenarioConfig, stream: RngStream):
         yield sinr_sample(setup.desired, setup.interferers, setup.radio, rng, size=n)
 
 
-def _rate_stats(topology: Topology, config: ScenarioConfig, stream: RngStream,
-                rates_bps) -> list:
-    """Per rate, {link name: LinkStats}; link i draws from stream.child(i)."""
-    per_link = {
-        name: decoding_error_stats(
-            _gamma_batches(setup, config, stream.child(link_ix)),
-            setup.radio.bandwidth_hz, config.packet_bits, rates_bps,
-        )
-        for link_ix, (name, setup) in enumerate(topology.links.items())
-    }
-    return [{name: stats[i] for name, stats in per_link.items()}
-            for i in range(len(rates_bps))]
-
-
 def _queue_gates(config: ScenarioConfig) -> dict:
     gates = {}
     for node, service in (
@@ -680,6 +666,42 @@ def _paths_for_rate(topology: Topology, stats: dict, config: ScenarioConfig,
     return da2g, a2a_paths, hap
 
 
+def _link_stats(setup: LinkSetup, config: ScenarioConfig, stream: RngStream,
+                rates_bps) -> list:
+    """One work item: the LinkStats of one link at every rate."""
+    return decoding_error_stats(
+        _gamma_batches(setup, config, stream),
+        setup.radio.bandwidth_hz, config.packet_bits, rates_bps,
+    )
+
+
+def _evaluate_topologies(config: ScenarioConfig, items, rates_bps, threads: int) -> list:
+    """Per (topology, sample stream) item, per rate: the path outcomes
+    (da2g, [a2a...], hap) and their gated combinations.
+
+    Every link of every topology is one work item, and link i of a
+    topology draws from its sample stream's child(i). Results are
+    collected in submission order, so the worker count changes no number.
+    """
+    work = [(setup, config, stream.child(link_ix), rates_bps)
+            for topology, stream in items
+            for link_ix, setup in enumerate(topology.links.values())]
+    stats = iter(_parallel_map(_link_stats, work, threads))
+    qos = config.qos()
+    gates = _queue_gates(config)
+    out = []
+    for topology, _ in items:
+        per_link = {name: next(stats) for name in topology.links}
+        per_rate = []
+        for rate_ix in range(len(rates_bps)):
+            rate_stats = {name: s[rate_ix] for name, s in per_link.items()}
+            da2g, a2a_paths, hap = _paths_for_rate(topology, rate_stats, config, gates)
+            combos = _gated_combinations(da2g, a2a_paths, hap, qos, gates)
+            per_rate.append((da2g, a2a_paths, hap, combos))
+        out.append(per_rate)
+    return out
+
+
 CANONICAL_COMBINATIONS = (
     "DA2G",
     "DA2G + 1-A2A",
@@ -717,26 +739,15 @@ class SweepResult:
     diagnostics: dict
 
 
-def _sweep_topology(config: ScenarioConfig, topo_ix: int):
-    root = RngStream(config.master_seed)
-    topology = instantiate(config, root.child(_NS_SWEEP_TOPO, topo_ix))
-    rates = [rate_kbps * 1e3 for rate_kbps in config.sweep_rates_kbps]
-    per_rate = _rate_stats(topology, config, root.child(_NS_SWEEP_SAMP, topo_ix), rates)
-    gates = _queue_gates(config)
-    out = {}
-    for rate, stats in zip(rates, per_rate):
-        da2g, a2a_paths, hap = _paths_for_rate(topology, stats, config, gates)
-        qos = config.qos()
-        rows = {
-            "DA2G": da2g,
-            "A2A": a2a_paths[0] if a2a_paths else None,
-            "HAP": hap,
-        }
-        for combo in _gated_combinations(da2g, a2a_paths, hap, qos, gates):
-            if combo.label != "DA2G":
-                rows[combo.label] = combo
-        out[rate] = {k: v for k, v in rows.items() if v is not None}
-    return out
+def _sweep_rows(da2g, a2a_paths, hap, combos) -> dict:
+    """Sweep rows of one topology at one rate: the single paths, then every
+    combination beyond the direct path."""
+    rows = {"DA2G": da2g}
+    if a2a_paths:
+        rows["A2A"] = a2a_paths[0]
+    rows["HAP"] = hap
+    rows.update((combo.label, combo) for combo in combos if combo.label != "DA2G")
+    return rows
 
 
 def _mean_outcomes(per_topology: list, qos: e2e.QosTarget, gates: dict):
@@ -760,16 +771,20 @@ def _mean_outcomes(per_topology: list, qos: e2e.QosTarget, gates: dict):
 
 def run_rate_sweep(config: ScenarioConfig, threads: int = 1) -> SweepResult:
     """Error and delay of every path combination across the rate grid."""
-    topo_results = _parallel_map(
-        _sweep_topology, [(config, t) for t in range(config.sweep_topologies)], threads
-    )
+    root = RngStream(config.master_seed)
+    rates = [rate_kbps * 1e3 for rate_kbps in config.sweep_rates_kbps]
+    items = [(instantiate(config, root.child(_NS_SWEEP_TOPO, t)),
+              root.child(_NS_SWEEP_SAMP, t))
+             for t in range(config.sweep_topologies)]
+    per_topology = _evaluate_topologies(config, items, rates, threads)
     qos = config.qos()
     gates = _queue_gates(config)
     rows = []
     labels = None
-    for rate_kbps in config.sweep_rates_kbps:
-        rate = rate_kbps * 1e3
-        merged = _mean_outcomes([res[rate] for res in topo_results], qos, gates)
+    for rate_ix, rate in enumerate(rates):
+        merged = _mean_outcomes(
+            [_sweep_rows(*topo[rate_ix]) for topo in per_topology], qos, gates
+        )
         if labels is None:
             labels = tuple(merged.keys())
         for label, (eps, eps_se, delay, delay_se, feasible) in merged.items():
@@ -786,7 +801,7 @@ def run_rate_sweep(config: ScenarioConfig, threads: int = 1) -> SweepResult:
     return SweepResult(
         rows=tuple(rows),
         labels=labels or (),
-        rates_bps=tuple(r * 1e3 for r in config.sweep_rates_kbps),
+        rates_bps=tuple(rates),
         seed=config.master_seed,
         config_digest=config_hash(config),
         diagnostics=diagnostics,
@@ -825,54 +840,34 @@ class RegionResult:
         return self.labels.index(label)
 
 
-def _region_column(config: ScenarioConfig, col_ix: int):
-    """Labels for one distance column, all rates, averaged over topologies."""
-    root = RngStream(config.master_seed)
-    r_center = 0.5 * (config.region_r_edges_m[col_ix] + config.region_r_edges_m[col_ix + 1])
-    qos = config.qos()
-    gates = _queue_gates(config)
-    per_rate: list[list] = [[] for _ in config.region_rates_kbps]
-    for topo_ix in range(config.region_topologies):
-        topology = instantiate(
-            config, root.child(_NS_REGION_TOPO, col_ix, topo_ix), r_ga_m=r_center
-        )
-        stats_per_rate = _rate_stats(
-            topology, config, root.child(_NS_REGION_SAMP, col_ix, topo_ix),
-            [rate_kbps * 1e3 for rate_kbps in config.region_rates_kbps],
-        )
-        for rate_ix, stats in enumerate(stats_per_rate):
-            da2g, a2a_paths, hap = _paths_for_rate(topology, stats, config, gates)
-            combos = _gated_combinations(da2g, a2a_paths, hap, qos, gates)
-            per_rate[rate_ix].append({c.label: c for c in combos})
-    labels = []
-    for rate_ix in range(len(config.region_rates_kbps)):
-        merged = _mean_outcomes(per_rate[rate_ix], qos, gates)
-        chosen = "none"
-        for label, (_, _, _, _, feasible) in merged.items():
-            if feasible:
-                chosen = label
-                break
-        labels.append(chosen)
-    return labels
-
-
 def run_operating_region(config: ScenarioConfig, threads: int = 1) -> RegionResult:
     """Minimum feasible combination per (distance bin, rate bin) cell."""
-    n_cols = len(config.region_r_edges_m) - 1
-    columns = _parallel_map(
-        _region_column, [(config, c) for c in range(n_cols)], threads
-    )
+    root = RngStream(config.master_seed)
+    edges = config.region_r_edges_m
+    n_cols = len(edges) - 1
+    n_topo = config.region_topologies
+    rates = [rate_kbps * 1e3 for rate_kbps in config.region_rates_kbps]
+    items = [(instantiate(config, root.child(_NS_REGION_TOPO, col_ix, topo_ix),
+                          r_ga_m=0.5 * (edges[col_ix] + edges[col_ix + 1])),
+              root.child(_NS_REGION_SAMP, col_ix, topo_ix))
+             for col_ix in range(n_cols) for topo_ix in range(n_topo)]
+    per_topology = _evaluate_topologies(config, items, rates, threads)
+    qos = config.qos()
+    gates = _queue_gates(config)
     cells = []
-    for col_ix, labels in enumerate(columns):
-        lo = config.region_r_edges_m[col_ix]
-        hi = config.region_r_edges_m[col_ix + 1]
-        for rate_ix, rate_kbps in enumerate(config.region_rates_kbps):
-            cells.append(RegionCell(lo, hi, 0.5 * (lo + hi), rate_kbps * 1e3,
-                                    labels[rate_ix]))
+    for col_ix in range(n_cols):
+        lo, hi = edges[col_ix], edges[col_ix + 1]
+        column = per_topology[col_ix * n_topo:(col_ix + 1) * n_topo]
+        for rate_ix, rate in enumerate(rates):
+            merged = _mean_outcomes(
+                [{c.label: c for c in topo[rate_ix][-1]} for topo in column], qos, gates
+            )
+            chosen = next((label for label, m in merged.items() if m[4]), "none")
+            cells.append(RegionCell(lo, hi, 0.5 * (lo + hi), rate, chosen))
     return RegionResult(
         cells=tuple(cells),
-        r_edges_m=tuple(config.region_r_edges_m),
-        rates_bps=tuple(r * 1e3 for r in config.region_rates_kbps),
+        r_edges_m=tuple(edges),
+        rates_bps=tuple(rates),
         labels=CANONICAL_COMBINATIONS,
         seed=config.master_seed,
         config_digest=config_hash(config),
@@ -880,11 +875,18 @@ def run_operating_region(config: ScenarioConfig, threads: int = 1) -> RegionResu
 
 
 def _parallel_map(fn, arg_tuples, threads: int) -> list:
-    """Map with optional process workers; collected in submission order so
-    the result never depends on the worker count."""
+    """Map on worker threads, at most one per item; collected in submission
+    order so the result never depends on the worker count. The hot numpy and
+    scipy loops release the GIL. On a failure the items not yet started are
+    cancelled."""
     workers = min(threads, len(arg_tuples))
     if workers <= 1:
         return [fn(*args) for args in arg_tuples]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, *args) for args in arg_tuples]
-        return [f.result() for f in futures]
+        try:
+            return [f.result() for f in futures]
+        except BaseException:
+            for f in futures:
+                f.cancel()
+            raise

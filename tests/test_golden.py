@@ -50,12 +50,20 @@ def _config(**overrides) -> scenario.ScenarioConfig:
     return scenario._build_config({**GOLDEN, **overrides})
 
 
+def _sweep_json(config, threads=1) -> str:
+    return cli._sweep_json(scenario.run_rate_sweep(config, threads=threads))
+
+
+def _region_json(config, threads=1) -> str:
+    return cli._region_json(scenario.run_operating_region(config, threads=threads))
+
+
 def _sweep_doc(config) -> dict:
-    return json.loads(cli._sweep_json(scenario.run_rate_sweep(config)))
+    return json.loads(_sweep_json(config))
 
 
 def _region_doc(config) -> dict:
-    return json.loads(cli._region_json(scenario.run_operating_region(config)))
+    return json.loads(_region_json(config))
 
 
 def build_expected() -> dict:
@@ -95,6 +103,12 @@ def test_region_matches_golden():
     config = _config()
     doc = _region_doc(config)
     assert checks.check_region(doc, dataclasses.asdict(config), _expected()["region"]) == []
+
+
+def test_two_threads_give_identical_json():
+    config = _config()
+    assert _sweep_json(config, threads=2) == _sweep_json(config)
+    assert _region_json(config, threads=2) == _region_json(config)
 
 
 def test_planted_sweep_error_is_caught():

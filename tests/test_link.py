@@ -25,7 +25,6 @@ from avlinksim.link import (
     decoding_error_stats,
     fbl_error,
     fbl_rate,
-    freq_diversity,
     sinr_sample,
 )
 from avlinksim.mathfun import RngStream, gaussian_q
@@ -474,22 +473,3 @@ class TestStreamingEstimator:
         assert np.all(gaussian_q(xs) == 0.0)
         assert gaussian_q(_Q_CUTOFF) == 0.0
         assert gaussian_q(37.5) > 0.0
-
-
-class TestFreqDiversity:
-    def test_product_and_min(self):
-        a = LinkStats(1e-2, 2e-3, 1000, 1e-4)
-        b = LinkStats(2e-2, 1.5e-3, 1000, 2e-4)
-        combo = freq_diversity([a, b])
-        assert_allclose(combo.eps_t_bar, 2e-4, rtol=1e-13)
-        assert combo.d_t_bar == 1.5e-3
-        expected_se = math.sqrt((1e-4 * 2e-2) ** 2 + (2e-4 * 1e-2) ** 2)
-        assert_allclose(combo.std_error, expected_se, rtol=1e-12)
-
-    def test_single_branch_identity(self):
-        a = LinkStats(1e-3, 1e-3, 500, 1e-5)
-        assert freq_diversity([a]) == a
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            freq_diversity([])

@@ -4,6 +4,7 @@ and the operating-region search."""
 import concurrent.futures
 import dataclasses
 import textwrap
+import threading
 
 import pytest
 
@@ -432,10 +433,11 @@ class TestOperatingRegion:
 # ============================================================
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: runs each job in-process and
-    records the requested worker count."""
+    """Stands in for ThreadPoolExecutor: runs each job in the calling thread
+    and records the requested worker count and the submitted jobs."""
 
     requested = []
+    submitted = []
 
     def __init__(self, max_workers):
         self.requested.append(max_workers)
@@ -447,18 +449,21 @@ class _RecordingPool:
         return False
 
     def submit(self, fn, *args):
+        self.submitted.append(args)
         done = concurrent.futures.Future()
         done.set_result(fn(*args))
         return done
 
 
-class TestParallelMap:
-    @pytest.fixture
-    def pool(self, monkeypatch):
-        monkeypatch.setattr(scenario, "ProcessPoolExecutor", _RecordingPool)
-        _RecordingPool.requested = []
-        return _RecordingPool
+@pytest.fixture
+def pool(monkeypatch):
+    monkeypatch.setattr(scenario, "ThreadPoolExecutor", _RecordingPool)
+    _RecordingPool.requested = []
+    _RecordingPool.submitted = []
+    return _RecordingPool
 
+
+class TestParallelMap:
     def test_workers_clamped_to_work_items(self, pool):
         out = scenario._parallel_map(pow, [(2, 1), (2, 2), (2, 3)], 256)
         assert out == [2, 4, 8]
@@ -471,3 +476,49 @@ class TestParallelMap:
     def test_single_item_runs_in_process(self, pool):
         assert scenario._parallel_map(pow, [(5, 2)], 64) == [25]
         assert pool.requested == []
+
+    def test_failure_cancels_items_not_started(self):
+        # two workers: item 0 fails at once while item 1 and whichever item
+        # the freed worker takes next are held, so every later item is still
+        # queued when the failure reaches the caller
+        release = threading.Event()
+        ran = []
+
+        def job(k):
+            ran.append(k)
+            if k == 0:
+                raise RuntimeError("item 0 failed")
+            release.wait(5.0)
+            return k
+
+        timer = threading.Timer(0.5, release.set)
+        timer.start()
+        try:
+            with pytest.raises(RuntimeError, match="item 0 failed"):
+                scenario._parallel_map(job, [(k,) for k in range(8)], 2)
+        finally:
+            timer.cancel()
+            release.set()
+        assert set(ran) <= {0, 1, 2}
+
+
+class TestWorkItems:
+    """The pool's work item is one link of one topology."""
+
+    def test_sweep_submits_one_item_per_link(self, pool):
+        config = dataclasses.replace(FAST, sweep_topologies=1)
+        topology = instantiate(
+            config, RngStream(config.master_seed).child(scenario._NS_SWEEP_TOPO, 0))
+        result = run_rate_sweep(config, threads=2)
+        assert pool.requested == [2]
+        assert len(pool.submitted) == len(topology.links)
+        assert [args[0] for args in pool.submitted] == list(topology.links.values())
+        assert result == run_rate_sweep(config, threads=1)
+
+    def test_region_submits_columns_by_topologies_by_links(self, pool):
+        config = dataclasses.replace(FAST, region_r_edges_m=(60.0, 120.0, 180.0))
+        result = run_operating_region(config, threads=2)
+        # each topology has both relays: g2a_dest, g2h, h2a and two links per relay
+        n_links = 3 + 2 * config.a2a_relay_count
+        assert len(pool.submitted) == 2 * config.region_topologies * n_links
+        assert result == run_operating_region(config, threads=1)
