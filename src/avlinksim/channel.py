@@ -8,7 +8,6 @@ Provides:
  - UlaSpec / ula_gain (+ element, array factor)   : downtilted base-station array
  - ReflectorSpec / hap_gain               : platform reflector beam pattern
  - rice_k_db                              : elevation-binned Rice factor
- - channel_power_sample                   : fading channel power |h|^2
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mathfun import bessel_j1, sample_rician_power
+from .mathfun import bessel_j1
 
 __all__ = [
     "LinkKind",
@@ -39,7 +38,6 @@ __all__ = [
     "ula_gain",
     "hap_gain",
     "rice_k_db",
-    "channel_power_sample",
 ]
 
 
@@ -162,23 +160,12 @@ def clutter_loss_db(elevation_deg: float, env: Environment) -> float:
     return env.clutter_loss_table_db[bin_ix]
 
 
-def pl_g2h_db(
-    d_m: float,
-    fc_ghz: float,
-    elevation_deg: float,
-    env: Environment,
-    rng: np.random.Generator | None = None,
-    size=None,
-):
-    """Ground-to-platform path loss: free space + clutter + shadow fading.
+def pl_g2h_db(d_m: float, fc_ghz: float, elevation_deg: float, env: Environment) -> float:
+    """Ground-to-platform path loss: free space + clutter.
 
-    With rng=None only the deterministic part (free space + clutter) is
-    returned; otherwise lognormal shadow draws with the LoS sigma are added.
+    Shadow fading is drawn per sample from ChannelSpec.sf_sigma_db.
     """
-    base = float(fspl_db(d_m, fc_ghz)) + clutter_loss_db(elevation_deg, env)
-    if rng is None:
-        return base
-    return base + env.sf_sigma_los_db * rng.standard_normal(size=size)
+    return float(fspl_db(d_m, fc_ghz)) + clutter_loss_db(elevation_deg, env)
 
 
 # ============================================================
@@ -248,7 +235,7 @@ def hap_gain(offset_deg, spec: ReflectorSpec):
 
 
 # ============================================================
-# Rice factor and fading channel power
+# Rice factor
 # ============================================================
 
 def rice_k_db(kind: LinkKind, elevation_deg: float, table: RiceTable) -> float:
@@ -258,18 +245,3 @@ def rice_k_db(kind: LinkKind, elevation_deg: float, table: RiceTable) -> float:
     k_min, k_max = getattr(table, LinkKind(kind).value)
     bin_ix = min(int(elevation_deg // 10.0), 8)
     return k_min + (k_max - k_min) * bin_ix / 8.0
-
-
-def channel_power_sample(
-    pl_db: float,
-    tx_gain: float,
-    rx_gain: float,
-    k_db: float,
-    rng: np.random.Generator,
-    size=None,
-):
-    """Fading channel power |h|^2 = antenna gains / path loss * Rician fade."""
-    if tx_gain < 0.0 or rx_gain < 0.0:
-        raise ValueError("antenna gains must be non-negative")
-    mean = tx_gain * rx_gain * 10.0 ** (-pl_db / 10.0)
-    return mean * sample_rician_power(k_db, rng, size=size)

@@ -23,7 +23,6 @@ __all__ = [
     "GridSpec",
     "hex_grid",
     "cell_contains",
-    "in_footprint",
     "place_avs_uniform",
     "distance_2d",
     "distance_3d",
@@ -103,11 +102,6 @@ def cell_contains(center_x: float, center_y: float, isd_m: float, x: float, y: f
     dx, dy = x - center_x, y - center_y
     half = 0.5 * isd_m + 1e-9
     return all(abs(dx * ux + dy * uy) <= half for ux, uy in _HEX_AXES)
-
-
-def in_footprint(spec: GridSpec, x: float, y: float) -> bool:
-    """True if (x, y) lies in the union of all grid cells."""
-    return any(cell_contains(s.x, s.y, spec.isd_m, x, y) for s in hex_grid(spec))
 
 
 def place_avs_uniform(

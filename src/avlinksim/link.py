@@ -5,7 +5,11 @@ Provides:
  - sinr_sample          : Monte Carlo SINR draws under Rician fading
  - fbl_rate / fbl_error : finite-blocklength rate and decoding error
  - decoding_error_stats : streaming Monte Carlo link statistic (LinkStats)
-                          at every rate from batches of SINR draws
+                          at every rate from batches of SINR draws; each
+                          batch is sorted once, and Q is evaluated only on
+                          the run of draws whose error can change the
+                          batch sum (the rest are exact 0s and 1s, or
+                          below one ULP of it in total)
  - arq_delay            : mean persistent-retransmission delay
 """
 
@@ -66,6 +70,10 @@ class ChannelSpec:
     rx_gain: float            # linear
     k_db: float               # Rice factor
     sf_sigma_db: float = 0.0  # per-draw lognormal shadow sigma
+
+    def __post_init__(self):
+        if not self.sf_sigma_db >= 0.0:
+            raise ValueError("sf_sigma_db must be non-negative")
 
     @property
     def mean_gain(self) -> float:
@@ -192,8 +200,8 @@ def _fbl_terms(gamma: np.ndarray, bandwidth_hz: float):
 
 def _check_gamma(gamma) -> np.ndarray:
     g = np.asarray(gamma, dtype=float)
-    if np.any(g < 0.0):
-        raise ValueError("gamma must be non-negative")
+    if not np.all(g >= 0.0):
+        raise ValueError("gamma must be non-negative and not NaN")
     return g
 
 
@@ -231,33 +239,72 @@ def arq_delay(d_t_s: float, eps_bar: float) -> float:
 # Monte Carlo link statistic
 # ============================================================
 
-# gaussian_q(x) is exactly 0.0 in float64 for x >= 37.68; the margin keeps
-# every element with a non-zero error
+# gaussian_q(x) is exactly 1.0 in float64 for x <= -8.3 and exactly 0.0 for
+# x >= 37.68; with the margins, an element counted as a 1 (argument below
+# _Q_ONE) or a 0 (at or past _Q_CUTOFF) has exactly that error
+_Q_ONE = -9.0
 _Q_CUTOFF = 38.5
+# an element whose Chernoff bound 0.5 * exp(-x^2 / 2) on Q is below
+# _TAIL_REL / n of a lower bound on its batch's error sum is not evaluated:
+# all of them together move that sum by less than one ULP
+_TAIL_REL = 2.0 ** -64
 
 
-def _batch_moments(gamma, bandwidth_hz, packet_bits, rates, order):
+def _count_below(a, b, rates, scale, x):
+    """Per rate, how many elements have an FBL argument below x.
+
+    a and b come from ascending SINR, and the argument
+    scale * (a - rate * b) rises strictly with the SINR at every rate, so
+    each count is found on a grid of every step-th element and then inside
+    one step, for all rates at once.
+    """
+    n = a.size
+    step = math.isqrt(n) + 1
+    rate, scale = rates[:, None], scale[:, None]
+    x = np.broadcast_to(x, rates.shape)[:, None]
+    ix = np.arange(step - 1, n, step)
+    start = step * np.count_nonzero(scale * (a[ix] - rate * b[ix]) < x, axis=1)
+    ix = start[:, None] + np.arange(step)
+    inside = ix < n
+    ix = np.minimum(ix, n - 1)
+    below = inside & (scale * (a[ix] - rate * b[ix]) < x)
+    return start + np.count_nonzero(below, axis=1)
+
+
+def _batch_moments(gamma, bandwidth_hz, packet_bits, rates):
     """Per rate: mean error of one batch and its sum of squared deviations.
 
-    The rates run from highest to lowest. Q's argument only grows as the
-    rate falls, so an element past the cutoff stays at error 0 for every
-    later rate and is dropped from the working arrays.
+    The batch is sorted once, so at every rate Q's argument rises along it
+    and the errors split into three contiguous runs: arguments below
+    _Q_ONE (error exactly 1, counted), the evaluated window, and a tail
+    that is either exactly 0 (past _Q_CUTOFF) or below _TAIL_REL of the
+    batch sum by the Chernoff bound (counted as 0). Only the window calls
+    gaussian_q; its errors are summed in ascending-SINR order.
     """
     n = gamma.size
-    a, b = _fbl_terms(gamma, bandwidth_hz)
+    a, b = _fbl_terms(np.sort(gamma, axis=None), bandwidth_hz)
+    scale = np.sqrt(packet_bits / rates)
+    ones = _count_below(a, b, rates, scale, _Q_ONE)
+    end = _count_below(a, b, rates, scale, _Q_CUTOFF)
+    # the certain failures plus the window's first (largest) error bound the
+    # batch sum from below
+    live = ones < end
+    first = ones[live]
+    bound = ones.astype(float)
+    bound[live] += gaussian_q(scale[live] * (a[first] - rates[live] * b[first]))
+    with np.errstate(divide="ignore"):
+        x_cut = np.sqrt(-2.0 * np.log(bound * (_TAIL_REL / n)))
+    cut = np.minimum(_count_below(a, b, rates, scale, x_cut), end)
     mean = np.empty(rates.size)
     m2 = np.empty(rates.size)
-    for i in order:
+    for i, (lo, hi) in enumerate(zip(ones.tolist(), cut.tolist())):
         rate = rates[i]
-        arg = math.sqrt(packet_bits / rate) * (a - rate * b)
-        live = arg < _Q_CUTOFF
-        if not live.all():
-            a, b, arg = a[live], b[live], arg[live]
-        q = gaussian_q(arg)
-        m = float(q.sum()) / n
+        q = gaussian_q(scale[i] * (a[lo:hi] - rate * b[lo:hi]))
+        m = (lo + float(q.sum())) / n
         mean[i] = m
-        # the dropped elements are exact zeros, each m away from the mean
-        m2[i] = float(np.square(q - m).sum()) + (n - q.size) * m * m
+        # the counted ones sit 1 - m from the mean, the counted zeros m
+        m2[i] = (float(np.square(q - m).sum()) + lo * (1.0 - m) ** 2
+                 + (n - hi) * m * m)
     return mean, m2
 
 
@@ -267,9 +314,11 @@ def decoding_error_stats(batches, bandwidth_hz: float, packet_bits: float,
 
     batches yields arrays of SINR draws. Each batch is evaluated once for
     all rates (slot d_t = packet_bits / rate) and then dropped, so memory
-    is bounded by the batch size. The per-batch means and sums of squared
-    deviations merge in batch order (Chan, Golub & LeVeque), so the result
-    depends only on the draws and the batch boundaries. Returns one
+    is bounded by the batch size. Within a batch the errors are summed in
+    ascending-SINR order (see _batch_moments). The per-batch means and sums
+    of squared deviations merge in batch order (Chan, Golub & LeVeque), so
+    the result depends only on the draws and the batch boundaries. SINR
+    draws must be non-negative and not NaN. Returns one
     LinkStats per entry of rates_bps, in the given order.
     """
     if bandwidth_hz <= 0.0 or packet_bits <= 0.0:
@@ -277,13 +326,12 @@ def decoding_error_stats(batches, bandwidth_hz: float, packet_bits: float,
     rates = np.asarray(rates_bps, dtype=float)
     if rates.ndim != 1 or rates.size == 0 or np.any(rates <= 0.0):
         raise ValueError("rates_bps must be a non-empty list of positive rates")
-    order = np.argsort(-rates, kind="stable")
     count = 0
     mean = np.zeros(rates.size)
     m2 = np.zeros(rates.size)
     for gamma in batches:
         g = _check_gamma(gamma)
-        b_mean, b_m2 = _batch_moments(g, bandwidth_hz, packet_bits, rates, order)
+        b_mean, b_m2 = _batch_moments(g, bandwidth_hz, packet_bits, rates)
         total = count + g.size
         delta = b_mean - mean
         mean = mean + delta * (g.size / total)

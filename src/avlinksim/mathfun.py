@@ -2,9 +2,8 @@
 
 Provides:
  - gaussian_q / gaussian_q_inv : standard normal tail and its inverse
- - bessel_j1 / bessel_i0       : Bessel functions used by antenna / fading code
+ - bessel_j1                   : Bessel function of the reflector beam pattern
  - sample_rician_power         : unit-mean Rician power fades
- - sample_lognormal_shadow_db  : shadow-fading draws in the dB domain
  - RngStream                   : counter-based, splittable random streams
 """
 
@@ -20,15 +19,11 @@ __all__ = [
     "gaussian_q",
     "gaussian_q_inv",
     "bessel_j1",
-    "bessel_i0",
-    "log_bessel_i0",
     "sample_rician_power",
-    "sample_lognormal_shadow_db",
 ]
 
 _SQRT2 = float(np.sqrt(2.0))
 _LOG_SQRT_2PI = 0.5 * float(np.log(2.0 * np.pi))
-_I0_ARG_MAX = 709.7  # exp overflow threshold for float64
 _MASK64 = (1 << 64) - 1
 
 
@@ -111,34 +106,12 @@ def gaussian_q_inv(p):
 
 
 # ============================================================
-# Bessel functions
+# Bessel function
 # ============================================================
 
 def bessel_j1(x):
     """Bessel function of the first kind, order one."""
     out = _sf.j1(np.asarray(x, dtype=float))
-    return float(out) if np.isscalar(x) else out
-
-
-def bessel_i0(x):
-    """Modified Bessel function of the first kind, order zero.
-
-    Raises OverflowError for |x| > ~709.7 where the result exceeds float64
-    range; use log_bessel_i0 there.
-    """
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(np.abs(x_arr) > _I0_ARG_MAX):
-        raise OverflowError(
-            "bessel_i0 overflows float64 for |x| > %.1f; use log_bessel_i0" % _I0_ARG_MAX
-        )
-    out = _sf.i0(x_arr)
-    return float(out) if np.isscalar(x) else out
-
-
-def log_bessel_i0(x):
-    """log I0(x), stable for large |x| via the exponentially scaled form."""
-    x_arr = np.asarray(x, dtype=float)
-    out = np.abs(x_arr) + np.log(_sf.i0e(x_arr))
     return float(out) if np.isscalar(x) else out
 
 
@@ -171,11 +144,3 @@ def sample_rician_power(k_db: float, rng: np.random.Generator, size=None):
     np.square(quadrature, out=quadrature)
     power += quadrature
     return float(power[0]) if size is None else power
-
-
-def sample_lognormal_shadow_db(sigma_db: float, rng: np.random.Generator, size=None):
-    """Zero-mean Gaussian shadow-fading draws in dB (lognormal in linear)."""
-    if sigma_db < 0.0:
-        raise ValueError("sigma_db must be non-negative")
-    out = sigma_db * rng.standard_normal(size=size)
-    return float(out) if size is None else out

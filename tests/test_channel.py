@@ -16,7 +16,6 @@ from avlinksim.channel import (
     ReflectorSpec,
     RiceTable,
     UlaSpec,
-    channel_power_sample,
     clutter_loss_db,
     fspl_db,
     hap_gain,
@@ -30,6 +29,7 @@ from avlinksim.channel import (
     ula_element_gain,
     ula_gain,
 )
+from avlinksim.link import ChannelSpec, _channel_draw
 from avlinksim.mathfun import RngStream, bessel_j1
 
 ENV = Environment()
@@ -161,10 +161,14 @@ class TestClutterAndG2h:
         assert_allclose(got, 124.75448921378273929 + 3.0, rtol=1e-13)
 
     def test_shadowed_draws_scatter_around_mean(self):
-        rng = RngStream(21).generator()
+        # a g2h link draws lognormal shadowing with the LoS sigma per sample
+        # around the deterministic loss, as scenario builds its ChannelSpec
         d, fc, elev = 20615.5, 2.0, 76.0
         det = pl_g2h_db(d, fc, elev, ENV)
-        draws = pl_g2h_db(d, fc, elev, ENV, rng=rng, size=200_000)
+        spec = ChannelSpec(pl_db=det, tx_gain=1.0, rx_gain=1.0, k_db=np.inf,
+                           sf_sigma_db=ENV.sf_sigma_los_db)
+        power = _channel_draw(spec, RngStream(21).generator(), 200_000)
+        draws = -10.0 * np.log10(power)
         assert draws.shape == (200_000,)
         assert float(draws.mean()) == pytest.approx(det, abs=0.05)
         assert float(draws.std()) == pytest.approx(ENV.sf_sigma_los_db, rel=0.02)
@@ -299,13 +303,15 @@ class TestRiceTable:
 # ============================================================
 
 class TestChannelPowerSample:
+    """The faded channel power |h|^2 that every link draws."""
+
     def test_mean_matches_deterministic_gain(self):
-        rng = RngStream(31).generator()
-        draws = channel_power_sample(90.0, 2.0, 1.5, 9.0, rng, size=300_000)
+        spec = ChannelSpec(pl_db=90.0, tx_gain=2.0, rx_gain=1.5, k_db=9.0)
+        draws = _channel_draw(spec, RngStream(31).generator(), 300_000)
         expected = 2.0 * 1.5 * 10.0 ** (-9.0)
         assert float(draws.mean()) == pytest.approx(expected, rel=0.01)
 
     def test_infinite_k_deterministic(self):
-        rng = RngStream(32).generator()
-        draws = channel_power_sample(80.0, 1.0, 1.0, np.inf, rng, size=100)
+        spec = ChannelSpec(pl_db=80.0, tx_gain=1.0, rx_gain=1.0, k_db=np.inf)
+        draws = _channel_draw(spec, RngStream(32).generator(), 100)
         assert_allclose(draws, 1e-8, rtol=1e-12)

@@ -13,6 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from scipy.optimize import brentq
+
+from avlinksim import link
 from avlinksim.link import (
     NO_INTERFERENCE,
     ChannelSpec,
@@ -21,13 +24,16 @@ from avlinksim.link import (
     LinkStats,
     RadioParams,
     _Q_CUTOFF,
+    _Q_ONE,
+    _TAIL_REL,
+    _fbl_terms,
     arq_delay,
     decoding_error_stats,
     fbl_error,
     fbl_rate,
     sinr_sample,
 )
-from avlinksim.mathfun import RngStream, gaussian_q
+from avlinksim.mathfun import RngStream, gaussian_q, gaussian_q_inv
 
 
 def _radio(bandwidth_hz=0.4e6, tx_power_w=1.0, nf_db=0.0):
@@ -253,6 +259,12 @@ class TestFblRate:
         with pytest.raises(ValueError):
             fbl_rate(-0.5, 0.4e6, 1e-3, 1e-5)
 
+    def test_nan_sinr_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            fbl_rate(math.nan, 0.4e6, 1e-3, 1e-5)
+        with pytest.raises(ValueError, match="NaN"):
+            fbl_rate(np.array([10.0, math.nan]), 0.4e6, 1e-3, 1e-5)
+
 
 class TestFblError:
     def test_round_trip_grid(self):
@@ -286,6 +298,13 @@ class TestFblError:
             fbl_error(1.0, 0.4e6, 1e-3, 0.0)
         with pytest.raises(ValueError):
             fbl_error(np.array([1.0, -2.0]), 0.4e6, 1e-3, 256.0)
+
+    def test_nan_sinr_rejected(self):
+        # NaN is no SINR: it must not pass as certain failure (Q = 1)
+        with pytest.raises(ValueError, match="NaN"):
+            fbl_error(math.nan, 0.4e6, 1e-3, 256.0)
+        with pytest.raises(ValueError, match="NaN"):
+            fbl_error(np.array([1.0, math.nan]), 0.4e6, 1e-3, 256.0)
 
     @given(
         st.floats(min_value=0.01, max_value=1e4),
@@ -408,6 +427,13 @@ class TestAvgDecodingError:
         with pytest.raises(ValueError):
             decoding_error_stats([np.array([1.0, -1.0])], radio.bandwidth_hz, 256.0, [1e5])
 
+    def test_nan_sinr_rejected(self):
+        # NaN would sort past every cut and count as zero error
+        with pytest.raises(ValueError, match="NaN"):
+            decoding_error_stats([[math.nan, math.nan, 1.0]], 4e5, 256.0, [1e5])
+        with pytest.raises(ValueError, match="NaN"):
+            decoding_error_stats([np.ones(4), np.array([2.0, math.nan])], 4e5, 256.0, [1e5])
+
 
 class TestStreamingEstimator:
     """Against a direct evaluation over the whole draw array."""
@@ -467,9 +493,119 @@ class TestStreamingEstimator:
             assert_allclose(b.eps_t_bar, a.eps_t_bar, rtol=1e-12)
             assert_allclose(b.std_error, a.std_error, rtol=1e-12)
 
+    def test_q_is_exactly_one_below_the_one_cut(self):
+        # the estimator counts elements below _Q_ONE as exact ones
+        xs = np.concatenate([np.linspace(-60.0, _Q_ONE, 2001), [-1e3, -np.inf]])
+        assert np.all(gaussian_q(xs) == 1.0)
+        assert gaussian_q(_Q_ONE) == 1.0
+        assert gaussian_q(-8.0) < 1.0
+
     def test_q_is_exactly_zero_past_the_cutoff(self):
         # the estimator drops elements past the cutoff as exact zeros
         xs = np.concatenate([np.linspace(_Q_CUTOFF, 60.0, 2001), [1e3, np.inf]])
         assert np.all(gaussian_q(xs) == 0.0)
         assert gaussian_q(_Q_CUTOFF) == 0.0
         assert gaussian_q(37.5) > 0.0
+
+
+# ============================================================
+# Sorted-batch kernel against the full-array formula
+# ============================================================
+
+_BW, _BITS = 0.4e6, 256.0
+_RATES = (30e3, 100e3, 450e3, 800e3, 2e6)
+
+
+def _fbl_arg(gamma, rate):
+    """Q's argument at one rate, written as the estimator evaluates it."""
+    a, b = _fbl_terms(np.asarray(gamma, dtype=float), _BW)
+    return math.sqrt(_BITS / rate) * (a - rate * b)
+
+
+def _gamma_at(x, rate):
+    """SINR whose FBL argument at rate is x (root in ln gamma)."""
+    return math.exp(brentq(lambda t: float(_fbl_arg(math.exp(t), rate)) - x,
+                           -60.0, 60.0, xtol=1e-14))
+
+
+def _full_array_stats(gamma, rates):
+    """Mean error and SE per rate: Q on every element of the whole array."""
+    out = []
+    for rate in rates:
+        q = gaussian_q(_fbl_arg(gamma, rate))
+        out.append((float(q.mean()), math.sqrt(float(q.var()) / q.size)))
+    return out
+
+
+def _tail_cut(args, n):
+    """The x past which the estimator may drop elements of a batch whose
+    arguments (at one rate) include args and which has n elements."""
+    args = np.asarray(args)
+    ones = int(np.count_nonzero(args < _Q_ONE))
+    first = float(args[args >= _Q_ONE].min())
+    return math.sqrt(-2.0 * math.log((ones + gaussian_q(first)) * _TAIL_REL / n))
+
+
+@st.composite
+def _cut_batches(draw):
+    """Rates (unsorted, with repeats) and SINR batches whose values sit on
+    either side of the one-cut, the zero cutoff and the tail cut, with
+    ties, gamma = 0, very large gamma and single-element batches."""
+    rates = draw(st.lists(st.sampled_from(_RATES), min_size=1, max_size=5))
+    rate = draw(st.sampled_from(rates))
+    side = st.sampled_from((-1e-9, 1e-9))
+    placed = st.builds(lambda x, d: x + d * abs(x),
+                       st.sampled_from((_Q_ONE, 37.5, _Q_CUTOFF)), side)
+    xs = draw(st.lists(st.one_of(st.floats(-30.0, 45.0), placed), max_size=24))
+    xs.append(draw(st.floats(-8.0, 8.0)))     # a window element below any tail cut
+    base = [_gamma_at(x, rate) for x in xs]
+    base += draw(st.lists(st.sampled_from((0.0, 1e300)), max_size=3))
+    base += base[:draw(st.integers(0, 3))]     # ties
+    n_tail = draw(st.integers(0, 6))
+    x_cut = _tail_cut(_fbl_arg(base, rate), len(base) + n_tail)
+    base += [_gamma_at(x_cut + draw(side) * x_cut, rate) for _ in range(n_tail)]
+    cut_batch = np.array(draw(st.permutations(base)))
+    extra = draw(st.lists(
+        st.lists(st.one_of(st.floats(0.0, 1e4), st.just(0.0), st.just(1e300)),
+                 min_size=1, max_size=5),
+        max_size=3))
+    batches = [cut_batch] + [np.array(e) for e in extra]
+    return rates, draw(st.permutations(batches))
+
+
+class TestSortedKernel:
+    """The sorted-batch kernel evaluates Q only where it can change a batch
+    sum; every statistic must match Q on every element of the whole array."""
+
+    @given(_cut_batches())
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    def test_matches_full_array_evaluation(self, case):
+        rates, batches = case
+        stats = decoding_error_stats(batches, _BW, _BITS, rates)
+        gamma = np.concatenate(batches)
+        for got, (mean, stderr) in zip(stats, _full_array_stats(gamma, rates)):
+            assert got.n_samples == gamma.size
+            assert_allclose(got.eps_t_bar, mean, rtol=1e-12, atol=0.0)
+            # equal errors leave only the mean's rounding in the variance,
+            # a floor of about 1e-16 of the mean in the SE
+            assert_allclose(got.std_error, stderr, rtol=1e-12, atol=1e-14 * mean)
+
+    def test_tail_past_the_cut_is_below_one_ulp(self, monkeypatch):
+        # one error near 1e-3 and 32767 errors just past the tail cut: the
+        # dropped tail sums to about 2e-24, far below the ULP of the mean
+        rate, n = 450e3, 1 << 15
+        x0 = float(gaussian_q_inv(1e-3))
+        x_cut = _tail_cut([x0], n)
+        gamma = np.array([_gamma_at(x0, rate)] + [_gamma_at(x_cut * (1.0 + 1e-9), rate)] * (n - 1))
+        (mean, _), = _full_array_stats(gamma, [rate])
+        evaluated = []
+
+        def counting_q(x):
+            evaluated.append(np.size(x))
+            return gaussian_q(x)
+
+        monkeypatch.setattr(link, "gaussian_q", counting_q)
+        (stats,) = decoding_error_stats([gamma], _BW, _BITS, [rate])
+        assert sum(evaluated) <= 2     # the window's first element, in the bound and the sum
+        assert abs(stats.eps_t_bar - mean) <= 2.0 ** -60 * mean
+

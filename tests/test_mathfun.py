@@ -1,7 +1,7 @@
 """Numeric primitive tests.
 
 Expected values come from independent arbitrary-precision oracles
-(quadrature for the Gaussian tail, power series for the Bessel functions),
+(quadrature for the Gaussian tail, power series for the Bessel function),
 either frozen from a 50-digit run or recomputed here with mpmath.
 """
 
@@ -12,14 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from avlinksim.link import ChannelSpec, _channel_draw
 from avlinksim.mathfun import (
     RngStream,
-    bessel_i0,
     bessel_j1,
     gaussian_q,
     gaussian_q_inv,
-    log_bessel_i0,
-    sample_lognormal_shadow_db,
     sample_rician_power,
 )
 
@@ -97,13 +95,12 @@ class TestGaussianQInv:
 
 
 # ============================================================
-# Bessel functions
+# Bessel function
 # ============================================================
 
 class TestBessel:
     def test_frozen_oracle_values(self):
         assert_allclose(bessel_j1(1.0), 0.44005058574493351596, rtol=1e-14)
-        assert_allclose(bessel_i0(1.0), 1.2660658777520083356, rtol=1e-14)
 
     def test_j1_against_series(self):
         for x in np.linspace(0.1, 50.0, 23):
@@ -118,23 +115,6 @@ class TestBessel:
     def test_j1_odd(self):
         assert bessel_j1(0.0) == 0.0
         assert_allclose(bessel_j1(-2.2), -bessel_j1(2.2), rtol=1e-15)
-
-    def test_i0_against_series(self):
-        for x in np.linspace(0.1, 50.0, 17):
-            ref = float(mp.besseli(0, mp.mpf(float(x))))
-            assert_allclose(bessel_i0(float(x)), ref, rtol=1e-9)
-
-    def test_i0_overflow_guard(self):
-        with pytest.raises(OverflowError, match="log_bessel_i0"):
-            bessel_i0(710.0)
-
-    def test_log_i0_matches_log_of_i0(self):
-        for x in (0.5, 5.0, 50.0, 500.0):
-            assert_allclose(log_bessel_i0(x), np.log(bessel_i0(x)), rtol=1e-12)
-
-    def test_log_i0_large_argument(self):
-        ref = float(mp.log(mp.besseli(0, mp.mpf(2000))))
-        assert_allclose(log_bessel_i0(2000.0), ref, rtol=1e-12)
 
 
 # ============================================================
@@ -187,20 +167,25 @@ class TestRicianPower:
 
 
 class TestShadowFading:
+    """Lognormal shadowing, drawn per sample from ChannelSpec.sf_sigma_db."""
+
+    @staticmethod
+    def _shadow_db(sigma_db, seed, n):
+        spec = ChannelSpec(pl_db=0.0, tx_gain=1.0, rx_gain=1.0, k_db=np.inf,
+                           sf_sigma_db=sigma_db)
+        return -10.0 * np.log10(_channel_draw(spec, RngStream(seed).generator(), n))
+
     def test_moments(self):
-        rng = RngStream(6).generator()
-        draws = sample_lognormal_shadow_db(4.0, rng, size=200_000)
+        draws = self._shadow_db(4.0, 6, 200_000)
         assert float(draws.mean()) == pytest.approx(0.0, abs=0.05)
         assert float(draws.std()) == pytest.approx(4.0, rel=0.02)
 
     def test_zero_sigma(self):
-        rng = RngStream(7).generator()
-        assert_allclose(sample_lognormal_shadow_db(0.0, rng, size=50), 0.0)
+        assert_allclose(self._shadow_db(0.0, 7, 50), 0.0)
 
     def test_negative_sigma_rejected(self):
-        rng = RngStream(8).generator()
         with pytest.raises(ValueError):
-            sample_lognormal_shadow_db(-1.0, rng)
+            ChannelSpec(pl_db=0.0, tx_gain=1.0, rx_gain=1.0, k_db=0.0, sf_sigma_db=-1.0)
 
 
 # ============================================================
