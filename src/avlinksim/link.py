@@ -2,14 +2,18 @@
 
 Provides:
  - RadioParams / ChannelSpec / Interferer / InterfererSet : link description
- - sinr_sample          : Monte Carlo SINR draws under Rician fading
+ - sinr_sample          : Monte Carlo SINR draws under Rician fading,
+                          made in caller-owned batch buffers when given
  - fbl_rate / fbl_error : finite-blocklength rate and decoding error
  - decoding_error_stats : streaming Monte Carlo link statistic (LinkStats)
                           at every rate from batches of SINR draws; each
                           batch is sorted once, and Q is evaluated only on
                           the run of draws whose error can change the
                           batch sum (the rest are exact 0s and 1s, or
-                          below one ULP of it in total)
+                          below one ULP of it in total); the batch work
+                          arrays are allocated once per call, and a
+                          producer may overwrite each yielded batch with
+                          the next
  - arq_delay            : mean persistent-retransmission delay
 """
 
@@ -123,17 +127,26 @@ class LinkStats:
 # SINR sampling
 # ============================================================
 
-def _channel_draw(spec: ChannelSpec, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Received gain mean_gain * fade (* shadow), in the fade's buffer."""
-    power = sample_rician_power(spec.k_db, rng, size=n)
+def _channel_draw(spec: ChannelSpec, rng: np.random.Generator, n: int,
+                  work=None) -> np.ndarray:
+    """Received gain mean_gain * fade (* shadow), in the first row of work,
+    a (2, n) array (allocated if not given)."""
+    if work is None:
+        work = np.empty((2, n))
+    power = sample_rician_power(spec.k_db, rng, size=n, work=work)
     power *= spec.mean_gain
     if spec.sf_sigma_db > 0.0:
-        shadow = rng.standard_normal(size=n)
+        shadow = rng.standard_normal(out=work[1])
         shadow *= -spec.sf_sigma_db
         shadow /= 10.0
         np.power(10.0, shadow, out=shadow)
         power *= shadow
     return power
+
+
+# batch-length rows sinr_sample works in: the desired fade and its scratch,
+# the interference sum, and a member's fade and its scratch
+SINR_WORK_ROWS = 5
 
 
 def sinr_sample(
@@ -142,6 +155,7 @@ def sinr_sample(
     radio: RadioParams,
     rng: np.random.Generator,
     size: int = 1,
+    work=None,
 ) -> np.ndarray:
     """Draw SINR realizations for one link.
 
@@ -149,23 +163,29 @@ def sinr_sample(
     order, in bernoulli mode each followed by its activity marks), so
     results are reproducible for a given generator state. Interferer
     powers are added into one running sum in member order, so memory is
-    a few size-long arrays whatever the member count.
+    the SINR_WORK_ROWS rows of work whatever the member count. work, if
+    given, is a (SINR_WORK_ROWS, >= size) array that the draws are made
+    in: the result is a view of its first row, overwritten by the next
+    call with the same work.
     """
     n = int(size)
-    signal = _channel_draw(desired, rng, n)
+    work = np.empty((SINR_WORK_ROWS, n)) if work is None else work[:, :n]
+    signal = _channel_draw(desired, rng, n, work[0:2])
     signal *= radio.tx_power_w
     if not interferers.members or interferers.p_interf == 0.0:
         signal /= radio.noise_power_w
         return signal
     bernoulli = interferers.mode == "bernoulli"
-    interference = np.zeros(n)
+    interference = work[2]
+    interference.fill(0.0)
     for member in interferers.members:
-        power = _channel_draw(member.channel, rng, n)
+        power = _channel_draw(member.channel, rng, n, work[3:5])
         power *= member.tx_power_w
         if bernoulli:
-            power *= rng.random(size=n) < interferers.p_interf
+            active = rng.random(out=work[4])
+            np.less(active, interferers.p_interf, out=active)
+            power *= active
         interference += power
-        del power   # freed before the next member draws
     if not bernoulli:
         interference *= interferers.p_interf
     interference += radio.noise_power_w
@@ -177,24 +197,34 @@ def sinr_sample(
 # Finite-blocklength rate and error
 # ============================================================
 
-def _dispersion(log1p_gamma: np.ndarray) -> np.ndarray:
+def _dispersion(log1p_gamma: np.ndarray, out=None) -> np.ndarray:
     # V = 1 - (1 + gamma)^-2 from ln(1 + gamma), accurate for tiny gamma
-    return -np.expm1(-2.0 * log1p_gamma)
+    return np.negative(np.expm1(np.multiply(log1p_gamma, -2.0, out=out), out=out), out=out)
 
 
-def _fbl_terms(gamma: np.ndarray, bandwidth_hz: float):
+def _fbl_terms(gamma: np.ndarray, bandwidth_hz: float, out=None):
     """Rate-free parts (a, b) of the FBL error argument.
 
     Q's argument at rate R and slot d_t is sqrt(d_t) * (a - R * b) with
     a = B ln(1 + gamma) / sqrt(B V) and b = ln 2 / sqrt(B V). gamma == 0
     has zero dispersion and zero capacity, which is certain failure:
-    a = -inf there.
+    a = -inf there. out, if given, is a (2, *gamma.shape) array whose rows
+    receive a and b.
     """
-    log1p_gamma = np.log1p(gamma)
-    root = np.sqrt(bandwidth_hz * _dispersion(log1p_gamma))
+    if out is None:
+        out = np.empty((2, *gamma.shape))
+    a, b = out[0, ...], out[1, ...]
+    np.log1p(gamma, out=a)
+    root = _dispersion(a, out=b)
+    root *= bandwidth_hz
+    np.sqrt(root, out=root)
+    dead = root == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.where(root > 0.0, bandwidth_hz * log1p_gamma / root, -np.inf)
-        b = np.where(root > 0.0, _LN2 / root, 0.0)
+        a *= bandwidth_hz
+        a /= root
+        np.divide(_LN2, root, out=b)
+    a[dead] = -np.inf
+    b[dead] = 0.0
     return a, b
 
 
@@ -239,9 +269,10 @@ def arq_delay(d_t_s: float, eps_bar: float) -> float:
 # Monte Carlo link statistic
 # ============================================================
 
-# gaussian_q(x) is exactly 1.0 in float64 for x <= -8.3 and exactly 0.0 for
-# x >= 37.68; with the margins, an element counted as a 1 (argument below
-# _Q_ONE) or a 0 (at or past _Q_CUTOFF) has exactly that error
+# gaussian_q(x) is exactly 1.0 in float64 for x <= -8.3 and exactly 0.0
+# from 38.5 on (subnormal just below); so an element counted as a 1
+# (argument below _Q_ONE) or a 0 (at or past _Q_CUTOFF) has exactly that
+# error
 _Q_ONE = -9.0
 _Q_CUTOFF = 38.5
 # an element whose Chernoff bound 0.5 * exp(-x^2 / 2) on Q is below
@@ -271,18 +302,29 @@ def _count_below(a, b, rates, scale, x):
     return start + np.count_nonzero(below, axis=1)
 
 
-def _batch_moments(gamma, bandwidth_hz, packet_bits, rates):
+# batch-length rows _batch_moments works in: the sorted batch, a, b, and
+# Q's arguments (one long window, or the short windows packed)
+_KERNEL_ROWS = 4
+# windows up to this many elements share one gaussian_q call per batch
+_SHORT = 4096
+
+
+def _batch_moments(gamma, bandwidth_hz, packet_bits, rates, work):
     """Per rate: mean error of one batch and its sum of squared deviations.
 
     The batch is sorted once, so at every rate Q's argument rises along it
     and the errors split into three contiguous runs: arguments below
     _Q_ONE (error exactly 1, counted), the evaluated window, and a tail
     that is either exactly 0 (past _Q_CUTOFF) or below _TAIL_REL of the
-    batch sum by the Chernoff bound (counted as 0). Only the window calls
-    gaussian_q; its errors are summed in ascending-SINR order.
+    batch sum by the Chernoff bound (counted as 0). Only the windows reach
+    gaussian_q, an empty one never; each window's errors are summed in
+    ascending-SINR order. work is a (_KERNEL_ROWS, gamma.size) array.
     """
     n = gamma.size
-    a, b = _fbl_terms(np.sort(gamma, axis=None), bandwidth_hz)
+    ordered, args = work[0], work[3]
+    np.copyto(ordered, gamma.reshape(-1))
+    ordered.sort()
+    a, b = _fbl_terms(ordered, bandwidth_hz, out=work[1:3])
     scale = np.sqrt(packet_bits / rates)
     ones = _count_below(a, b, rates, scale, _Q_ONE)
     end = _count_below(a, b, rates, scale, _Q_CUTOFF)
@@ -291,21 +333,52 @@ def _batch_moments(gamma, bandwidth_hz, packet_bits, rates):
     live = ones < end
     first = ones[live]
     bound = ones.astype(float)
-    bound[live] += gaussian_q(scale[live] * (a[first] - rates[live] * b[first]))
+    if first.size:
+        bound[live] += gaussian_q(scale[live] * (a[first] - rates[live] * b[first]))
     with np.errstate(divide="ignore"):
         x_cut = np.sqrt(-2.0 * np.log(bound * (_TAIL_REL / n)))
     cut = np.minimum(_count_below(a, b, rates, scale, x_cut), end)
+    spans = list(zip(ones.tolist(), cut.tolist()))
     mean = np.empty(rates.size)
     m2 = np.empty(rates.size)
-    for i, (lo, hi) in enumerate(zip(ones.tolist(), cut.tolist())):
-        rate = rates[i]
-        q = gaussian_q(scale[i] * (a[lo:hi] - rate * b[lo:hi]))
-        m = (lo + float(q.sum())) / n
-        mean[i] = m
-        # the counted ones sit 1 - m from the mean, the counted zeros m
-        m2[i] = (float(np.square(q - m).sum()) + lo * (1.0 - m) ** 2
-                 + (n - hi) * m * m)
+    # short windows are packed back to back into args for one gaussian_q
+    # call, since below _SHORT elements a call's fixed cost outweighs its
+    # work; Q is elementwise, so no value changes
+    short, packed = [], 0
+    for i, (lo, hi) in enumerate(spans):
+        if hi - lo <= _SHORT and packed + hi - lo <= n:
+            short.append((i, packed))
+            _window_args(a, b, rates[i], scale[i], lo, hi, args[packed:packed + hi - lo])
+            packed += hi - lo
+    if packed:
+        gaussian_q(args[:packed], out=args[:packed])
+    for i, at in short:
+        lo, hi = spans[i]
+        mean[i], m2[i] = _moments(args[at:at + hi - lo], lo, hi, n)
+    done = {i for i, _ in short}
+    for i, (lo, hi) in enumerate(spans):
+        if i not in done:
+            q = _window_args(a, b, rates[i], scale[i], lo, hi, args[:hi - lo])
+            mean[i], m2[i] = _moments(gaussian_q(q, out=q), lo, hi, n)
     return mean, m2
+
+
+def _window_args(a, b, rate, scale, lo, hi, out):
+    """Q's arguments scale * (a - rate * b) on [lo, hi), into out."""
+    np.multiply(b[lo:hi], rate, out=out)
+    np.subtract(a[lo:hi], out, out=out)
+    out *= scale
+    return out
+
+
+def _moments(q, lo, hi, n):
+    """Mean error of a batch of n and its sum of squared deviations, from
+    the errors q on [lo, hi): the lo before are 1, the rest 0. Overwrites q."""
+    m = (lo + float(q.sum())) / n
+    q -= m
+    dev2 = float(np.square(q, out=q).sum())
+    # the counted ones sit 1 - m from the mean, the counted zeros m
+    return m, dev2 + lo * (1.0 - m) ** 2 + (n - hi) * m * m
 
 
 def decoding_error_stats(batches, bandwidth_hz: float, packet_bits: float,
@@ -313,13 +386,15 @@ def decoding_error_stats(batches, bandwidth_hz: float, packet_bits: float,
     """Monte Carlo decoding error and ARQ delay of one link at every rate.
 
     batches yields arrays of SINR draws. Each batch is evaluated once for
-    all rates (slot d_t = packet_bits / rate) and then dropped, so memory
-    is bounded by the batch size. Within a batch the errors are summed in
-    ascending-SINR order (see _batch_moments). The per-batch means and sums
-    of squared deviations merge in batch order (Chan, Golub & LeVeque), so
-    the result depends only on the draws and the batch boundaries. SINR
-    draws must be non-negative and not NaN. Returns one
-    LinkStats per entry of rates_bps, in the given order.
+    all rates (slot d_t = packet_bits / rate) before the next is drawn, so
+    a producer may yield one buffer that it overwrites with each batch.
+    The kernel's work arrays are allocated once per call, so memory is
+    bounded by the batch size. Empty batches are skipped. Within a batch
+    the errors are summed in ascending-SINR order (see _batch_moments).
+    The per-batch means and sums of squared deviations merge in batch
+    order (Chan, Golub & LeVeque), so the result depends only on the draws
+    and the batch boundaries. SINR draws must be non-negative and not NaN.
+    Returns one LinkStats per entry of rates_bps, in the given order.
     """
     if bandwidth_hz <= 0.0 or packet_bits <= 0.0:
         raise ValueError("bandwidth_hz and packet_bits must be positive")
@@ -329,9 +404,15 @@ def decoding_error_stats(batches, bandwidth_hz: float, packet_bits: float,
     count = 0
     mean = np.zeros(rates.size)
     m2 = np.zeros(rates.size)
+    work = np.empty((_KERNEL_ROWS, 0))
     for gamma in batches:
         g = _check_gamma(gamma)
-        b_mean, b_m2 = _batch_moments(g, bandwidth_hz, packet_bits, rates)
+        if g.size == 0:
+            continue
+        if work.shape[1] < g.size:
+            work = np.empty((_KERNEL_ROWS, g.size))
+        b_mean, b_m2 = _batch_moments(g, bandwidth_hz, packet_bits, rates,
+                                      work[:, :g.size])
         total = count + g.size
         delta = b_mean - mean
         mean = mean + delta * (g.size / total)

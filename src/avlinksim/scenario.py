@@ -21,6 +21,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+import numpy as np
 import yaml
 
 from . import channel as ch
@@ -31,6 +32,7 @@ from .link import (
     Interferer,
     InterfererSet,
     RadioParams,
+    SINR_WORK_ROWS,
     decoding_error_stats,
     sinr_sample,
 )
@@ -597,11 +599,15 @@ _NS_SWEEP_TOPO, _NS_SWEEP_SAMP, _NS_REGION_TOPO, _NS_REGION_SAMP = 0, 1, 2, 3
 
 def _gamma_batches(setup: LinkSetup, config: ScenarioConfig, stream: RngStream):
     """SINR draws of one link, one mc_batch_size batch at a time, each batch
-    from its own child stream."""
+    from its own child stream. All batches are drawn in one set of buffers,
+    allocated here once per link: a yielded batch is overwritten by the
+    next."""
+    work = np.empty((SINR_WORK_ROWS, min(config.mc_batch_size, config.n_samples)))
     for batch_ix, done in enumerate(range(0, config.n_samples, config.mc_batch_size)):
         n = min(config.mc_batch_size, config.n_samples - done)
         rng = stream.child(batch_ix).generator()
-        yield sinr_sample(setup.desired, setup.interferers, setup.radio, rng, size=n)
+        yield sinr_sample(setup.desired, setup.interferers, setup.radio, rng,
+                          size=n, work=work)
 
 
 def _queue_gates(config: ScenarioConfig) -> dict:
@@ -876,8 +882,8 @@ def run_operating_region(config: ScenarioConfig, threads: int = 1) -> RegionResu
 
 def _parallel_map(fn, arg_tuples, threads: int) -> list:
     """Map on worker threads, at most one per item; collected in submission
-    order so the result never depends on the worker count. The hot numpy and
-    scipy loops release the GIL. On a failure the items not yet started are
+    order so the result never depends on the worker count. The hot numpy
+    loops release the GIL. On a failure the items not yet started are
     cancelled."""
     workers = min(threads, len(arg_tuples))
     if workers <= 1:

@@ -1,11 +1,16 @@
 """Command-line interface tests using click's CliRunner."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import textwrap
 
 import pytest
 from click.testing import CliRunner
 
+import avlinksim
 from avlinksim.cli import main
 
 # tiny but structurally complete run: one rate, one relay, one topology
@@ -41,6 +46,16 @@ def fast_config(tmp_path):
 # ============================================================
 
 class TestTopLevel:
+    def test_import_leaves_scipy_out(self):
+        # the runtime needs numpy, click and PyYAML only
+        src = str(pathlib.Path(avlinksim.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        code = "import sys, avlinksim.cli; print('scipy' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert done.stdout.strip() == "False"
+
     def test_version(self, runner):
         res = runner.invoke(main, ["--version"])
         assert res.exit_code == 0

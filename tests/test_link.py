@@ -473,6 +473,34 @@ class TestStreamingEstimator:
         assert stats[1].eps_t_bar > 0.0
         _assert_matches_reference(stats, gamma, self.BW, 256.0, rates)
 
+    def test_empty_batches_are_skipped(self):
+        rates = [100e3, 700e3]
+        ones = decoding_error_stats([np.ones(3)], self.BW, 256.0, rates)
+        assert decoding_error_stats([np.ones(3), np.array([])], self.BW, 256.0, rates) == ones
+        gamma = _rician_draws(3000, seed=15)
+        want = decoding_error_stats([gamma], self.BW, 256.0, rates)
+        assert decoding_error_stats([np.array([]), gamma, np.array([])],
+                                    self.BW, 256.0, rates) == want
+        with pytest.raises(ValueError, match="at least one SINR draw"):
+            decoding_error_stats([np.array([]), np.array([])], self.BW, 256.0, rates)
+
+    def test_no_q_call_on_an_empty_window(self, monkeypatch):
+        # at 5 and 1 kbps every argument lies past the cutoff: those rates
+        # have empty windows and must not reach gaussian_q at all
+        sizes = []
+
+        def counting_q(x, out=None):
+            sizes.append(np.size(x))
+            return gaussian_q(x, out=out)
+
+        monkeypatch.setattr(link, "gaussian_q", counting_q)
+        gamma = 10.0 ** np.linspace(0.0, 3.0, 2000)
+        decoding_error_stats(np.split(gamma, 4), self.BW, 256.0, [5e3, 600e3, 1e3])
+        assert sizes and min(sizes) > 0
+        sizes.clear()
+        decoding_error_stats([gamma], self.BW, 256.0, [5e3, 1e3])
+        assert sizes == []
+
     def test_sample_count_not_a_multiple_of_the_batch(self):
         desired = ChannelSpec(pl_db=135.0, tx_gain=1.0, rx_gain=1.0, k_db=6.0)
         radio = _radio()
@@ -590,6 +618,26 @@ class TestSortedKernel:
             # a floor of about 1e-16 of the mean in the SE
             assert_allclose(got.std_error, stderr, rtol=1e-12, atol=1e-14 * mean)
 
+    def test_packing_short_windows_changes_no_value(self, monkeypatch):
+        # Q is elementwise, so evaluating the short windows of a batch in
+        # one call must give bit-identical statistics
+        gamma = _rician_draws(40_000, seed=16)
+        rates = list(np.geomspace(20e3, 2e6, 30))
+        sizes = []
+
+        def counting_q(x, out=None):
+            sizes.append(np.size(x))
+            return gaussian_q(x, out=out)
+
+        monkeypatch.setattr(link, "gaussian_q", counting_q)
+        packed = decoding_error_stats([gamma], _BW, _BITS, rates)
+        calls_packed, short = len(sizes), link._SHORT
+        monkeypatch.setattr(link, "_SHORT", 0)
+        sizes.clear()
+        assert decoding_error_stats([gamma], _BW, _BITS, rates) == packed
+        # both kinds of window occur, and packing saved calls
+        assert max(sizes) > short and calls_packed < len(sizes)
+
     def test_tail_past_the_cut_is_below_one_ulp(self, monkeypatch):
         # one error near 1e-3 and 32767 errors just past the tail cut: the
         # dropped tail sums to about 2e-24, far below the ULP of the mean
@@ -600,9 +648,9 @@ class TestSortedKernel:
         (mean, _), = _full_array_stats(gamma, [rate])
         evaluated = []
 
-        def counting_q(x):
+        def counting_q(x, out=None):
             evaluated.append(np.size(x))
-            return gaussian_q(x)
+            return gaussian_q(x, out=out)
 
         monkeypatch.setattr(link, "gaussian_q", counting_q)
         (stats,) = decoding_error_stats([gamma], _BW, _BITS, [rate])

@@ -5,6 +5,8 @@ Expected values come from independent arbitrary-precision oracles
 either frozen from a 50-digit run or recomputed here with mpmath.
 """
 
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -64,6 +66,46 @@ class TestGaussianQ:
     def test_scalar_returns_float(self):
         assert isinstance(gaussian_q(1.0), float)
 
+    def test_against_mpmath_over_the_fbl_range(self):
+        # [-9, 38.5] is where the estimator evaluates Q; both sides of every
+        # range edge x = sqrt(2) * 0.46875 and sqrt(2) * 4 are included
+        xs = list(np.linspace(-9.0, 38.5, 1901))
+        for y in (0.46875, 4.0):
+            for edge in (-float(mp.sqrt(2) * y), float(mp.sqrt(2) * y)):
+                xs += [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf),
+                       edge - 1e-9, edge + 1e-9]
+        xs = np.array(xs)
+        tiny = np.finfo(float).tiny
+        for x, got in zip(xs, gaussian_q(xs)):
+            ref = mp.erfc(mp.mpf(float(x)) / mp.sqrt(2)) / 2
+            if ref >= tiny:
+                assert abs(mp.mpf(float(got)) / ref - 1) <= 3e-13, x
+
+    def test_exact_ends_without_warnings(self):
+        ones = np.concatenate([[-np.inf, -1e300, -40.0], np.linspace(-38.5, -9.0, 301)])
+        zeros = np.concatenate([np.linspace(38.5, 60.0, 301), [1e300, np.inf]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(gaussian_q(ones) == 1.0)
+            assert np.all(gaussian_q(zeros) == 0.0)
+            assert gaussian_q(-np.inf) == 1.0 and gaussian_q(np.inf) == 0.0
+            assert 0.0 < gaussian_q(38.45) < np.finfo(float).tiny   # subnormal
+            assert np.isnan(gaussian_q(np.nan))
+            out = gaussian_q(np.array([2.0, np.nan, -np.inf, 0.0]))
+        assert np.isnan(out[1]) and out[2] == 1.0 and out[3] == 0.5
+
+    def test_order_and_output_buffer(self):
+        # unsorted input is sorted and put back; out may be the input itself
+        xs = np.random.default_rng(3).uniform(-12.0, 40.0, 10_000)
+        ascending = np.sort(xs)
+        want = gaussian_q(ascending)
+        perm = np.argsort(np.argsort(xs))
+        assert np.array_equal(gaussian_q(xs), want[perm])
+        assert np.array_equal(gaussian_q(xs.reshape(100, 100)), want[perm].reshape(100, 100))
+        buf = ascending.copy()
+        assert gaussian_q(buf, out=buf) is buf
+        assert np.array_equal(buf, want)
+
 
 class TestGaussianQInv:
     def test_frozen_oracle_value(self):
@@ -115,6 +157,19 @@ class TestBessel:
     def test_j1_odd(self):
         assert bessel_j1(0.0) == 0.0
         assert_allclose(bessel_j1(-2.2), -bessel_j1(2.2), rtol=1e-15)
+
+    def test_j1_against_mpmath(self):
+        # the beam pattern's range, |x| <= 2 pi a with a = 10 wavelengths,
+        # both sides of the series/integral switch at 2, and tiny arguments
+        xs = np.concatenate([np.linspace(-2.0 * np.pi * 10.0, 2.0 * np.pi * 10.0, 1201),
+                             [1e-300, 1e-9, 1e-3, np.nextafter(2.0, 0.0), 2.0]])
+        got = bessel_j1(xs)
+        assert np.array_equal(bessel_j1(-xs), -got)
+        for x, value in zip(xs, got):
+            ref = mp.besselj(1, mp.mpf(float(x)))
+            assert abs(mp.mpf(float(value)) - ref) <= 2e-15, x
+            if 0.0 < abs(x) < 2.0:
+                assert abs(mp.mpf(float(value)) / ref - 1) <= 1e-15, x
 
 
 # ============================================================

@@ -6,11 +6,13 @@ import dataclasses
 import textwrap
 import threading
 
+import numpy as np
 import pytest
 
 from avlinksim import e2e
 from avlinksim import geometry as geo
 from avlinksim import scenario
+from avlinksim.link import sinr_sample
 from avlinksim.mathfun import RngStream
 from avlinksim.scenario import (
     CANONICAL_COMBINATIONS,
@@ -320,6 +322,25 @@ class TestRateSweep:
         for rq, rb in zip(quiet.rows, busy.rows):
             assert (rq.rate_bps, rq.label) == (rb.rate_bps, rb.label)
             assert rq.eps_e2e <= rb.eps_e2e
+
+
+class TestGammaBatches:
+    @pytest.mark.parametrize("mode", ["expected", "bernoulli"])
+    def test_reused_buffers_match_fresh_draws(self, mode):
+        # every batch is drawn into the same buffers; copied as they come,
+        # they equal fresh draws from each batch's child stream bit for bit
+        config = dataclasses.replace(FAST, n_samples=1300, interference_mode=mode)
+        topology = instantiate(
+            config, RngStream(config.master_seed).child(scenario._NS_SWEEP_TOPO, 0))
+        samples = RngStream(config.master_seed).child(scenario._NS_SWEEP_SAMP, 0)
+        for link_ix, setup in enumerate(topology.links.values()):
+            stream = samples.child(link_ix)
+            batches = [g.copy() for g in scenario._gamma_batches(setup, config, stream)]
+            assert [g.size for g in batches] == [512, 512, 276]
+            for batch_ix, got in enumerate(batches):
+                fresh = sinr_sample(setup.desired, setup.interferers, setup.radio,
+                                    stream.child(batch_ix).generator(), size=got.size)
+                assert np.array_equal(got, fresh)
 
 
 class TestQueueGates:
