@@ -275,84 +275,70 @@ def _echo_budget(title: str, entries: list) -> None:
         click.echo(f"  {key}: {_fmt(value)}")
 
 
-def _snr_db(tx_power_w, tx_gain, rx_gain, pl_db, radio) -> float:
-    signal = tx_power_w * tx_gain * rx_gain * 10.0 ** (-pl_db / 10.0)
-    return 10.0 * math.log10(signal / radio.noise_power_w)
+def _db(linear: float) -> float:
+    return 10.0 * math.log10(linear) if linear > 0 else -math.inf
+
+
+def _mean_snr(setup: scenario.LinkSetup) -> float:
+    """Mean SNR [dB] of the desired channel, without interference."""
+    spec, radio = setup.desired, setup.radio
+    signal = radio.tx_power_w * spec.tx_gain * spec.rx_gain * 10.0 ** (-spec.pl_db / 10.0)
+    return _db(signal / radio.noise_power_w)
+
+
+def _pose(kind: geometry.NodeKind, x: float, altitude: float) -> geometry.NodePose:
+    return geometry.NodePose(0, kind, x, 0.0, altitude)
 
 
 def _budget_g2a(config: scenario.ScenarioConfig, distance_m: float) -> None:
     env = config.environment()
-    table = config.rice_table()
-    h_g, h_a = config.gbs_height_m, config.av_altitude_m
-    d3 = math.hypot(distance_m, h_a - h_g)
-    elevation = math.degrees(math.atan2(h_a - h_g, distance_m))
-    zenith = 90.0 - elevation
-    p_los = channel.p_los(distance_m, h_g, h_a, env)
-    tx_gain = float(channel.ula_gain(zenith, config.ula()))
-    radio = link.RadioParams(
-        config.bandwidth_ga_hz, 10.0 ** ((config.tx_power_gbs_dbm - 30.0) / 10.0),
-        config.noise_density_w_hz(), config.noise_figure_av_db,
-    )
-    pl_avg = channel.pl_avg_g2a_db(distance_m, h_g, h_a, config.fc_ghz, env,
-                                   mixture=config.pl_mixture)
+    site = _pose(geometry.NodeKind.GROUND_BS, 0.0, config.gbs_height_m)
+    av = _pose(geometry.NodeKind.AERIAL_VEHICLE, distance_m, config.av_altitude_m)
+    setup = scenario._g2a_link("g2a", site, av, [], config, env, config.rice_table())
+    d3 = geometry.distance_3d(site, av)
     _echo_budget("g2a link budget", [
         ("d_2d_m", distance_m),
         ("d_3d_m", d3),
-        ("elevation_deg", elevation),
-        ("p_los", p_los),
+        ("elevation_deg", geometry.elevation_angle_deg(site, av)),
+        ("p_los", channel.p_los(distance_m, site.altitude, av.altitude, env)),
         ("pl_los_db", float(channel.pl_g2a_los_db(d3, config.fc_ghz))),
-        ("pl_nlos_db", float(channel.pl_g2a_nlos_db(d3, h_a, config.fc_ghz))),
-        ("pl_avg_db", float(pl_avg)),
-        ("tx_array_gain_db", 10.0 * math.log10(tx_gain) if tx_gain > 0 else -math.inf),
-        ("rice_k_db", channel.rice_k_db(channel.LinkKind.G2A,
-                                        min(max(elevation, 0.0), 90.0), table)),
-        ("noise_power_w", radio.noise_power_w),
-        ("mean_snr_db", _snr_db(radio.tx_power_w, tx_gain,
-                                10.0 ** (config.av_antenna_gain_dbi / 10.0),
-                                float(pl_avg), radio)),
+        ("pl_nlos_db", float(channel.pl_g2a_nlos_db(d3, av.altitude, config.fc_ghz))),
+        ("pl_avg_db", setup.desired.pl_db),
+        ("tx_array_gain_db", _db(setup.desired.tx_gain)),
+        ("rice_k_db", setup.desired.k_db),
+        ("noise_power_w", setup.radio.noise_power_w),
+        ("mean_snr_db", _mean_snr(setup)),
     ])
 
 
 def _budget_a2a(config: scenario.ScenarioConfig, distance_m: float) -> None:
-    table = config.rice_table()
-    pl = float(channel.fspl_db(distance_m, config.fc_ghz))
-    radio = link.RadioParams(
-        config.bandwidth_aa_hz, 10.0 ** ((config.tx_power_av_dbm - 30.0) / 10.0),
-        config.noise_density_w_hz(), config.noise_figure_av_db,
-    )
-    gain = 10.0 ** (config.av_antenna_gain_dbi / 10.0)
+    relay = _pose(geometry.NodeKind.AERIAL_VEHICLE, 0.0, config.av_altitude_m)
+    av = _pose(geometry.NodeKind.AERIAL_VEHICLE, distance_m, config.av_altitude_m)
+    setup = scenario._a2a_link("a2a", relay, av, [], config, config.rice_table())
     _echo_budget("a2a link budget", [
-        ("d_3d_m", distance_m),
-        ("fspl_db", pl),
-        ("rice_k_db", channel.rice_k_db(channel.LinkKind.A2A, 0.0, table)),
-        ("noise_power_w", radio.noise_power_w),
-        ("mean_snr_db", _snr_db(radio.tx_power_w, gain, gain, pl, radio)),
+        ("d_3d_m", geometry.distance_3d(relay, av)),
+        ("fspl_db", setup.desired.pl_db),
+        ("rice_k_db", setup.desired.k_db),
+        ("noise_power_w", setup.radio.noise_power_w),
+        ("mean_snr_db", _mean_snr(setup)),
     ])
 
 
 def _budget_hap(config: scenario.ScenarioConfig, offset_m: float) -> None:
-    table = config.rice_table()
-    dz = config.hap_altitude_m - config.av_altitude_m
-    d3 = math.hypot(offset_m, dz)
-    elevation = math.degrees(math.atan2(dz, offset_m)) if offset_m > 0 else 90.0
-    pl = float(channel.fspl_db(d3, config.fc_ghz))
-    radio = link.RadioParams(
-        config.bandwidth_ha_hz, 10.0 ** ((config.tx_power_hap_dbm - 30.0) / 10.0),
-        config.noise_density_w_hz(), config.noise_figure_av_db,
-    )
-    tx_gain = float(channel.hap_gain(0.0, config.reflector()))
+    hap = _pose(geometry.NodeKind.HAP, 0.0, config.hap_altitude_m)
+    av = _pose(geometry.NodeKind.AERIAL_VEHICLE, offset_m, config.av_altitude_m)
+    site = _pose(geometry.NodeKind.GROUND_BS, 0.0, config.gbs_height_m)
+    setup = scenario._h2a_link(hap, av, [site], site, config, config.rice_table())
+    d3 = geometry.distance_3d(hap, av)
     _echo_budget("hap link budget", [
         ("nadir_offset_m", offset_m),
         ("d_3d_m", d3),
-        ("elevation_deg", elevation),
-        ("fspl_db", pl),
-        ("beam_gain_db", 10.0 * math.log10(tx_gain)),
-        ("rice_k_db", channel.rice_k_db(channel.LinkKind.H2A,
-                                        min(elevation, 90.0), table)),
+        ("elevation_deg", geometry.elevation_angle_deg(av, hap)),
+        ("fspl_db", setup.desired.pl_db),
+        ("beam_gain_db", _db(setup.desired.tx_gain)),
+        ("rice_k_db", setup.desired.k_db),
         ("prop_delay_us", 1e6 * d3 / e2e.SPEED_OF_LIGHT_M_S),
-        ("mean_snr_db", _snr_db(radio.tx_power_w, tx_gain,
-                                10.0 ** (config.av_antenna_gain_dbi / 10.0),
-                                pl, radio)),
+        ("mean_snr_db", _mean_snr(setup)),
     ])
 
 

@@ -60,6 +60,10 @@ class QosTarget:
         if self.d_max_s <= 0.0:
             raise ValueError("d_max_s must be positive")
 
+    def admits(self, eps: float, delay_s: float) -> bool:
+        """True when a loss and a delay both meet the target."""
+        return bool(eps <= self.eps_th and delay_s <= self.d_max_s)
+
 
 @dataclass(frozen=True)
 class PathOutcome:
@@ -89,18 +93,32 @@ def chain_loss(terms) -> float:
     return -math.expm1(acc)
 
 
-def _chain_eps_stderr(terms: dict, stderrs: dict) -> float:
-    # first order: d eps / d eps_i = prod_{j != i} (1 - eps_j)
+def _product_stderr(factors) -> float:
+    """First-order standard error of prod(value) over (estimate, value, se)
+    factors: d prod / d value_i = prod_{j != i} value_j.
+
+    Factors that are one estimate (the same object) are fully correlated:
+    their partial derivatives add before squaring, so K copies give
+    K value^(K-1) se.
+    """
+    factors = list(factors)
+    values = [v for _, v, _ in factors]
+    partials = {}           # id(estimate) -> (se, partial of each copy)
+    for i, (est, _, se) in enumerate(factors):
+        if se != 0.0:       # exact inputs (backhaul, queues) add no variance
+            partials.setdefault(id(est), (se, []))[1].append(
+                math.prod(values[:i] + values[i + 1:]))
     var = 0.0
-    for name, sigma in stderrs.items():
-        if sigma == 0.0:
-            continue
-        partial = 1.0
-        for other, eps in terms.items():
-            if other != name:
-                partial *= 1.0 - eps
-        var += (sigma * partial) ** 2
+    for se, copies in partials.values():
+        var += (se * sum(copies)) ** 2
     return math.sqrt(var)
+
+
+def _chain_eps_stderr(terms: dict, stderrs: dict) -> float:
+    # 1 - eps is the product of the survivals 1 - eps_i
+    return _product_stderr(
+        (name, 1.0 - eps, stderrs.get(name, 0.0)) for name, eps in terms.items()
+    )
 
 
 def _radio_delay_var(stats: LinkStats) -> float:
@@ -117,7 +135,7 @@ def _finish(label, breakdown, terms, qos, eps_stderr, d_var) -> PathOutcome:
         label=label,
         eps_e2e=eps,
         d_e2e=d_e2e,
-        feasible=bool(eps <= qos.eps_th and d_e2e <= qos.d_max_s),
+        feasible=qos.admits(eps, d_e2e),
         delay_breakdown=breakdown,
         error_terms=terms,
         eps_std_error=eps_stderr,
@@ -157,16 +175,8 @@ def da2g_path(
         "queue_gbs": gbs_queue.violation_prob,
         "radio_da2g": radio_eps,
     }
-    # copies of one estimate are fully correlated: their partial
-    # derivatives add before squaring, so K copies give K eps^(K-1) sigma
-    radio_var = 0.0
-    for est in {id(b): b for b in branches}.values():
-        partial = sum(
-            math.prod(x.eps_t_bar for j, x in enumerate(branches) if j != i)
-            for i, b in enumerate(branches) if b is est
-        )
-        radio_var += (est.std_error * partial) ** 2
-    eps_stderr = _chain_eps_stderr(terms, {"radio_da2g": math.sqrt(radio_var)})
+    radio_se = _product_stderr((b, b.eps_t_bar, b.std_error) for b in branches)
+    eps_stderr = _chain_eps_stderr(terms, {"radio_da2g": radio_se})
     return _finish(label, breakdown, terms, qos, eps_stderr, _radio_delay_var(best))
 
 
@@ -246,24 +256,21 @@ def hap_path(
 # ============================================================
 
 def combine_paths(paths, qos: QosTarget, label: str | None = None) -> PathOutcome:
-    """Parallel cloned paths: losses multiply, delay is the fastest path's."""
+    """Parallel cloned paths: losses multiply, delay is the fastest path's.
+    A path passed more than once is one estimate, not independent ones."""
     paths = list(paths)
     if not paths:
         raise ValueError("at least one path is required")
     eps = math.prod(p.eps_e2e for p in paths)
     best = min(paths, key=lambda p: p.d_e2e)
-    var = 0.0
-    for i, p in enumerate(paths):
-        partial = math.prod(x.eps_e2e for j, x in enumerate(paths) if j != i)
-        var += (p.eps_std_error * partial) ** 2
     return PathOutcome(
         label=label if label is not None else " + ".join(p.label for p in paths),
         eps_e2e=eps,
         d_e2e=best.d_e2e,
-        feasible=bool(eps <= qos.eps_th and best.d_e2e <= qos.d_max_s),
+        feasible=qos.admits(eps, best.d_e2e),
         delay_breakdown=dict(best.delay_breakdown),
         error_terms={p.label: p.eps_e2e for p in paths},
-        eps_std_error=math.sqrt(var),
+        eps_std_error=_product_stderr((p, p.eps_e2e, p.eps_std_error) for p in paths),
         d_std_error=best.d_std_error,
     )
 

@@ -180,6 +180,9 @@ class ScenarioConfig:
         return e2e.BackhaulSpec(self.backhaul_delay_ms * 1e-3, self.eps_b)
 
     def queue(self, node: str) -> QueueSpec:
+        """Arrival side of one node type's queue. The ground station ("gs")
+        has no keys of its own: it takes the base station's arrival rate
+        (and, in _queue_gates, its service rate)."""
         rate = {
             "gbs": self.arrival_rate_gbs_pps,
             "gs": self.arrival_rate_gbs_pps,
@@ -204,7 +207,8 @@ def _check(cond: bool, key: str, want: str, value) -> None:
 _POSITIVE = {
     "delay_threshold_ms", "backhaul_delay_ms", "fc_ghz",
     "bandwidth_ga_hz", "bandwidth_aa_hz", "bandwidth_ha_hz", "bandwidth_gh_hz",
-    "isd_m", "gbs_height_m", "hap_gs_offset_m", "q1", "q2_per_km2", "q3_m",
+    "isd_m", "gbs_height_m", "av_altitude_m", "hap_altitude_m", "hap_gs_offset_m",
+    "q1", "q2_per_km2", "q3_m",
     "arrival_rate_gbs_pps", "arrival_rate_av_pps", "arrival_rate_hap_pps",
     "queue_delay_bound_ms", "ula_downtilt_deg",
     "hap_aperture_radius_wavelengths", "r_ga_m",
@@ -263,9 +267,6 @@ def _validate_field(key: str, value):
     if key == "pl_mixture":
         _check(value in ("db", "linear"), key, "'db' or 'linear'", value)
         return value
-    if key in ("av_altitude_m", "hap_altitude_m"):
-        _check(_is_num(value) and value > 0, key, "a positive number", value)
-        return float(value)
     if key == "clutter_loss_db":
         _check(isinstance(value, (list, tuple)) and len(value) == 9
                and all(_is_num(v) and v >= 0 for v in value),
@@ -611,6 +612,9 @@ def _gamma_batches(setup: LinkSetup, config: ScenarioConfig, stream: RngStream):
 
 
 def _queue_gates(config: ScenarioConfig) -> dict:
+    """{node type: queue gate}; a node without a service rate passes. The
+    ground station takes the base station's arrival and service rates, so
+    its gate always equals "gbs"'s."""
     gates = {}
     for node, service in (
         ("gbs", config.service_rate_gbs_pps),
@@ -634,40 +638,25 @@ def _label_gate(label: str, gates: dict) -> bool:
     return ok
 
 
-def _gate(outcome: e2e.PathOutcome, gates: dict) -> e2e.PathOutcome:
-    if _label_gate(outcome.label, gates) or not outcome.feasible:
-        return outcome
-    return dataclasses.replace(outcome, feasible=False)
-
-
-def _gated_combinations(da2g, a2a_paths, hap, qos, gates) -> list:
-    """Combinations with queue gates re-applied."""
-    return [_gate(combo, gates)
-            for combo in e2e.enumerate_combinations(da2g, a2a_paths, hap, qos)]
-
-
-def _paths_for_rate(topology: Topology, stats: dict, config: ScenarioConfig,
-                    gates: dict):
+def _paths_for_rate(topology: Topology, stats: dict, config: ScenarioConfig):
     """Per-path outcomes at one rate from that rate's {link name: LinkStats}:
-    (da2g, [a2a...], hap)."""
+    (da2g, [a2a...], hap). Feasibility, queue gates included, is decided
+    on the averages across topologies (_mean_outcomes)."""
     qos = config.qos()
     backhaul = config.backhaul()
 
     branches = [stats["g2a_dest"]] * config.diversity_branches
-    da2g = _gate(e2e.da2g_path(backhaul, config.queue("gbs"), branches, qos), gates)
-    a2a_paths = []
-    for m in range(1, len(topology.relays) + 1):
-        outcome = e2e.a2a_path(
+    da2g = e2e.da2g_path(backhaul, config.queue("gbs"), branches, qos)
+    a2a_paths = [
+        e2e.a2a_path(
             backhaul, config.queue("gbs"), stats[f"g2a_relay_{m}"],
             config.queue("av"), stats[f"a2a_{m}"], qos, label=f"A2A-{m}",
         )
-        a2a_paths.append(_gate(outcome, gates))
-    hap = _gate(
-        e2e.hap_path(
-            backhaul, config.queue("gs"), stats["g2h"], topology.d_g2h_m,
-            config.queue("hap"), stats["h2a"], topology.d_h2a_m, qos,
-        ),
-        gates,
+        for m in range(1, len(topology.relays) + 1)
+    ]
+    hap = e2e.hap_path(
+        backhaul, config.queue("gs"), stats["g2h"], topology.d_g2h_m,
+        config.queue("hap"), stats["h2a"], topology.d_h2a_m, qos,
     )
     return da2g, a2a_paths, hap
 
@@ -683,7 +672,7 @@ def _link_stats(setup: LinkSetup, config: ScenarioConfig, stream: RngStream,
 
 def _evaluate_topologies(config: ScenarioConfig, items, rates_bps, threads: int) -> list:
     """Per (topology, sample stream) item, per rate: the path outcomes
-    (da2g, [a2a...], hap) and their gated combinations.
+    (da2g, [a2a...], hap) and their combinations.
 
     Every link of every topology is one work item, and link i of a
     topology draws from its sample stream's child(i). Results are
@@ -694,15 +683,14 @@ def _evaluate_topologies(config: ScenarioConfig, items, rates_bps, threads: int)
             for link_ix, setup in enumerate(topology.links.values())]
     stats = iter(_parallel_map(_link_stats, work, threads))
     qos = config.qos()
-    gates = _queue_gates(config)
     out = []
     for topology, _ in items:
         per_link = {name: next(stats) for name in topology.links}
         per_rate = []
         for rate_ix in range(len(rates_bps)):
             rate_stats = {name: s[rate_ix] for name, s in per_link.items()}
-            da2g, a2a_paths, hap = _paths_for_rate(topology, rate_stats, config, gates)
-            combos = _gated_combinations(da2g, a2a_paths, hap, qos, gates)
+            da2g, a2a_paths, hap = _paths_for_rate(topology, rate_stats, config)
+            combos = e2e.enumerate_combinations(da2g, a2a_paths, hap, qos)
             per_rate.append((da2g, a2a_paths, hap, combos))
         out.append(per_rate)
     return out
@@ -756,22 +744,22 @@ def _sweep_rows(da2g, a2a_paths, hap, combos) -> dict:
     return rows
 
 
-def _mean_outcomes(per_topology: list, qos: e2e.QosTarget, gates: dict):
-    """Average eps/delay per label across topologies, then threshold and
-    apply the label's queue gate."""
-    labels = list(per_topology[0].keys())
+def _mean_outcomes(per_topology: list, qos: e2e.QosTarget, gates: dict) -> dict:
+    """{label: PathOutcome} averaged across topologies. This is the one
+    feasibility decision: the averages must meet the target and the
+    label's queue gate must pass."""
     merged = {}
     t = len(per_topology)
-    for label in labels:
+    for label in per_topology[0]:
         outs = [topo[label] for topo in per_topology]
         eps = sum(o.eps_e2e for o in outs) / t
         delay = sum(o.d_e2e for o in outs) / t
         eps_se = math.sqrt(sum(o.eps_std_error ** 2 for o in outs)) / t
         finite = [o.d_std_error for o in outs if math.isfinite(o.d_std_error)]
         delay_se = (math.sqrt(sum(s ** 2 for s in finite)) / t) if finite else math.inf
-        feasible = bool(eps <= qos.eps_th and delay <= qos.d_max_s
-                        and _label_gate(label, gates))
-        merged[label] = (eps, eps_se, delay, delay_se, feasible)
+        feasible = qos.admits(eps, delay) and _label_gate(label, gates)
+        merged[label] = e2e.PathOutcome(label, eps, delay, feasible,
+                                        eps_std_error=eps_se, d_std_error=delay_se)
     return merged
 
 
@@ -793,8 +781,8 @@ def run_rate_sweep(config: ScenarioConfig, threads: int = 1) -> SweepResult:
         )
         if labels is None:
             labels = tuple(merged.keys())
-        for label, (eps, eps_se, delay, delay_se, feasible) in merged.items():
-            rows.append(SweepRow(rate, label, eps, eps_se, delay, delay_se, feasible))
+        rows.extend(SweepRow(rate, m.label, m.eps_e2e, m.eps_std_error, m.d_e2e,
+                             m.d_std_error, m.feasible) for m in merged.values())
     diagnostics = {
         "effective_bandwidth_pps": {
             node: effective_bandwidth(config.queue(node))
@@ -868,7 +856,7 @@ def run_operating_region(config: ScenarioConfig, threads: int = 1) -> RegionResu
             merged = _mean_outcomes(
                 [{c.label: c for c in topo[rate_ix][-1]} for topo in column], qos, gates
             )
-            chosen = next((label for label, m in merged.items() if m[4]), "none")
+            chosen = e2e.min_feasible_combination(merged.values())
             cells.append(RegionCell(lo, hi, 0.5 * (lo + hi), rate, chosen))
     return RegionResult(
         cells=tuple(cells),

@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import avlinksim
+from avlinksim import scenario
 from avlinksim.cli import main
 
 # tiny but structurally complete run: one rate, one relay, one topology
@@ -260,6 +261,29 @@ class TestLinkBudget:
                     "pl_avg_db:", "tx_array_gain_db:", "rice_k_db:",
                     "mean_snr_db:"):
             assert key in res.stdout
+
+    def test_g2a_directly_under_the_site(self, runner):
+        # the ULA element gain is sin^2 0 = 0 straight up: no signal, not a crash
+        res = runner.invoke(main, ["link-budget", "g2a", "--distance-m", "0"])
+        assert res.exit_code == 0
+        assert "tx_array_gain_db: -inf" in res.stdout
+        assert "mean_snr_db: -inf" in res.stdout
+
+    def test_budget_is_the_simulators_link(self, runner):
+        # at the configured destination distance the budget shows the same
+        # channel the Monte Carlo draws from
+        config = scenario.ScenarioConfig()
+        links = scenario.instantiate(config, 1).links
+        r_ga = repr(config.r_ga_m)
+        for args, link, keys in (
+            (["g2a"], "g2a_dest", ("pl_avg_db", "rice_k_db")),
+            (["hap", "--distance-m", r_ga], "h2a", ("fspl_db", "rice_k_db")),
+        ):
+            res = runner.invoke(main, ["link-budget", *args])
+            assert res.exit_code == 0
+            desired = links[link].desired
+            for key, value in zip(keys, (desired.pl_db, desired.k_db)):
+                assert f"  {key}: {value!r}\n" in res.stdout
 
     def test_g2a_negative_distance_rejected(self, runner):
         res = runner.invoke(main, ["link-budget", "g2a", "--distance-m", "-5"])

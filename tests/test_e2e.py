@@ -39,6 +39,14 @@ def _stats(eps, d_t=1e-3, se=0.0):
     return LinkStats(eps, d_t, 100_000, se)
 
 
+class TestQosTarget:
+    def test_admits_is_inclusive_on_both_thresholds(self):
+        assert QOS.admits(1e-5, 10e-3)
+        assert not QOS.admits(1.0000001e-5, 1e-3)
+        assert not QOS.admits(1e-7, 10.000001e-3)
+        assert not QOS.admits(math.nan, 1e-3)
+
+
 # ============================================================
 # Chain loss
 # ============================================================
@@ -114,6 +122,15 @@ class TestDa2gPath:
         out = da2g_path(BACKHAUL, QUEUE, branches, LOOSE_QOS)
         partial = (1.0 - 1e-6) * (1.0 - 1e-7)
         assert_allclose(out.eps_std_error, math.sqrt(2.0) * 1e-5 * partial, rtol=1e-12)
+
+    def test_repeated_branch_among_others(self):
+        # [x, y, x]: radio eps = eps_x^2 eps_y, so d/d eps_x = 2 eps_x eps_y
+        # and d/d eps_y = eps_x^2, each squared once
+        x, y = _stats(1e-2, se=1e-3), _stats(3e-2, se=2e-3)
+        out = da2g_path(BACKHAUL, QUEUE, [x, y, x], LOOSE_QOS)
+        radio_se = math.hypot(2 * 1e-2 * 3e-2 * 1e-3, 1e-2 ** 2 * 2e-3)
+        partial = (1.0 - 1e-6) * (1.0 - 1e-7)
+        assert_allclose(out.eps_std_error, radio_se * partial, rtol=1e-12)
 
     def test_feasibility_flips(self):
         good = da2g_path(BACKHAUL, QUEUE, [_stats(1e-7, 0.5e-3)], QOS)
@@ -208,6 +225,14 @@ class TestCombinePaths:
         out = combine_paths([a, b], LOOSE_QOS)
         expected = math.sqrt((1e-5 * 2e-3) ** 2 + (3e-5 * 1e-3) ** 2)
         assert_allclose(out.eps_std_error, expected, rtol=1e-12)
+
+    def test_one_path_twice_is_one_estimate(self):
+        a = self._path("DA2G", 1e-3, 2e-3, se=1e-5)
+        out = combine_paths([a, a], LOOSE_QOS)
+        assert_allclose(out.eps_std_error, 2 * 1e-3 * 1e-5, rtol=1e-12)
+        twin = self._path("DA2G", 1e-3, 2e-3, se=1e-5)
+        apart = combine_paths([a, twin], LOOSE_QOS)
+        assert_allclose(apart.eps_std_error, math.sqrt(2.0) * 1e-3 * 1e-5, rtol=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -164,6 +164,14 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="'interference_mode'"):
             load_config(_write(tmp_path, "interference_mode: sometimes\n"))
 
+    def test_every_default_passes_its_rule_unchanged(self):
+        # a field without a validation rule would be rejected on load as
+        # an unknown key; this names it instead
+        for f in dataclasses.fields(ScenarioConfig):
+            default = getattr(ScenarioConfig(), f.name)
+            got = scenario._validate_field(f.name, default)
+            assert got == default and type(got) is type(default), f.name
+
     def test_config_is_frozen(self):
         cfg = ScenarioConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -385,9 +393,9 @@ class TestQueueGates:
         ]
         qos = FAST.qos()
         gates = {"gbs": True, "av": True, "gs": True, "hap": False}
-        assert not scenario._mean_outcomes(outcomes, qos, gates)[label][4]
+        assert not scenario._mean_outcomes(outcomes, qos, gates)[label].feasible
         open_gates = dict.fromkeys(gates, True)
-        assert scenario._mean_outcomes(outcomes, qos, open_gates)[label][4]
+        assert scenario._mean_outcomes(outcomes, qos, open_gates)[label].feasible
 
     def test_platform_path_does_not_cross_base_station(self):
         gates = {"gbs": False, "av": True, "gs": True, "hap": True}
