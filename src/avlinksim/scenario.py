@@ -18,8 +18,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 import yaml
@@ -195,119 +197,89 @@ class ScenarioConfig:
         return 10.0 ** ((self.noise_density_dbm_hz - 30.0) / 10.0)
 
 
-def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+class _Rule(NamedTuple):
+    want: str                       # the accepted values, as the error names them
+    ok: Callable[[object], bool]
+    coerce: Callable = lambda v: v
+
+    def apply(self, key: str, value):
+        if not self.ok(value):
+            raise ConfigError(f"config key '{key}': expected {self.want}, got {value!r}")
+        return self.coerce(value)
 
 
-def _check(cond: bool, key: str, want: str, value) -> None:
-    if not cond:
-        raise ConfigError(f"config key '{key}': expected {want}, got {value!r}")
+def _number(want: str, ok=lambda v: True, kind=float) -> _Rule:
+    # an int beyond the float range counts as infinite, so float() cannot fail
+    return _Rule(want, lambda v: isinstance(v, (kind, int)) and not isinstance(v, bool)
+                 and abs(v) <= sys.float_info.max and ok(v), kind)
 
 
-_POSITIVE = {
-    "delay_threshold_ms", "backhaul_delay_ms", "fc_ghz",
-    "bandwidth_ga_hz", "bandwidth_aa_hz", "bandwidth_ha_hz", "bandwidth_gh_hz",
-    "isd_m", "gbs_height_m", "av_altitude_m", "hap_altitude_m", "hap_gs_offset_m",
-    "q1", "q2_per_km2", "q3_m",
-    "arrival_rate_gbs_pps", "arrival_rate_av_pps", "arrival_rate_hap_pps",
-    "queue_delay_bound_ms", "ula_downtilt_deg",
-    "hap_aperture_radius_wavelengths", "r_ga_m",
-}
-_ANY_FLOAT = {
-    "noise_density_dbm_hz", "tx_power_av_dbm", "tx_power_gbs_dbm",
-    "tx_power_hap_dbm", "tx_power_gs_dbm", "noise_figure_av_db",
-    "noise_figure_hap_db", "av_antenna_gain_dbi", "gs_antenna_gain_dbi",
-    "ula_element_gain_dbi", "hap_max_gain_dbi",
-}
-_NON_NEGATIVE = {"sf_sigma_los_db", "sf_sigma_nlos_db"}
-_PROBABILITIES = {"eps_th", "eps_b", "p_interf", "eps_q"}
-_POSITIVE_INTS = {
-    "packet_bits", "interferer_count", "ula_elements", "av_count",
-    "n_samples", "mc_batch_size", "diversity_branches", "a2a_relay_count",
-    "sweep_topologies", "region_topologies",
+def _floats(want: str, ok) -> _Rule:
+    return _Rule(want, lambda v: isinstance(v, (list, tuple)) and all(map(_ANY.ok, v))
+                 and ok(v), lambda v: tuple(map(float, v)))
+
+
+_ANY, _POS = _number("a number"), _number("a positive number", lambda v: v > 0)
+_SIGMA = _number("a non-negative number", lambda v: v >= 0)
+_COUNT = _number("a positive integer", lambda v: v > 0, int)
+_SERVICE = _Rule("a positive number or null", lambda v: v is None or _POS.ok(v),
+                 lambda v: None if v is None else float(v))
+_RATES = _floats("a non-empty list of positive rates [kbps]", lambda v: min(v, default=0) > 0)
+_RICE = _floats("a [k_min, k_max] pair with k_min <= k_max",
+                lambda v: len(v) == 2 and v[0] <= v[1])
+
+# One rule per ScenarioConfig field. A probability takes the interval that
+# its model class enforces, so a config that loads always builds the model.
+_RULES = {
+    "eps_th": _number("a probability in (0, 1)", lambda v: 0 < v < 1),  # QosTarget
+    "eps_b": _number("a probability in [0, 1)", lambda v: 0 <= v < 1),  # BackhaulSpec
+    "eps_q": _number("a probability in (0, 1)", lambda v: 0 < v < 1),  # QueueSpec
+    "p_interf": _number("a probability in [0, 1]", lambda v: 0 <= v <= 1),  # InterfererSet
+    "q1": _number("a fraction in (0, 1]", lambda v: 0 < v <= 1),  # P.1410 built-up ratio
+    "grid_tiers": _number("a non-negative integer", lambda v: v >= 0, int),
+    "master_seed": _number("a 64-bit unsigned integer", lambda v: 0 <= v < 2 ** 64, int),
+    "interference_mode": _Rule("'expected' or 'bernoulli'",
+                               lambda v: v in ("expected", "bernoulli")),
+    "pl_mixture": _Rule("'db' or 'linear'", lambda v: v in ("db", "linear")),
+    "g2a_shadow_fading": _Rule("a boolean", lambda v: isinstance(v, bool)),
+    "clutter_loss_db": _floats("a list of 9 non-negative numbers",
+                               lambda v: len(v) == 9 and min(v) >= 0),
+    "rice_k_db": _Rule("a mapping with keys g2a, a2a, g2h, h2a", lambda v: isinstance(v, dict)
+                       and set(v) == {"g2a", "a2a", "g2h", "h2a"},
+                       lambda v: {k: _RICE.apply(f"rice_k_db.{k}", p) for k, p in v.items()}),
+    "region_r_edges_m": _floats("a strictly increasing list of at least 2 bin edges [m]",
+                                lambda v: len(v) >= 2 and v[0] >= 0
+                                and all(a < b for a, b in zip(v, v[1:]))),
+    "delay_threshold_ms": _POS, "packet_bits": _COUNT, "backhaul_delay_ms": _POS,
+    "interferer_count": _COUNT, "fc_ghz": _POS, "noise_density_dbm_hz": _ANY,
+    "bandwidth_ga_hz": _POS, "bandwidth_aa_hz": _POS, "bandwidth_ha_hz": _POS,
+    "bandwidth_gh_hz": _POS, "tx_power_av_dbm": _ANY, "tx_power_gbs_dbm": _ANY,
+    "tx_power_hap_dbm": _ANY, "tx_power_gs_dbm": _ANY, "noise_figure_av_db": _ANY,
+    "noise_figure_hap_db": _ANY, "av_antenna_gain_dbi": _ANY, "gs_antenna_gain_dbi": _ANY,
+    "ula_elements": _COUNT, "ula_downtilt_deg": _POS, "ula_element_gain_dbi": _ANY,
+    "hap_max_gain_dbi": _ANY, "hap_aperture_radius_wavelengths": _POS, "isd_m": _POS,
+    "gbs_height_m": _POS, "av_altitude_m": _POS, "hap_altitude_m": _POS,
+    "hap_gs_offset_m": _POS, "av_count": _COUNT, "r_ga_m": _POS, "q2_per_km2": _POS,
+    "q3_m": _POS, "sf_sigma_los_db": _SIGMA, "sf_sigma_nlos_db": _SIGMA,
+    "arrival_rate_gbs_pps": _POS, "arrival_rate_av_pps": _POS, "arrival_rate_hap_pps": _POS,
+    "queue_delay_bound_ms": _POS, "service_rate_gbs_pps": _SERVICE,
+    "service_rate_av_pps": _SERVICE, "service_rate_hap_pps": _SERVICE, "n_samples": _COUNT,
+    "mc_batch_size": _COUNT, "diversity_branches": _COUNT, "a2a_relay_count": _COUNT,
+    "sweep_topologies": _COUNT, "sweep_rates_kbps": _RATES, "region_topologies": _COUNT,
+    "region_rates_kbps": _RATES,
 }
 
 
 def _validate_field(key: str, value):
     """Return the coerced value for one config field; raise ConfigError."""
-    if key in _PROBABILITIES:
-        _check(_is_num(value), key, "a number", value)
-        limit = "(0, 1)" if key == "eps_th" else "[0, 1]"
-        lo_ok = value > 0.0 if key == "eps_th" else value >= 0.0
-        hi_ok = value < 1.0 if key == "eps_th" else value <= 1.0
-        _check(lo_ok and hi_ok, key, f"a probability in {limit}", value)
-        return float(value)
-    if key in _POSITIVE:
-        _check(_is_num(value) and value > 0, key, "a positive number", value)
-        return float(value)
-    if key in _NON_NEGATIVE:
-        _check(_is_num(value) and value >= 0, key, "a non-negative number", value)
-        return float(value)
-    if key in _ANY_FLOAT:
-        _check(_is_num(value), key, "a number", value)
-        return float(value)
-    if key in _POSITIVE_INTS:
-        _check(isinstance(value, int) and not isinstance(value, bool) and value > 0,
-               key, "a positive integer", value)
-        return int(value)
-    if key in ("grid_tiers",):
-        _check(isinstance(value, int) and not isinstance(value, bool) and value >= 0,
-               key, "a non-negative integer", value)
-        return int(value)
-    if key == "master_seed":
-        _check(isinstance(value, int) and not isinstance(value, bool)
-               and 0 <= value < 2 ** 64, key, "a 64-bit unsigned integer", value)
-        return int(value)
-    if key == "g2a_shadow_fading":
-        _check(isinstance(value, bool), key, "a boolean", value)
-        return value
-    if key == "interference_mode":
-        _check(value in ("expected", "bernoulli"), key, "'expected' or 'bernoulli'", value)
-        return value
-    if key == "pl_mixture":
-        _check(value in ("db", "linear"), key, "'db' or 'linear'", value)
-        return value
-    if key == "clutter_loss_db":
-        _check(isinstance(value, (list, tuple)) and len(value) == 9
-               and all(_is_num(v) and v >= 0 for v in value),
-               key, "a list of 9 non-negative numbers", value)
-        return tuple(float(v) for v in value)
-    if key == "rice_k_db":
-        _check(isinstance(value, dict) and set(value) == {"g2a", "a2a", "g2h", "h2a"},
-               key, "a mapping with keys g2a, a2a, g2h, h2a", value)
-        out = {}
-        for kind, pair in value.items():
-            _check(isinstance(pair, (list, tuple)) and len(pair) == 2
-                   and all(_is_num(v) for v in pair) and pair[0] <= pair[1],
-                   f"rice_k_db.{kind}", "a [k_min, k_max] pair with k_min <= k_max", pair)
-            out[kind] = (float(pair[0]), float(pair[1]))
-        return out
-    if key in ("service_rate_gbs_pps", "service_rate_av_pps", "service_rate_hap_pps"):
-        if value is None:
-            return None
-        _check(_is_num(value) and value > 0, key, "a positive number or null", value)
-        return float(value)
-    if key in ("sweep_rates_kbps", "region_rates_kbps"):
-        _check(isinstance(value, (list, tuple)) and len(value) >= 1
-               and all(_is_num(v) and v > 0 for v in value),
-               key, "a non-empty list of positive rates [kbps]", value)
-        return tuple(float(v) for v in value)
-    if key == "region_r_edges_m":
-        ok = (isinstance(value, (list, tuple)) and len(value) >= 2
-              and all(_is_num(v) and v >= 0 for v in value)
-              and all(value[i] < value[i + 1] for i in range(len(value) - 1)))
-        _check(ok, key, "a strictly increasing list of at least 2 bin edges [m]", value)
-        return tuple(float(v) for v in value)
-    raise ConfigError(f"unknown config key '{key}'")
+    if key not in _RULES:
+        raise ConfigError(f"unknown config key '{key}'")
+    return _RULES[key].apply(key, value)
 
 
 def _build_config(overrides: dict) -> ScenarioConfig:
-    values = {}
-    for key, value in overrides.items():
-        if not isinstance(key, str) or key not in ScenarioConfig.__dataclass_fields__:
-            raise ConfigError(f"unknown config key '{key}'")
-        values[key] = _validate_field(key, value)
-    cfg = ScenarioConfig(**values)
+    cfg = ScenarioConfig(**{key: _validate_field(key, value)
+                            for key, value in overrides.items()})
     if cfg.av_altitude_m <= cfg.gbs_height_m:
         raise ConfigError("config key 'av_altitude_m': must exceed gbs_height_m")
     if cfg.hap_altitude_m <= cfg.av_altitude_m:

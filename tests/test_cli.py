@@ -95,6 +95,25 @@ class TestValidate:
         assert "FAIL - config file" in res.stdout
         assert res.stdout.splitlines()[-1] == "9 passed, 1 failed"
 
+    def test_config_the_model_rejects_fails_before_any_run(self, runner, tmp_path,
+                                                           monkeypatch):
+        # eps_q = 0 used to load, sample every link, then die in QueueSpec
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("eps_q: 0\n", encoding="utf-8")
+
+        def never(*args, **kwargs):
+            raise AssertionError("a driver ran on a rejected config")
+
+        monkeypatch.setattr(scenario, "run_rate_sweep", never)
+        monkeypatch.setattr(scenario, "run_operating_region", never)
+        for command in ("sweep", "region"):
+            res = runner.invoke(main, [command, "--config", str(bad)])
+            assert res.exit_code == 2, command
+            assert res.stderr.startswith("config error: config key 'eps_q'"), command
+        res = runner.invoke(main, ["validate", "--config", str(bad)])
+        assert res.exit_code == 1
+        assert "FAIL - config file: config key 'eps_q'" in res.stdout
+
 
 # ============================================================
 # sweep

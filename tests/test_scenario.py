@@ -172,6 +172,47 @@ class TestLoadConfig:
             got = scenario._validate_field(f.name, default)
             assert got == default and type(got) is type(default), f.name
 
+    @pytest.mark.parametrize("text", [
+        "eps_q: 0\n",       # QueueSpec needs a violation probability in (0, 1)
+        "eps_q: 1\n",
+        "eps_b: 1\n",       # BackhaulSpec needs a loss in [0, 1)
+        "q1: 5.0\n",        # built-up land fraction in (0, 1]
+        "q1: 0\n",
+    ])
+    def test_rules_match_the_model_intervals(self, tmp_path, text):
+        key = text.split(":")[0]
+        with pytest.raises(ConfigError, match=f"config key '{key}': expected"):
+            load_config(_write(tmp_path, text))
+
+    def test_integer_beyond_the_float_range_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="'isd_m': expected a positive number"):
+            load_config(_write(tmp_path, f"isd_m: {10 ** 400}\n"))
+
+    @pytest.mark.parametrize("text", [
+        "eps_th: 0.999999\neps_q: 0.999999\n",
+        "eps_th: 1.0e-300\neps_q: 1.0e-300\n",
+        "eps_b: 0\np_interf: 0\n",
+        "eps_b: 0.999999\np_interf: 1\ninterference_mode: bernoulli\n",
+        "q1: 1\nsf_sigma_los_db: 0\nsf_sigma_nlos_db: 0\ng2a_shadow_fading: true\n",
+        "grid_tiers: 0\nula_elements: 1\ninterferer_count: 1\n",
+        "master_seed: 0\n",
+        f"master_seed: {2 ** 64 - 1}\n",
+        "rice_k_db: {g2a: [0, 0], a2a: [-5, -5], g2h: [5, 5], h2a: [30, 30]}\n",
+        "av_count: 2\na2a_relay_count: 1\nnoise_density_dbm_hz: 0\n",
+    ])
+    def test_accepted_extremes_build_the_model(self, tmp_path, text):
+        cfg = load_config(_write(tmp_path, text))
+        for build in (cfg.qos, cfg.backhaul, cfg.environment, cfg.rice_table,
+                      cfg.ula, cfg.reflector, cfg.grid):
+            build()
+        for node in ("gbs", "av", "hap", "gs"):
+            cfg.queue(node)
+        topo = instantiate(cfg, RngStream(cfg.master_seed))
+        assert len(topo.sites) == 3 * cfg.grid_tiers * (cfg.grid_tiers + 1) + 1
+
+    def test_one_rule_per_field(self):
+        assert set(scenario._RULES) == {f.name for f in dataclasses.fields(ScenarioConfig)}
+
     def test_config_is_frozen(self):
         cfg = ScenarioConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
