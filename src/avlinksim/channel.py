@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .link import SF_SIGMA_MAX_DB
 from .mathfun import bessel_j1
 
 __all__ = [
@@ -62,10 +63,13 @@ class Environment:
     clutter_loss_table_db: tuple = field(default_factory=lambda: (0.0,) * 9)
 
     def __post_init__(self):
-        if self.q1 <= 0.0 or self.q2 <= 0.0 or self.q3_m <= 0.0:
-            raise ValueError("q1, q2 and q3_m must be positive")
-        if self.sf_sigma_los_db < 0.0 or self.sf_sigma_nlos_db < 0.0:
-            raise ValueError("shadow-fading sigmas must be non-negative")
+        if not 0.0 < self.q1 <= 1.0:
+            raise ValueError("q1 is a fraction of land and must lie in (0, 1]")
+        if self.q2 <= 0.0 or self.q3_m <= 0.0:
+            raise ValueError("q2 and q3_m must be positive")
+        if not all(0.0 <= s <= SF_SIGMA_MAX_DB
+                   for s in (self.sf_sigma_los_db, self.sf_sigma_nlos_db)):
+            raise ValueError(f"shadow-fading sigmas must lie in [0, {SF_SIGMA_MAX_DB:g}] dB")
         if len(self.clutter_loss_table_db) != 9:
             raise ValueError("clutter_loss_table_db needs one entry per 10-degree bin (9)")
         if any(v < 0.0 for v in self.clutter_loss_table_db):

@@ -74,8 +74,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _json_num(value: float):
-    return value if math.isfinite(value) else None
+def _json_num(value):
+    # non-finite floats become null, so the JSON stays strict
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -111,84 +112,61 @@ def _fail_io(exc: OSError) -> None:
 # Serializers
 # ============================================================
 
+def _csv(head: list, cls, records) -> str:
+    """Comment header lines, then one column per field of the record class."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    lines = head + [",".join(names)]
+    lines += [",".join(_fmt(getattr(rec, name)) for name in names) for rec in records]
+    return "\n".join(lines) + "\n"
+
+
+def _json(payload: dict, key: str, records) -> str:
+    """Canonical JSON of the payload plus the records, one {field: value}
+    object each, under key."""
+    payload[key] = [{f.name: _json_num(getattr(rec, f.name)) for f in dataclasses.fields(rec)}
+                    for rec in records]
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
 def _sweep_csv(result: scenario.SweepResult) -> str:
-    lines = [
+    return _csv([
         "# avlinksim sweep v1",
         f"# config_sha256: {result.config_digest}",
         f"# seed: {result.seed}",
         f"# n_samples: {result.diagnostics['n_samples']}",
         f"# topologies: {result.diagnostics['topologies']}",
-        "rate_bps,label,eps_e2e,eps_std_error,delay_s,delay_std_error,feasible",
-    ]
-    for row in result.rows:
-        lines.append(",".join([
-            _fmt(row.rate_bps), row.label, _fmt(row.eps_e2e),
-            _fmt(row.eps_std_error), _fmt(row.delay_s),
-            _fmt(row.delay_std_error), _fmt(row.feasible),
-        ]))
-    return "\n".join(lines) + "\n"
+    ], scenario.SweepRow, result.rows)
 
 
 def _sweep_json(result: scenario.SweepResult) -> str:
-    payload = {
+    return _json({
         "schema": "avlinksim.sweep.v1",
         "config_sha256": result.config_digest,
         "seed": result.seed,
         "labels": list(result.labels),
         "rates_bps": list(result.rates_bps),
         "diagnostics": result.diagnostics,
-        "rows": [
-            {
-                "rate_bps": row.rate_bps,
-                "label": row.label,
-                "eps_e2e": _json_num(row.eps_e2e),
-                "eps_std_error": _json_num(row.eps_std_error),
-                "delay_s": _json_num(row.delay_s),
-                "delay_std_error": _json_num(row.delay_std_error),
-                "feasible": row.feasible,
-            }
-            for row in result.rows
-        ],
-    }
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    }, "rows", result.rows)
 
 
 def _region_csv(result: scenario.RegionResult) -> str:
-    lines = [
+    return _csv([
         "# avlinksim region v1",
         f"# config_sha256: {result.config_digest}",
         f"# seed: {result.seed}",
         f"# labels: {'; '.join(result.labels)}",
-        "r_low_m,r_high_m,r_center_m,rate_bps,label",
-    ]
-    for cell in result.cells:
-        lines.append(",".join([
-            _fmt(cell.r_low_m), _fmt(cell.r_high_m), _fmt(cell.r_center_m),
-            _fmt(cell.rate_bps), cell.label,
-        ]))
-    return "\n".join(lines) + "\n"
+    ], scenario.RegionCell, result.cells)
 
 
 def _region_json(result: scenario.RegionResult) -> str:
-    payload = {
+    return _json({
         "schema": "avlinksim.region.v1",
         "config_sha256": result.config_digest,
         "seed": result.seed,
         "labels": list(result.labels),
         "r_edges_m": list(result.r_edges_m),
         "rates_bps": list(result.rates_bps),
-        "cells": [
-            {
-                "r_low_m": cell.r_low_m,
-                "r_high_m": cell.r_high_m,
-                "r_center_m": cell.r_center_m,
-                "rate_bps": cell.rate_bps,
-                "label": cell.label,
-            }
-            for cell in result.cells
-        ],
-    }
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    }, "cells", result.cells)
 
 
 # ============================================================
@@ -223,50 +201,40 @@ def _with_common(fn):
     return fn
 
 
+def _run(run, serializers: dict, summary, config_path, seed, out_path, fmt, threads,
+         quiet) -> None:
+    """Body of the sweep and region commands: load, run, write, report."""
+    try:
+        config = _load(config_path, seed)
+    except scenario.ConfigError as exc:
+        _fail_config(exc)
+    result = run(config, threads=threads)
+    text = serializers[fmt](result)
+    try:
+        _emit(text, out_path)
+    except OSError as exc:
+        _fail_io(exc)
+    if not quiet and out_path is not None:
+        click.echo(f"{summary(result)} -> {out_path}", err=True)
+
+
 @main.command()
 @_with_common
-def sweep(config_path, seed, out_path, fmt, threads, quiet) -> None:
+def sweep(**opts) -> None:
     """Rate sweep at the configured destination distance."""
-    try:
-        config = _load(config_path, seed)
-    except scenario.ConfigError as exc:
-        _fail_config(exc)
-    result = scenario.run_rate_sweep(config, threads=threads)
-    text = _sweep_csv(result) if fmt == "csv" else _sweep_json(result)
-    try:
-        _emit(text, out_path)
-    except OSError as exc:
-        _fail_io(exc)
-    if not quiet and out_path is not None:
-        click.echo(
-            f"sweep: {len(result.rows)} rows "
-            f"({len(result.rates_bps)} rates x {len(result.labels)} paths) "
-            f"-> {out_path}",
-            err=True,
-        )
+    _run(scenario.run_rate_sweep, {"csv": _sweep_csv, "json": _sweep_json},
+         lambda r: f"sweep: {len(r.rows)} rows "
+                   f"({len(r.rates_bps)} rates x {len(r.labels)} paths)", **opts)
 
 
 @main.command()
 @_with_common
-def region(config_path, seed, out_path, fmt, threads, quiet) -> None:
+def region(**opts) -> None:
     """Operating-region grid of minimum feasible combinations."""
-    try:
-        config = _load(config_path, seed)
-    except scenario.ConfigError as exc:
-        _fail_config(exc)
-    result = scenario.run_operating_region(config, threads=threads)
-    text = _region_csv(result) if fmt == "csv" else _region_json(result)
-    try:
-        _emit(text, out_path)
-    except OSError as exc:
-        _fail_io(exc)
-    if not quiet and out_path is not None:
-        click.echo(
-            f"region: {len(result.cells)} cells "
-            f"({len(result.r_edges_m) - 1} distance bins x "
-            f"{len(result.rates_bps)} rates) -> {out_path}",
-            err=True,
-        )
+    _run(scenario.run_operating_region, {"csv": _region_csv, "json": _region_json},
+         lambda r: f"region: {len(r.cells)} cells "
+                   f"({len(r.r_edges_m) - 1} distance bins x {len(r.rates_bps)} rates)",
+         **opts)
 
 
 def _echo_budget(title: str, entries: list) -> None:

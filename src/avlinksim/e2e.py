@@ -4,7 +4,8 @@ Provides:
  - BackhaulSpec / QosTarget / PathOutcome   : composition inputs and result
  - da2g_path / a2a_path / hap_path          : the three path constructions
  - combine_paths                            : parallel (cloned) paths
- - enumerate_combinations / min_feasible_combination : canonical search order
+ - CANONICAL_COMBINATIONS / enumerate_combinations / min_feasible_combination :
+                                            canonical search order
 
 Loss probabilities compose as 1 - prod(1 - eps_i) over the chain elements;
 delays add along a chain and take the minimum across parallel paths.
@@ -28,6 +29,7 @@ __all__ = [
     "a2a_path",
     "hap_path",
     "combine_paths",
+    "CANONICAL_COMBINATIONS",
     "enumerate_combinations",
     "min_feasible_combination",
     "MAX_A2A_PATHS",
@@ -275,33 +277,28 @@ def combine_paths(paths, qos: QosTarget, label: str | None = None) -> PathOutcom
     )
 
 
-def enumerate_combinations(
-    da2g: PathOutcome,
-    a2a_paths,
-    hap: PathOutcome | None,
-    qos: QosTarget,
-) -> list[PathOutcome]:
-    """All candidate combinations in canonical preference order.
+def _combination_label(relays: int, platform: bool) -> str:
+    return "DA2G" + (f" + {relays}-A2A" if relays else "") + (" + HAP" if platform else "")
 
-    Direct first, then with 1..3 relayed paths, then the same ladder with
-    the platform path appended: DA2G; DA2G+1-A2A; DA2G+2-A2A; DA2G+3-A2A;
-    DA2G+HAP; DA2G+1-A2A+HAP; DA2G+2-A2A+HAP; DA2G+3-A2A+HAP.
-    """
+
+# (relayed paths, platform path) of every combination, in preference order:
+# the relay ladder on the direct path, then the same ladder with the platform
+_LADDER = tuple((m, platform) for platform in (False, True) for m in range(MAX_A2A_PATHS + 1))
+CANONICAL_COMBINATIONS = tuple(_combination_label(*rung) for rung in _LADDER)
+
+
+def enumerate_combinations(da2g: PathOutcome, a2a_paths, hap: PathOutcome | None,
+                           qos: QosTarget) -> list[PathOutcome]:
+    """All candidate combinations in canonical preference order
+    (CANONICAL_COMBINATIONS), skipping those that need a relayed path or a
+    platform path that is not there."""
     a2a_paths = list(a2a_paths)[:MAX_A2A_PATHS]
-    combos = [combine_paths([da2g], qos, label="DA2G")]
-    for m in range(1, len(a2a_paths) + 1):
-        combos.append(
-            combine_paths([da2g] + a2a_paths[:m], qos, label=f"DA2G + {m}-A2A")
-        )
-    if hap is not None:
-        combos.append(combine_paths([da2g, hap], qos, label="DA2G + HAP"))
-        for m in range(1, len(a2a_paths) + 1):
-            combos.append(
-                combine_paths(
-                    [da2g] + a2a_paths[:m] + [hap], qos, label=f"DA2G + {m}-A2A + HAP"
-                )
-            )
-    return combos
+    return [
+        combine_paths([da2g] + a2a_paths[:m] + ([hap] if platform else []), qos,
+                      label=_combination_label(m, platform))
+        for m, platform in _LADDER
+        if m <= len(a2a_paths) and (hap is not None or not platform)
+    ]
 
 
 def min_feasible_combination(combos) -> str:

@@ -33,6 +33,7 @@ __all__ = [
     "InterfererSet",
     "LinkStats",
     "NO_INTERFERENCE",
+    "SF_SIGMA_MAX_DB",
     "sinr_sample",
     "fbl_rate",
     "fbl_error",
@@ -41,6 +42,10 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+# Largest shadow sigma [dB]. A shadow gain 10^(sigma z / 10) overflows a
+# double once |z| > 3082.5 / sigma (30.8 at 100 dB, which no normal draw
+# reaches); past that, inf desired and interferer powers give an inf/inf SINR.
+SF_SIGMA_MAX_DB = 100.0
 
 
 @dataclass(frozen=True)
@@ -76,8 +81,8 @@ class ChannelSpec:
     sf_sigma_db: float = 0.0  # per-draw lognormal shadow sigma
 
     def __post_init__(self):
-        if not self.sf_sigma_db >= 0.0:
-            raise ValueError("sf_sigma_db must be non-negative")
+        if not 0.0 <= self.sf_sigma_db <= SF_SIGMA_MAX_DB:
+            raise ValueError(f"sf_sigma_db must lie in [0, {SF_SIGMA_MAX_DB:g}] dB")
 
     @property
     def mean_gain(self) -> float:

@@ -29,11 +29,13 @@ import yaml
 from . import channel as ch
 from . import e2e
 from . import geometry as geo
+from .e2e import CANONICAL_COMBINATIONS
 from .link import (
     ChannelSpec,
     Interferer,
     InterfererSet,
     RadioParams,
+    SF_SIGMA_MAX_DB,
     SINR_WORK_ROWS,
     decoding_error_stats,
     sinr_sample,
@@ -220,7 +222,8 @@ def _floats(want: str, ok) -> _Rule:
 
 
 _ANY, _POS = _number("a number"), _number("a positive number", lambda v: v > 0)
-_SIGMA = _number("a non-negative number", lambda v: v >= 0)
+_SIGMA = _number(f"a shadow sigma in [0, {SF_SIGMA_MAX_DB:g}] dB",  # ChannelSpec
+                 lambda v: 0 <= v <= SF_SIGMA_MAX_DB)
 _COUNT = _number("a positive integer", lambda v: v > 0, int)
 _SERVICE = _Rule("a positive number or null", lambda v: v is None or _POS.ok(v),
                  lambda v: None if v is None else float(v))
@@ -610,13 +613,14 @@ def _label_gate(label: str, gates: dict) -> bool:
     return ok
 
 
-def _paths_for_rate(topology: Topology, stats: dict, config: ScenarioConfig):
-    """Per-path outcomes at one rate from that rate's {link name: LinkStats}:
-    (da2g, [a2a...], hap). Feasibility, queue gates included, is decided
-    on the averages across topologies (_mean_outcomes)."""
+def _topology_rows(topology: Topology, stats: dict, config: ScenarioConfig) -> dict:
+    """{label: PathOutcome} of one topology at one rate, from that rate's
+    {link name: LinkStats}: the single paths DA2G, A2A (the first relay)
+    and HAP, then every combination beyond the direct path. Feasibility,
+    queue gates included, is decided on the averages across topologies
+    (_mean_outcomes)."""
     qos = config.qos()
     backhaul = config.backhaul()
-
     branches = [stats["g2a_dest"]] * config.diversity_branches
     da2g = e2e.da2g_path(backhaul, config.queue("gbs"), branches, qos)
     a2a_paths = [
@@ -630,7 +634,14 @@ def _paths_for_rate(topology: Topology, stats: dict, config: ScenarioConfig):
         backhaul, config.queue("gs"), stats["g2h"], topology.d_g2h_m,
         config.queue("hap"), stats["h2a"], topology.d_h2a_m, qos,
     )
-    return da2g, a2a_paths, hap
+    rows = {"DA2G": da2g}
+    if a2a_paths:
+        rows["A2A"] = a2a_paths[0]
+    rows["HAP"] = hap
+    rows.update((combo.label, combo)
+                for combo in e2e.enumerate_combinations(da2g, a2a_paths, hap, qos)
+                if combo.label != "DA2G")
+    return rows
 
 
 def _link_stats(setup: LinkSetup, config: ScenarioConfig, stream: RngStream,
@@ -642,42 +653,57 @@ def _link_stats(setup: LinkSetup, config: ScenarioConfig, stream: RngStream,
     )
 
 
-def _evaluate_topologies(config: ScenarioConfig, items, rates_bps, threads: int) -> list:
-    """Per (topology, sample stream) item, per rate: the path outcomes
-    (da2g, [a2a...], hap) and their combinations.
+def _mean_outcomes(per_topology: list, qos: e2e.QosTarget, gates: dict) -> dict:
+    """{label: PathOutcome} averaged across topologies. This is the one
+    feasibility decision: the averages must meet the target and the
+    label's queue gate must pass."""
+    merged = {}
+    t = len(per_topology)
+    for label in per_topology[0]:
+        outs = [topo[label] for topo in per_topology]
+        eps = sum(o.eps_e2e for o in outs) / t
+        delay = sum(o.d_e2e for o in outs) / t
+        eps_se = math.sqrt(sum(o.eps_std_error ** 2 for o in outs)) / t
+        finite = [o.d_std_error for o in outs if math.isfinite(o.d_std_error)]
+        delay_se = (math.sqrt(sum(s ** 2 for s in finite)) / t) if finite else math.inf
+        feasible = qos.admits(eps, delay) and _label_gate(label, gates)
+        merged[label] = e2e.PathOutcome(label, eps, delay, feasible,
+                                        eps_std_error=eps_se, d_std_error=delay_se)
+    return merged
 
-    Every link of every topology is one work item, and link i of a
-    topology draws from its sample stream's child(i). Results are
-    collected in submission order, so the worker count changes no number.
+
+def _group_means(config: ScenarioConfig, groups, n_topo: int, rates_bps,
+                 threads: int) -> list:
+    """Per group, per rate: {label: PathOutcome} averaged over the group's
+    n_topo topologies (_mean_outcomes).
+
+    A group is (topology key, sample key, r_ga_m): its topology t is
+    instantiate(config, root.child(*topology key, t), r_ga_m) and draws from
+    root.child(*sample key, t), where root is the master seed's stream.
+    Every link of every topology is one work item, and link i of a topology
+    draws from its sample stream's child(i). Results are collected in
+    submission order, so the worker count changes no number. Each group's
+    path outcomes are built and averaged one rate at a time, so at most
+    n_topo row tables are alive at once.
     """
+    root = RngStream(config.master_seed)
+    members = [[(instantiate(config, root.child(*topo_key, t), r_ga_m=r_ga_m),
+                 root.child(*samp_key, t)) for t in range(n_topo)]
+               for topo_key, samp_key, r_ga_m in groups]
     work = [(setup, config, stream.child(link_ix), rates_bps)
-            for topology, stream in items
+            for group in members for topology, stream in group
             for link_ix, setup in enumerate(topology.links.values())]
     stats = iter(_parallel_map(_link_stats, work, threads))
-    qos = config.qos()
-    out = []
-    for topology, _ in items:
-        per_link = {name: next(stats) for name in topology.links}
-        per_rate = []
-        for rate_ix in range(len(rates_bps)):
-            rate_stats = {name: s[rate_ix] for name, s in per_link.items()}
-            da2g, a2a_paths, hap = _paths_for_rate(topology, rate_stats, config)
-            combos = e2e.enumerate_combinations(da2g, a2a_paths, hap, qos)
-            per_rate.append((da2g, a2a_paths, hap, combos))
-        out.append(per_rate)
-    return out
-
-
-CANONICAL_COMBINATIONS = (
-    "DA2G",
-    "DA2G + 1-A2A",
-    "DA2G + 2-A2A",
-    "DA2G + 3-A2A",
-    "DA2G + HAP",
-    "DA2G + 1-A2A + HAP",
-    "DA2G + 2-A2A + HAP",
-    "DA2G + 3-A2A + HAP",
-)
+    qos, gates = config.qos(), _queue_gates(config)
+    means = []
+    for group in members:
+        per_link = [(topology, {name: next(stats) for name in topology.links})
+                    for topology, _ in group]
+        means.append([_mean_outcomes(
+            [_topology_rows(topology, {name: s[rate_ix] for name, s in links.items()}, config)
+             for topology, links in per_link], qos, gates)
+            for rate_ix in range(len(rates_bps))])
+    return means
 
 
 # ============================================================
@@ -705,68 +731,26 @@ class SweepResult:
     diagnostics: dict
 
 
-def _sweep_rows(da2g, a2a_paths, hap, combos) -> dict:
-    """Sweep rows of one topology at one rate: the single paths, then every
-    combination beyond the direct path."""
-    rows = {"DA2G": da2g}
-    if a2a_paths:
-        rows["A2A"] = a2a_paths[0]
-    rows["HAP"] = hap
-    rows.update((combo.label, combo) for combo in combos if combo.label != "DA2G")
-    return rows
-
-
-def _mean_outcomes(per_topology: list, qos: e2e.QosTarget, gates: dict) -> dict:
-    """{label: PathOutcome} averaged across topologies. This is the one
-    feasibility decision: the averages must meet the target and the
-    label's queue gate must pass."""
-    merged = {}
-    t = len(per_topology)
-    for label in per_topology[0]:
-        outs = [topo[label] for topo in per_topology]
-        eps = sum(o.eps_e2e for o in outs) / t
-        delay = sum(o.d_e2e for o in outs) / t
-        eps_se = math.sqrt(sum(o.eps_std_error ** 2 for o in outs)) / t
-        finite = [o.d_std_error for o in outs if math.isfinite(o.d_std_error)]
-        delay_se = (math.sqrt(sum(s ** 2 for s in finite)) / t) if finite else math.inf
-        feasible = qos.admits(eps, delay) and _label_gate(label, gates)
-        merged[label] = e2e.PathOutcome(label, eps, delay, feasible,
-                                        eps_std_error=eps_se, d_std_error=delay_se)
-    return merged
-
-
 def run_rate_sweep(config: ScenarioConfig, threads: int = 1) -> SweepResult:
     """Error and delay of every path combination across the rate grid."""
-    root = RngStream(config.master_seed)
     rates = [rate_kbps * 1e3 for rate_kbps in config.sweep_rates_kbps]
-    items = [(instantiate(config, root.child(_NS_SWEEP_TOPO, t)),
-              root.child(_NS_SWEEP_SAMP, t))
-             for t in range(config.sweep_topologies)]
-    per_topology = _evaluate_topologies(config, items, rates, threads)
-    qos = config.qos()
-    gates = _queue_gates(config)
-    rows = []
-    labels = None
-    for rate_ix, rate in enumerate(rates):
-        merged = _mean_outcomes(
-            [_sweep_rows(*topo[rate_ix]) for topo in per_topology], qos, gates
-        )
-        if labels is None:
-            labels = tuple(merged.keys())
-        rows.extend(SweepRow(rate, m.label, m.eps_e2e, m.eps_std_error, m.d_e2e,
-                             m.d_std_error, m.feasible) for m in merged.values())
+    group = ((_NS_SWEEP_TOPO,), (_NS_SWEEP_SAMP,), config.r_ga_m)
+    (per_rate,) = _group_means(config, [group], config.sweep_topologies, rates, threads)
+    rows = tuple(SweepRow(rate, m.label, m.eps_e2e, m.eps_std_error, m.d_e2e,
+                          m.d_std_error, m.feasible)
+                 for rate, merged in zip(rates, per_rate) for m in merged.values())
     diagnostics = {
         "effective_bandwidth_pps": {
             node: effective_bandwidth(config.queue(node))
             for node in ("gbs", "av", "hap", "gs")
         },
-        "queue_gates": gates,
+        "queue_gates": _queue_gates(config),
         "topologies": config.sweep_topologies,
         "n_samples": config.n_samples,
     }
     return SweepResult(
-        rows=tuple(rows),
-        labels=labels or (),
+        rows=rows,
+        labels=tuple(per_rate[0]) if per_rate else (),
         rates_bps=tuple(rates),
         seed=config.master_seed,
         config_digest=config_hash(config),
@@ -808,30 +792,20 @@ class RegionResult:
 
 def run_operating_region(config: ScenarioConfig, threads: int = 1) -> RegionResult:
     """Minimum feasible combination per (distance bin, rate bin) cell."""
-    root = RngStream(config.master_seed)
     edges = config.region_r_edges_m
-    n_cols = len(edges) - 1
-    n_topo = config.region_topologies
+    bins = list(zip(edges, edges[1:]))
     rates = [rate_kbps * 1e3 for rate_kbps in config.region_rates_kbps]
-    items = [(instantiate(config, root.child(_NS_REGION_TOPO, col_ix, topo_ix),
-                          r_ga_m=0.5 * (edges[col_ix] + edges[col_ix + 1])),
-              root.child(_NS_REGION_SAMP, col_ix, topo_ix))
-             for col_ix in range(n_cols) for topo_ix in range(n_topo)]
-    per_topology = _evaluate_topologies(config, items, rates, threads)
-    qos = config.qos()
-    gates = _queue_gates(config)
-    cells = []
-    for col_ix in range(n_cols):
-        lo, hi = edges[col_ix], edges[col_ix + 1]
-        column = per_topology[col_ix * n_topo:(col_ix + 1) * n_topo]
-        for rate_ix, rate in enumerate(rates):
-            merged = _mean_outcomes(
-                [{c.label: c for c in topo[rate_ix][-1]} for topo in column], qos, gates
-            )
-            chosen = e2e.min_feasible_combination(merged.values())
-            cells.append(RegionCell(lo, hi, 0.5 * (lo + hi), rate, chosen))
+    groups = [((_NS_REGION_TOPO, col_ix), (_NS_REGION_SAMP, col_ix), 0.5 * (lo + hi))
+              for col_ix, (lo, hi) in enumerate(bins)]
+    columns = _group_means(config, groups, config.region_topologies, rates, threads)
+    cells = tuple(
+        RegionCell(lo, hi, 0.5 * (lo + hi), rate, e2e.min_feasible_combination(
+            merged[label] for label in CANONICAL_COMBINATIONS if label in merged))
+        for (lo, hi), per_rate in zip(bins, columns)
+        for rate, merged in zip(rates, per_rate)
+    )
     return RegionResult(
-        cells=tuple(cells),
+        cells=cells,
         r_edges_m=tuple(edges),
         rates_bps=tuple(rates),
         labels=CANONICAL_COMBINATIONS,

@@ -29,7 +29,7 @@ from avlinksim.channel import (
     ula_element_gain,
     ula_gain,
 )
-from avlinksim.link import ChannelSpec, _channel_draw
+from avlinksim.link import SF_SIGMA_MAX_DB, ChannelSpec, _channel_draw
 from avlinksim.mathfun import RngStream, bessel_j1
 
 ENV = Environment()
@@ -176,10 +176,28 @@ class TestClutterAndG2h:
     def test_environment_validation(self):
         with pytest.raises(ValueError):
             Environment(q1=0.0)
+        with pytest.raises(ValueError, match="q1"):
+            Environment(q1=5.0)
+        Environment(q1=1.0)
         with pytest.raises(ValueError):
             Environment(clutter_loss_table_db=(0.0,) * 8)
         with pytest.raises(ValueError):
             Environment(clutter_loss_table_db=(0.0,) * 8 + (-1.0,))
+
+    @pytest.mark.parametrize("field", ["sf_sigma_los_db", "sf_sigma_nlos_db"])
+    def test_shadow_sigma_bounded(self, field):
+        # at 100 dB a shadow gain overflows only past |z| = 30.8
+        Environment(**{field: SF_SIGMA_MAX_DB})
+        for sigma in (-1.0, 100.5, 1e6, math.nan):
+            with pytest.raises(ValueError, match="shadow-fading sigmas"):
+                Environment(**{field: sigma})
+
+    def test_channel_shadow_sigma_bounded(self):
+        spec = dict(pl_db=90.0, tx_gain=1.0, rx_gain=1.0, k_db=10.0)
+        ChannelSpec(**spec, sf_sigma_db=SF_SIGMA_MAX_DB)
+        for sigma in (100.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="sf_sigma_db"):
+                ChannelSpec(**spec, sf_sigma_db=sigma)
 
 
 # ============================================================

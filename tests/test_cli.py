@@ -162,14 +162,6 @@ class TestSweep:
             assert res.exit_code == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_quiet_suppresses_progress(self, runner, fast_config, tmp_path):
-        out = tmp_path / "sweep.csv"
-        res = runner.invoke(main, [
-            "sweep", "--config", str(fast_config), "--out", str(out), "--quiet",
-        ])
-        assert res.exit_code == 0
-        assert "sweep:" not in res.stderr
-
     def test_json_output(self, runner, fast_config):
         res = runner.invoke(
             main, ["sweep", "--config", str(fast_config), "--format", "json"]
@@ -265,6 +257,46 @@ class TestRegion:
         ])
         assert res.exit_code == 0
         assert out.read_bytes() == first
+
+
+# ============================================================
+# sweep and region: one command body
+# ============================================================
+
+SUMMARIES = {
+    "sweep": f"sweep: {SWEEP_LABELS} rows (1 rates x {SWEEP_LABELS} paths)",
+    "region": "region: 1 cells (1 distance bins x 1 rates)",
+}
+
+
+@pytest.mark.parametrize("command", ["sweep", "region"])
+class TestCommandBody:
+    def test_summary_line(self, runner, fast_config, tmp_path, command):
+        out = tmp_path / f"{command}.csv"
+        res = runner.invoke(main, [command, "--config", str(fast_config), "--out", str(out)])
+        assert res.exit_code == 0
+        assert res.stdout == ""
+        assert res.stderr == f"{SUMMARIES[command]} -> {out}\n"
+
+    def test_quiet_suppresses_progress(self, runner, fast_config, tmp_path, command):
+        out = tmp_path / f"{command}.csv"
+        res = runner.invoke(main, [
+            command, "--config", str(fast_config), "--out", str(out), "--quiet",
+        ])
+        assert res.exit_code == 0
+        assert res.stderr == ""
+        assert out.read_text(encoding="utf-8").startswith(f"# avlinksim {command} v1\n")
+
+    def test_overflowing_shadow_sigma_is_a_config_error(self, runner, tmp_path, command):
+        # past 100 dB, 10^(sigma z / 10) can overflow in the desired and the
+        # interferer fades alike, and the inf / inf SINR is NaN
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("g2a_shadow_fading: true\nsf_sigma_los_db: 1000000\n",
+                       encoding="utf-8")
+        res = runner.invoke(main, [command, "--config", str(bad)])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("config error: config key 'sf_sigma_los_db': "
+                                     "expected a shadow sigma in [0, 100] dB")
 
 
 # ============================================================

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from avlinksim.e2e import (
+    CANONICAL_COMBINATIONS,
     SPEED_OF_LIGHT_M_S,
     BackhaulSpec,
     PathOutcome,
@@ -238,6 +239,18 @@ class TestCombinePaths:
         with pytest.raises(ValueError):
             combine_paths([], QOS)
 
+    @pytest.mark.parametrize("path", [
+        da2g_path(BACKHAUL, QUEUE, [_stats(2e-6, se=3e-7)], QOS),
+        da2g_path(BACKHAUL, QUEUE, [_stats(0.3, d_t=2e-3, se=1.7e-3)], QOS),
+        hap_path(BACKHAUL, QUEUE, _stats(1e-4, se=2e-5), 2.1e4, QUEUE,
+                 _stats(3e-3, se=4e-4), 1.97e4, QOS),
+    ], ids=["feasible", "infeasible", "hap"])
+    def test_single_path_is_the_path(self, path):
+        # the region picks its "DA2G" cell from the direct path itself
+        out = combine_paths([path], QOS, label="DA2G")
+        for name in ("eps_e2e", "d_e2e", "eps_std_error", "d_std_error", "feasible"):
+            assert getattr(out, name) == getattr(path, name), name
+
     @given(st.lists(st.floats(min_value=1e-6, max_value=0.5),
                     min_size=1, max_size=4))
     @settings(max_examples=60, derandomize=True)
@@ -275,6 +288,7 @@ class TestEnumerate:
             "DA2G + 2-A2A + HAP",
             "DA2G + 3-A2A + HAP",
         ]
+        assert tuple(c.label for c in combos) == CANONICAL_COMBINATIONS
 
     def test_no_hap_gives_four(self):
         da2g, a2a, _ = self._paths(3, with_hap=False)

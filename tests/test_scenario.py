@@ -210,6 +210,21 @@ class TestLoadConfig:
         topo = instantiate(cfg, RngStream(cfg.master_seed))
         assert len(topo.sites) == 3 * cfg.grid_tiers * (cfg.grid_tiers + 1) + 1
 
+    @pytest.mark.parametrize("key", ["sf_sigma_los_db", "sf_sigma_nlos_db"])
+    def test_shadow_sigma_above_100_db_rejected(self, tmp_path, key):
+        with pytest.raises(ConfigError, match=f"'{key}': expected a shadow sigma in"):
+            load_config(_write(tmp_path, f"g2a_shadow_fading: true\n{key}: 1000000\n"))
+
+    def test_largest_shadow_sigma_draws_finite_sinr(self, tmp_path):
+        # shadowed desired and interferer fades at 100 dB stay finite, so the
+        # SINR is never inf / inf
+        cfg = load_config(_write(tmp_path, "g2a_shadow_fading: true\nsf_sigma_los_db: 100\n"
+                                           "n_samples: 4096\nmc_batch_size: 4096\n"))
+        setup = instantiate(cfg, RngStream(cfg.master_seed)).links["g2a_dest"]
+        assert setup.desired.sf_sigma_db == 100.0
+        (gamma,) = scenario._gamma_batches(setup, cfg, RngStream(cfg.master_seed))
+        assert np.all(gamma >= 0.0)
+
     def test_one_rule_per_field(self):
         assert set(scenario._RULES) == {f.name for f in dataclasses.fields(ScenarioConfig)}
 
