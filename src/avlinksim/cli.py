@@ -318,6 +318,8 @@ def _budget_hap(config: scenario.ScenarioConfig, offset_m: float) -> None:
 @click.option("--config", "config_path", type=str, default=None)
 def link_budget(kind, distance_m, config_path) -> None:
     """Deterministic budget breakdown for a single link type."""
+    if distance_m is not None and not math.isfinite(distance_m):
+        raise click.UsageError(f"--distance-m must be finite, got {distance_m}")
     try:
         config = _load(config_path, None)
     except scenario.ConfigError as exc:

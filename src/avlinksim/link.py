@@ -10,10 +10,10 @@ Provides:
                           batch is sorted once, and Q is evaluated only on
                           the run of draws whose error can change the
                           batch sum (the rest are exact 0s and 1s, or
-                          below one ULP of it in total); the batch work
-                          arrays are allocated once per call, and a
-                          producer may overwrite each yielded batch with
-                          the next
+                          below one ULP of it in total); the kernel works
+                          in caller-owned rows when given (the sampler's
+                          scratch rows), and a producer may overwrite each
+                          yielded batch with the next
  - arq_delay            : mean persistent-retransmission delay
 """
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mathfun import gaussian_q, gaussian_q_inv, sample_rician_power
+from .mathfun import _Q_BLOCK, gaussian_q, gaussian_q_inv, sample_rician_power
 
 __all__ = [
     "RadioParams",
@@ -235,7 +235,7 @@ def _fbl_terms(gamma: np.ndarray, bandwidth_hz: float, out=None):
 
 def _check_gamma(gamma) -> np.ndarray:
     g = np.asarray(gamma, dtype=float)
-    if not np.all(g >= 0.0):
+    if g.size and not g.min() >= 0.0:    # NaN compares False
         raise ValueError("gamma must be non-negative and not NaN")
     return g
 
@@ -292,23 +292,29 @@ def _count_below(a, b, rates, scale, x):
     a and b come from ascending SINR, and the argument
     scale * (a - rate * b) rises strictly with the SINR at every rate, so
     each count is found on a grid of every step-th element and then inside
-    one step, for all rates at once.
+    one step, for as many rates at once as keep every (rates, step)
+    temporary within one gaussian_q block.
     """
     n = a.size
     step = math.isqrt(n) + 1
-    rate, scale = rates[:, None], scale[:, None]
-    x = np.broadcast_to(x, rates.shape)[:, None]
-    ix = np.arange(step - 1, n, step)
-    start = step * np.count_nonzero(scale * (a[ix] - rate * b[ix]) < x, axis=1)
-    ix = start[:, None] + np.arange(step)
-    inside = ix < n
-    ix = np.minimum(ix, n - 1)
-    below = inside & (scale * (a[ix] - rate * b[ix]) < x)
-    return start + np.count_nonzero(below, axis=1)
+    x = np.broadcast_to(x, rates.shape)
+    grid = np.arange(step - 1, n, step)
+    chunk = max(1, _Q_BLOCK // step)
+    counts = []
+    for lo in range(0, rates.size, chunk):
+        rate, s, bar = (v[lo:lo + chunk, None] for v in (rates, scale, x))
+        start = step * np.count_nonzero(s * (a[grid] - rate * b[grid]) < bar, axis=1)
+        ix = start[:, None] + np.arange(step)
+        inside = ix < n
+        ix = np.minimum(ix, n - 1)
+        below = inside & (s * (a[ix] - rate * b[ix]) < bar)
+        counts.append(start + np.count_nonzero(below, axis=1))
+    return np.concatenate(counts)
 
 
 # batch-length rows _batch_moments works in: the sorted batch, a, b, and
-# Q's arguments (one long window, or the short windows packed)
+# Q's arguments (one long window, or the short windows packed); the rows
+# 1 to 4 of sinr_sample's work, which are scratch once a batch is drawn
 _KERNEL_ROWS = 4
 # windows up to this many elements share one gaussian_q call per batch
 _SHORT = 4096
@@ -387,14 +393,19 @@ def _moments(q, lo, hi, n):
 
 
 def decoding_error_stats(batches, bandwidth_hz: float, packet_bits: float,
-                         rates_bps) -> list:
+                         rates_bps, work=None) -> list:
     """Monte Carlo decoding error and ARQ delay of one link at every rate.
 
     batches yields arrays of SINR draws. Each batch is evaluated once for
     all rates (slot d_t = packet_bits / rate) before the next is drawn, so
     a producer may yield one buffer that it overwrites with each batch.
-    The kernel's work arrays are allocated once per call, so memory is
-    bounded by the batch size. Empty batches are skipped. Within a batch
+    The kernel works in work, a (_KERNEL_ROWS, m) array that no batch
+    overlaps, such as rows 1 to 4 of the buffer sinr_sample draws into
+    (the batch is its row 0); without work, or for a batch longer than m,
+    the rows are allocated once per call. Besides them a batch allocates
+    only a fraction of a row and temporaries bounded by gaussian_q's
+    block, so memory is bounded by the batch size and the values do not
+    depend on where the rows live. Empty batches are skipped. Within a batch
     the errors are summed in ascending-SINR order (see _batch_moments).
     The per-batch means and sums of squared deviations merge in batch
     order (Chan, Golub & LeVeque), so the result depends only on the draws
@@ -409,7 +420,8 @@ def decoding_error_stats(batches, bandwidth_hz: float, packet_bits: float,
     count = 0
     mean = np.zeros(rates.size)
     m2 = np.zeros(rates.size)
-    work = np.empty((_KERNEL_ROWS, 0))
+    if work is None:
+        work = np.empty((_KERNEL_ROWS, 0))
     for gamma in batches:
         g = _check_gamma(gamma)
         if g.size == 0:

@@ -128,7 +128,8 @@ _Q_EDGES = np.array([-_Q_FLUSH, -4.0 * _SQRT2, -0.46875 * _SQRT2,
                      0.46875 * _SQRT2, 4.0 * _SQRT2, _Q_FLUSH, np.nan])
 # elements per evaluation block: the temporaries of a block (32 KB each)
 # are reused from the heap, while larger ones would be mapped fresh and
-# page-faulted on every call
+# page-faulted on every call; they are all gaussian_q allocates besides
+# its result
 _Q_BLOCK = 4096
 
 
@@ -198,13 +199,6 @@ def _q_tail(ax, out):
     out *= ratio
 
 
-def _q_ascending(x, out):
-    """Q on ascending x into out (which may be x), block by block."""
-    for lo in range(0, x.size, _Q_BLOCK):
-        _q_block(x[lo:lo + _Q_BLOCK], out[lo:lo + _Q_BLOCK])
-    return out
-
-
 def _q_block(x, out):
     """Q on ascending x into out: one contiguous run per range, found by
     search. Each run reads its x before it writes its out."""
@@ -221,6 +215,7 @@ def _q_block(x, out):
     out[:e[1]] = 1.0
     out[e[6]:e[7]] = 0.0
     out[e[7]:] = np.nan
+    return out
 
 
 def gaussian_q(x, out=None):
@@ -229,10 +224,12 @@ def gaussian_q(x, out=None):
     Cody's (1969) rational approximations of erfc, within a few ULPs
     relative wherever Q is a normal float. Q is exactly 1.0 below about
     -8.3, exactly 0.0 from 38.5 on (subnormals just below), 1.0 and 0.0 at
-    -inf and +inf, and NaN at NaN. Ascending input is evaluated range by
-    range on contiguous runs; other input is sorted first and the result
-    put back in place. out, if given, is a C-contiguous float array shaped
-    like x that receives Q; it may be x itself.
+    -inf and +inf, and NaN at NaN. The input is evaluated _Q_BLOCK
+    elements at a time: an ascending block range by range on contiguous
+    runs, any other block sorted first and its result put back in place.
+    So no temporary outgrows a block, whatever the input's length or
+    order. out, if given, is a C-contiguous float array shaped like x that
+    receives Q; it may be x itself.
     """
     arr = np.asarray(x, dtype=float)
     flat = arr.ravel()
@@ -240,11 +237,14 @@ def gaussian_q(x, out=None):
                                 and out.flags.c_contiguous):
         raise ValueError("out must be a C-contiguous float array shaped like x")
     res = np.empty_like(flat) if out is None else out.reshape(-1)
-    if np.all(flat[1:] >= flat[:-1]):    # NaN compares False: sorted first
-        _q_ascending(flat, res)
-    else:
-        order = np.argsort(flat)
-        res[order] = _q_ascending(flat[order], np.empty_like(flat))
+    for lo in range(0, flat.size, _Q_BLOCK):
+        block = flat[lo:lo + _Q_BLOCK]
+        if np.all(block[1:] >= block[:-1]):    # NaN compares False: sorted first
+            _q_block(block, res[lo:lo + _Q_BLOCK])
+        else:
+            order = np.argsort(block)
+            ordered = block[order]
+            res[lo:lo + _Q_BLOCK][order] = _q_block(ordered, ordered)
     res = res.reshape(arr.shape) if out is None else out
     return float(res) if np.isscalar(x) else res
 

@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -573,12 +574,18 @@ def instantiate(config: ScenarioConfig, stream, r_ga_m: float | None = None) -> 
 _NS_SWEEP_TOPO, _NS_SWEEP_SAMP, _NS_REGION_TOPO, _NS_REGION_SAMP = 0, 1, 2, 3
 
 
-def _gamma_batches(setup: LinkSetup, config: ScenarioConfig, stream: RngStream):
+def _batch_buffer(config: ScenarioConfig) -> np.ndarray:
+    """The (SINR_WORK_ROWS, batch) array one link's batches are drawn in."""
+    return np.empty((SINR_WORK_ROWS, min(config.mc_batch_size, config.n_samples)))
+
+
+def _gamma_batches(setup: LinkSetup, config: ScenarioConfig, stream: RngStream,
+                   work=None):
     """SINR draws of one link, one mc_batch_size batch at a time, each batch
-    from its own child stream. All batches are drawn in one set of buffers,
-    allocated here once per link: a yielded batch is overwritten by the
-    next."""
-    work = np.empty((SINR_WORK_ROWS, min(config.mc_batch_size, config.n_samples)))
+    from its own child stream. All batches are drawn in work (a
+    _batch_buffer, allocated here if not given): a yielded batch is its
+    first row, and the next batch overwrites every row."""
+    work = _batch_buffer(config) if work is None else work
     for batch_ix, done in enumerate(range(0, config.n_samples, config.mc_batch_size)):
         n = min(config.mc_batch_size, config.n_samples - done)
         rng = stream.child(batch_ix).generator()
@@ -616,9 +623,12 @@ def _label_gate(label: str, gates: dict) -> bool:
 def _topology_rows(topology: Topology, stats: dict, config: ScenarioConfig) -> dict:
     """{label: PathOutcome} of one topology at one rate, from that rate's
     {link name: LinkStats}: the single paths DA2G, A2A (the first relay)
-    and HAP, then every combination beyond the direct path. Feasibility,
-    queue gates included, is decided on the averages across topologies
-    (_mean_outcomes)."""
+    and HAP, then every combination beyond the direct path. Every topology
+    has the same labels: a relay that instantiate could not place (no
+    vehicle left 1 m or more from the destination) is a path that never
+    delivers, with error 1 and infinite delay, so a combination that adds
+    it equals the one without it. Feasibility, queue gates included, is
+    decided on the averages across topologies (_mean_outcomes)."""
     qos = config.qos()
     backhaul = config.backhaul()
     branches = [stats["g2a_dest"]] * config.diversity_branches
@@ -627,8 +637,9 @@ def _topology_rows(topology: Topology, stats: dict, config: ScenarioConfig) -> d
         e2e.a2a_path(
             backhaul, config.queue("gbs"), stats[f"g2a_relay_{m}"],
             config.queue("av"), stats[f"a2a_{m}"], qos, label=f"A2A-{m}",
-        )
-        for m in range(1, len(topology.relays) + 1)
+        ) if m <= len(topology.relays) else
+        e2e.PathOutcome(f"A2A-{m}", 1.0, math.inf, False, d_std_error=math.inf)
+        for m in range(1, config.a2a_relay_count + 1)
     ]
     hap = e2e.hap_path(
         backhaul, config.queue("gs"), stats["g2h"], topology.d_g2h_m,
@@ -645,11 +656,22 @@ def _topology_rows(topology: Topology, stats: dict, config: ScenarioConfig) -> d
 
 
 def _link_stats(setup: LinkSetup, config: ScenarioConfig, stream: RngStream,
-                rates_bps) -> list:
-    """One work item: the LinkStats of one link at every rate."""
+                rates_bps, buffers=None) -> list:
+    """One work item: the LinkStats of one link at every rate. Its one
+    batch-length array is the sampler's buffer: each batch is drawn into
+    its first row, and the kernel works in the other rows, which hold only
+    the sampler's scratch until the next batch is drawn. buffers, a
+    threading.local shared by the items of one run, keeps the array for
+    the thread's next item, so a run allocates one per worker thread
+    rather than one per item, and the heap does not fragment under it."""
+    work = getattr(buffers, "work", None)
+    if work is None:
+        work = _batch_buffer(config)
+        if buffers is not None:
+            buffers.work = work
     return decoding_error_stats(
-        _gamma_batches(setup, config, stream),
-        setup.radio.bandwidth_hz, config.packet_bits, rates_bps,
+        _gamma_batches(setup, config, stream, work),
+        setup.radio.bandwidth_hz, config.packet_bits, rates_bps, work=work[1:],
     )
 
 
@@ -690,7 +712,8 @@ def _group_means(config: ScenarioConfig, groups, n_topo: int, rates_bps,
     members = [[(instantiate(config, root.child(*topo_key, t), r_ga_m=r_ga_m),
                  root.child(*samp_key, t)) for t in range(n_topo)]
                for topo_key, samp_key, r_ga_m in groups]
-    work = [(setup, config, stream.child(link_ix), rates_bps)
+    buffers = threading.local()
+    work = [(setup, config, stream.child(link_ix), rates_bps, buffers)
             for group in members for topology, stream in group
             for link_ix, setup in enumerate(topology.links.values())]
     stats = iter(_parallel_map(_link_stats, work, threads))

@@ -340,6 +340,13 @@ class TestLinkBudget:
         res = runner.invoke(main, ["link-budget", "g2a", "--distance-m", "-5"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("kind", ["g2a", "a2a", "hap"])
+    def test_non_finite_distance_is_a_usage_error(self, runner, kind, value):
+        res = runner.invoke(main, ["link-budget", kind, "--distance-m", value])
+        assert res.exit_code == 2
+        assert "--distance-m must be finite" in res.output
+
     def test_a2a_requires_distance(self, runner):
         res = runner.invoke(main, ["link-budget", "a2a"])
         assert res.exit_code == 2

@@ -638,6 +638,25 @@ class TestSortedKernel:
         # both kinds of window occur, and packing saved calls
         assert max(sizes) > short and calls_packed < len(sizes)
 
+    def test_sampler_scratch_rows_change_no_value(self):
+        # the kernel run in rows 1-4 of the buffer each batch is drawn into
+        # (the batch is row 0) gives the statistics of its own rows, field
+        # for field; 40 rates make both packed and long windows
+        desired = ChannelSpec(pl_db=135.0, tx_gain=1.0, rx_gain=1.0, k_db=6.0)
+        interferers = InterfererSet(
+            (Interferer(ChannelSpec(pl_db=150.0, tx_gain=1.0, rx_gain=1.0, k_db=3.0), 1.0),),
+            p_interf=0.3)
+        rates = list(np.geomspace(10e3, 1e6, 40))
+
+        def draws(work):
+            for ix, m in enumerate((5000, 5000, 1234)):
+                yield sinr_sample(desired, interferers, _radio(),
+                                  RngStream(7).child(ix).generator(), size=m, work=work)
+
+        work = np.empty((link.SINR_WORK_ROWS, 5000))
+        shared = decoding_error_stats(draws(work), _BW, _BITS, rates, work=work[1:])
+        assert shared == decoding_error_stats(list(draws(None)), _BW, _BITS, rates)
+
     def test_tail_past_the_cut_is_below_one_ulp(self, monkeypatch):
         # one error near 1e-3 and 32767 errors just past the tail cut: the
         # dropped tail sums to about 2e-24, far below the ULP of the mean

@@ -5,6 +5,7 @@ Expected values come from independent arbitrary-precision oracles
 either frozen from a 50-digit run or recomputed here with mpmath.
 """
 
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -16,6 +17,7 @@ from numpy.testing import assert_allclose
 
 from avlinksim.link import ChannelSpec, _channel_draw
 from avlinksim.mathfun import (
+    _Q_BLOCK,
     RngStream,
     bessel_j1,
     gaussian_q,
@@ -105,6 +107,26 @@ class TestGaussianQ:
         buf = ascending.copy()
         assert gaussian_q(buf, out=buf) is buf
         assert np.array_equal(buf, want)
+        buf = xs.copy()
+        assert gaussian_q(buf, out=buf) is buf
+        assert np.array_equal(buf, want[perm])
+
+    def test_memory_bounded_by_block(self):
+        # unsorted input is sorted one block at a time, so in place on
+        # 2**17 elements only block-sized temporaries are allocated
+        xs = np.random.default_rng(4).uniform(-12.0, 40.0, 1 << 17)
+        # ascending runs back to back, as the kernel packs short windows
+        runs = np.concatenate([np.sort(part) for part in np.split(xs, 64)])
+        for x in (xs, runs):
+            want = gaussian_q(np.sort(x))[np.argsort(np.argsort(x))]
+            tracemalloc.start()
+            try:
+                gaussian_q(x, out=x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 16 * 8 * _Q_BLOCK
+            assert np.array_equal(x, want)
 
 
 class TestGaussianQInv:

@@ -3,8 +3,10 @@ and the operating-region search."""
 
 import concurrent.futures
 import dataclasses
+import sys
 import textwrap
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +14,8 @@ import pytest
 from avlinksim import e2e
 from avlinksim import geometry as geo
 from avlinksim import scenario
-from avlinksim.link import sinr_sample
-from avlinksim.mathfun import RngStream
+from avlinksim.link import SINR_WORK_ROWS, sinr_sample
+from avlinksim.mathfun import _Q_BLOCK, RngStream
 from avlinksim.scenario import (
     CANONICAL_COMBINATIONS,
     ConfigError,
@@ -407,6 +409,78 @@ class TestGammaBatches:
                 assert np.array_equal(got, fresh)
 
 
+class TestLinkItemMemory:
+    """A link work item allocates one (SINR_WORK_ROWS, batch) array: each
+    batch is drawn into it and evaluated in its scratch rows. Every other
+    per-batch temporary is bounded by gaussian_q's block, whatever
+    n_samples is."""
+
+    @staticmethod
+    def _traced_peak(config, rates):
+        root = RngStream(config.master_seed)
+        topology = instantiate(config, root.child(scenario._NS_SWEEP_TOPO, 0))
+        stream = root.child(scenario._NS_SWEEP_SAMP, 0).child(0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            scenario._link_stats(topology.links["g2a_dest"], config, stream, rates)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_is_one_batch_buffer(self):
+        # the default batch at 40 rates from 10 kbps to 1 Mbps, so the
+        # short windows of each batch are packed into one Q call
+        config = ScenarioConfig()
+        rates = [10e3 * 100.0 ** (i / 39) for i in range(40)]
+        peak = self._traced_peak(config, rates)
+        assert peak <= SINR_WORK_ROWS * 8 * config.mc_batch_size + 16 * 8 * _Q_BLOCK
+        doubled = dataclasses.replace(config, n_samples=2 * config.n_samples)
+        assert abs(self._traced_peak(doubled, rates) - peak) <= 8 * _Q_BLOCK
+
+
+class TestRelayShortage:
+    """instantiate skips vehicles within 1 m of the destination, so a
+    topology can have fewer relays than a2a_relay_count."""
+
+    SHORT = dataclasses.replace(
+        ScenarioConfig(), grid_tiers=0, isd_m=10.0, av_count=4, a2a_relay_count=3,
+        r_ga_m=2.0, sweep_topologies=30, n_samples=500, mc_batch_size=500,
+        sweep_rates_kbps=(100.0,))
+    LABELS = ("DA2G", "A2A", "HAP", *CANONICAL_COMBINATIONS[1:])
+
+    def _relay_counts(self, config):
+        root = RngStream(config.master_seed)
+        return [len(instantiate(config, root.child(scenario._NS_SWEEP_TOPO, t)).relays)
+                for t in range(config.sweep_topologies)]
+
+    def test_every_topology_gives_every_label(self):
+        # topology 23 has 2 relays; the sweep used to fail on the third
+        assert [t for t, n in enumerate(self._relay_counts(self.SHORT)) if n < 3] == [23]
+        assert run_rate_sweep(self.SHORT).labels == self.LABELS
+
+    def test_short_first_topology_keeps_the_label(self):
+        # the first topology set the labels of the averages, so a short one
+        # used to drop "DA2G + 3-A2A" from the sweep and the region's choice
+        config = dataclasses.replace(self.SHORT, master_seed=39, sweep_topologies=2)
+        assert self._relay_counts(config) == [2, 3]
+        assert run_rate_sweep(config).labels == self.LABELS
+
+    def test_absent_relay_never_delivers(self):
+        config = self.SHORT
+        root = RngStream(config.master_seed)
+        topology = instantiate(config, root.child(scenario._NS_SWEEP_TOPO, 23))
+        samples = root.child(scenario._NS_SWEEP_SAMP, 23)
+        stats = {name: scenario._link_stats(setup, config, samples.child(i), [100e3])[0]
+                 for i, (name, setup) in enumerate(topology.links.items())}
+        rows = scenario._topology_rows(topology, stats, config)
+        for platform in ("", " + HAP"):
+            two, three = rows[f"DA2G + 2-A2A{platform}"], rows[f"DA2G + 3-A2A{platform}"]
+            assert (three.eps_e2e, three.d_e2e, three.feasible, three.eps_std_error,
+                    three.d_std_error) == (two.eps_e2e, two.d_e2e, two.feasible,
+                                           two.eps_std_error, two.d_std_error)
+
+
 class TestQueueGates:
     def test_underprovisioned_base_station_blocks_everything(self):
         open_run = run_rate_sweep(FAST)
@@ -599,6 +673,27 @@ class TestWorkItems:
         assert len(pool.submitted) == len(topology.links)
         assert [args[0] for args in pool.submitted] == list(topology.links.values())
         assert result == run_rate_sweep(config, threads=1)
+
+    def test_thread_buffers_under_contention(self):
+        # more workers than cores, switching often: a batch buffer shared
+        # between threads would mix their draws
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            contended = run_rate_sweep(FAST, threads=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert contended.rows == run_rate_sweep(FAST, threads=1).rows
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_batch_buffer_per_worker_thread(self, monkeypatch, threads):
+        # every link item of a run draws and evaluates in its thread's buffer
+        made = []
+        make = scenario._batch_buffer
+        monkeypatch.setattr(scenario, "_batch_buffer",
+                            lambda config: made.append(config) or make(config))
+        run_rate_sweep(FAST, threads=threads)
+        assert 1 <= len(made) <= threads
 
     def test_region_submits_columns_by_topologies_by_links(self, pool):
         config = dataclasses.replace(FAST, region_r_edges_m=(60.0, 120.0, 180.0))
