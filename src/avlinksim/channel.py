@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,7 +96,10 @@ def p_los(r_2d: float, h_g: float, h_a: float, env: Environment) -> float:
     an aerial node at altitude h_a, separated by r_2d on the ground.
 
     Product over the buildings crossed by the ray; an empty product (the
-    2D distance spans no building) gives exactly 1.
+    2D distance spans no building) gives exactly 1. A product below the
+    smallest normal double is 0, below one ULP of any mixed path loss; with
+    every factor above 1/2, as at the default heights, subnormal rounding
+    would otherwise hold it at 5e-324 through every remaining building.
     """
     if r_2d < 0.0:
         raise ValueError("r_2d must be non-negative")
@@ -106,6 +110,8 @@ def p_los(r_2d: float, h_g: float, h_a: float, env: Environment) -> float:
     for j in range(k + 1):
         ray_h = h_g - (j + 0.5) * (h_g - h_a) / (k + 1)
         prob *= 1.0 - math.exp(-(ray_h ** 2) / (2.0 * env.q3_m ** 2))
+        if prob < sys.float_info.min:
+            return 0.0
     return prob
 
 

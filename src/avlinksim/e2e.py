@@ -116,23 +116,36 @@ def _product_stderr(factors) -> float:
     return math.sqrt(var)
 
 
-def _chain_eps_stderr(terms: dict, stderrs: dict) -> float:
-    # 1 - eps is the product of the survivals 1 - eps_i
-    return _product_stderr(
-        (name, 1.0 - eps, stderrs.get(name, 0.0)) for name, eps in terms.items()
-    )
+def _hop(name, delay_s, loss=None):
+    """An exact hop (backhaul, queue, propagation): a delay and, unless
+    None, a loss, neither with sampling error."""
+    return name, delay_s, loss, 0.0, 0.0
 
 
-def _radio_delay_var(stats: LinkStats) -> float:
-    # variance of d_t / (1 - eps) induced by the eps standard error
+def _radio(name, stats: LinkStats, eps=None, eps_se=None):
+    """A radio hop: stats' mean ARQ delay d_t / (1 - eps), with the variance
+    that stats' eps SE induces in it, and a loss that is stats' own unless
+    eps and eps_se are given."""
+    if eps is None:
+        eps, eps_se = stats.eps_t_bar, stats.std_error
     if not math.isfinite(stats.d_t_bar) or stats.eps_t_bar >= 1.0:
-        return math.inf
-    return (stats.d_t_bar * stats.std_error / (1.0 - stats.eps_t_bar)) ** 2
+        d_var = math.inf
+    else:
+        d_var = (stats.d_t_bar * stats.std_error / (1.0 - stats.eps_t_bar)) ** 2
+    return name, stats.d_t_bar, eps, eps_se, d_var
 
 
-def _finish(label, breakdown, terms, qos, eps_stderr, d_var) -> PathOutcome:
+def _chain(label, qos: QosTarget, hops) -> PathOutcome:
+    """Compose a chain of hops (name, delay, loss or None, loss SE, delay
+    variance): delays and their variances add, the losses compose by
+    chain_loss, and the loss SE is that of the product of the survivals
+    1 - loss."""
+    breakdown = {name: delay for name, delay, *_ in hops}
+    terms = {name: loss for name, _, loss, _, _ in hops if loss is not None}
+    survivals = [(name, 1.0 - loss, se) for name, _, loss, se, _ in hops if loss is not None]
     d_e2e = sum(breakdown.values())
     eps = chain_loss(terms.values())
+    d_var = sum(var for *_, var in hops)
     return PathOutcome(
         label=label,
         eps_e2e=eps,
@@ -140,7 +153,7 @@ def _finish(label, breakdown, terms, qos, eps_stderr, d_var) -> PathOutcome:
         feasible=qos.admits(eps, d_e2e),
         delay_breakdown=breakdown,
         error_terms=terms,
-        eps_std_error=eps_stderr,
+        eps_std_error=_product_stderr(survivals),
         d_std_error=math.sqrt(d_var) if math.isfinite(d_var) else math.inf,
     )
 
@@ -165,21 +178,13 @@ def da2g_path(
     branches = list(branches)
     if not branches:
         raise ValueError("at least one radio branch is required")
-    radio_eps = math.prod(b.eps_t_bar for b in branches)
-    best = min(branches, key=lambda b: b.d_t_bar)
-    breakdown = {
-        "backhaul": backhaul.delay_s,
-        "queue_gbs": gbs_queue.delay_bound_s,
-        "radio_da2g": best.d_t_bar,
-    }
-    terms = {
-        "backhaul": backhaul.eps,
-        "queue_gbs": gbs_queue.violation_prob,
-        "radio_da2g": radio_eps,
-    }
-    radio_se = _product_stderr((b, b.eps_t_bar, b.std_error) for b in branches)
-    eps_stderr = _chain_eps_stderr(terms, {"radio_da2g": radio_se})
-    return _finish(label, breakdown, terms, qos, eps_stderr, _radio_delay_var(best))
+    return _chain(label, qos, [
+        _hop("backhaul", backhaul.delay_s, backhaul.eps),
+        _hop("queue_gbs", gbs_queue.delay_bound_s, gbs_queue.violation_prob),
+        _radio("radio_da2g", min(branches, key=lambda b: b.d_t_bar),
+               math.prod(b.eps_t_bar for b in branches),
+               _product_stderr((b, b.eps_t_bar, b.std_error) for b in branches)),
+    ])
 
 
 def a2a_path(
@@ -192,25 +197,13 @@ def a2a_path(
     label: str = "A2A",
 ) -> PathOutcome:
     """Relayed path: backhaul -> base station -> relay vehicle -> destination."""
-    breakdown = {
-        "backhaul": backhaul.delay_s,
-        "queue_gbs": gbs_queue.delay_bound_s,
-        "radio_g2a": g2a.d_t_bar,
-        "queue_relay": relay_queue.delay_bound_s,
-        "radio_a2a": a2a.d_t_bar,
-    }
-    terms = {
-        "backhaul": backhaul.eps,
-        "queue_gbs": gbs_queue.violation_prob,
-        "radio_g2a": g2a.eps_t_bar,
-        "queue_relay": relay_queue.violation_prob,
-        "radio_a2a": a2a.eps_t_bar,
-    }
-    eps_stderr = _chain_eps_stderr(
-        terms, {"radio_g2a": g2a.std_error, "radio_a2a": a2a.std_error}
-    )
-    d_var = _radio_delay_var(g2a) + _radio_delay_var(a2a)
-    return _finish(label, breakdown, terms, qos, eps_stderr, d_var)
+    return _chain(label, qos, [
+        _hop("backhaul", backhaul.delay_s, backhaul.eps),
+        _hop("queue_gbs", gbs_queue.delay_bound_s, gbs_queue.violation_prob),
+        _radio("radio_g2a", g2a),
+        _hop("queue_relay", relay_queue.delay_bound_s, relay_queue.violation_prob),
+        _radio("radio_a2a", a2a),
+    ])
 
 
 def hap_path(
@@ -230,27 +223,15 @@ def hap_path(
     """
     if d_g2h_m <= 0.0 or d_h2a_m <= 0.0:
         raise ValueError("hop distances must be positive")
-    breakdown = {
-        "backhaul": backhaul.delay_s,
-        "queue_gs": gs_queue.delay_bound_s,
-        "radio_g2h": g2h.d_t_bar,
-        "prop_g2h": d_g2h_m / SPEED_OF_LIGHT_M_S,
-        "queue_hap": hap_queue.delay_bound_s,
-        "radio_h2a": h2a.d_t_bar,
-        "prop_h2a": d_h2a_m / SPEED_OF_LIGHT_M_S,
-    }
-    terms = {
-        "backhaul": backhaul.eps,
-        "queue_gs": gs_queue.violation_prob,
-        "radio_g2h": g2h.eps_t_bar,
-        "queue_hap": hap_queue.violation_prob,
-        "radio_h2a": h2a.eps_t_bar,
-    }
-    eps_stderr = _chain_eps_stderr(
-        terms, {"radio_g2h": g2h.std_error, "radio_h2a": h2a.std_error}
-    )
-    d_var = _radio_delay_var(g2h) + _radio_delay_var(h2a)
-    return _finish(label, breakdown, terms, qos, eps_stderr, d_var)
+    return _chain(label, qos, [
+        _hop("backhaul", backhaul.delay_s, backhaul.eps),
+        _hop("queue_gs", gs_queue.delay_bound_s, gs_queue.violation_prob),
+        _radio("radio_g2h", g2h),
+        _hop("prop_g2h", d_g2h_m / SPEED_OF_LIGHT_M_S),
+        _hop("queue_hap", hap_queue.delay_bound_s, hap_queue.violation_prob),
+        _radio("radio_h2a", h2a),
+        _hop("prop_h2a", d_h2a_m / SPEED_OF_LIGHT_M_S),
+    ])
 
 
 # ============================================================

@@ -233,6 +233,15 @@ def _fbl_terms(gamma: np.ndarray, bandwidth_hz: float, out=None):
     return a, b
 
 
+def _fbl_arg(a, b, rate, scale, out=None):
+    """Q's argument scale * (a - rate * b) of the FBL error (see _fbl_terms),
+    into out if given. Every caller forms it here, in this operation order,
+    so the argument is bit-identical wherever it is evaluated."""
+    arg = np.multiply(b, rate, out=out)
+    arg = np.subtract(a, arg, out=out)
+    return np.multiply(arg, scale, out=out)
+
+
 def _check_gamma(gamma) -> np.ndarray:
     g = np.asarray(gamma, dtype=float)
     if g.size and not g.min() >= 0.0:    # NaN compares False
@@ -259,7 +268,7 @@ def fbl_error(gamma, bandwidth_hz: float, d_t_s: float, packet_bits: float):
     if bandwidth_hz <= 0.0 or d_t_s <= 0.0 or packet_bits <= 0.0:
         raise ValueError("bandwidth_hz, d_t_s and packet_bits must be positive")
     a, b = _fbl_terms(_check_gamma(gamma), bandwidth_hz)
-    out = gaussian_q(math.sqrt(d_t_s) * (a - (packet_bits / d_t_s) * b))
+    out = gaussian_q(_fbl_arg(a, b, packet_bits / d_t_s, math.sqrt(d_t_s)))
     return float(out) if np.isscalar(gamma) else out
 
 
@@ -303,11 +312,11 @@ def _count_below(a, b, rates, scale, x):
     counts = []
     for lo in range(0, rates.size, chunk):
         rate, s, bar = (v[lo:lo + chunk, None] for v in (rates, scale, x))
-        start = step * np.count_nonzero(s * (a[grid] - rate * b[grid]) < bar, axis=1)
+        start = step * np.count_nonzero(_fbl_arg(a[grid], b[grid], rate, s) < bar, axis=1)
         ix = start[:, None] + np.arange(step)
         inside = ix < n
         ix = np.minimum(ix, n - 1)
-        below = inside & (s * (a[ix] - rate * b[ix]) < bar)
+        below = inside & (_fbl_arg(a[ix], b[ix], rate, s) < bar)
         counts.append(start + np.count_nonzero(below, axis=1))
     return np.concatenate(counts)
 
@@ -345,7 +354,7 @@ def _batch_moments(gamma, bandwidth_hz, packet_bits, rates, work):
     first = ones[live]
     bound = ones.astype(float)
     if first.size:
-        bound[live] += gaussian_q(scale[live] * (a[first] - rates[live] * b[first]))
+        bound[live] += gaussian_q(_fbl_arg(a[first], b[first], rates[live], scale[live]))
     with np.errstate(divide="ignore"):
         x_cut = np.sqrt(-2.0 * np.log(bound * (_TAIL_REL / n)))
     cut = np.minimum(_count_below(a, b, rates, scale, x_cut), end)
@@ -359,7 +368,7 @@ def _batch_moments(gamma, bandwidth_hz, packet_bits, rates, work):
     for i, (lo, hi) in enumerate(spans):
         if hi - lo <= _SHORT and packed + hi - lo <= n:
             short.append((i, packed))
-            _window_args(a, b, rates[i], scale[i], lo, hi, args[packed:packed + hi - lo])
+            _fbl_arg(a[lo:hi], b[lo:hi], rates[i], scale[i], args[packed:packed + hi - lo])
             packed += hi - lo
     if packed:
         gaussian_q(args[:packed], out=args[:packed])
@@ -369,17 +378,9 @@ def _batch_moments(gamma, bandwidth_hz, packet_bits, rates, work):
     done = {i for i, _ in short}
     for i, (lo, hi) in enumerate(spans):
         if i not in done:
-            q = _window_args(a, b, rates[i], scale[i], lo, hi, args[:hi - lo])
+            q = _fbl_arg(a[lo:hi], b[lo:hi], rates[i], scale[i], args[:hi - lo])
             mean[i], m2[i] = _moments(gaussian_q(q, out=q), lo, hi, n)
     return mean, m2
-
-
-def _window_args(a, b, rate, scale, lo, hi, out):
-    """Q's arguments scale * (a - rate * b) on [lo, hi), into out."""
-    np.multiply(b[lo:hi], rate, out=out)
-    np.subtract(a[lo:hi], out, out=out)
-    out *= scale
-    return out
 
 
 def _moments(q, lo, hi, n):

@@ -340,7 +340,6 @@ class LinkSetup:
     desired: ChannelSpec
     interferers: InterfererSet
     radio: RadioParams
-    meta: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -386,31 +385,35 @@ def _g2a_channel(site, victim, config: ScenarioConfig, env, table) -> ChannelSpe
     )
 
 
-def _strongest(candidates, tx_power_w: float, count: int) -> tuple:
-    """Top interferers by mean received power; ties resolve by node id."""
-    ranked = sorted(
-        candidates, key=lambda item: (-item[1].mean_gain * tx_power_w, item[0])
+def _link(name, desired, interferers, tx_power_w, bandwidth_hz,
+          config: ScenarioConfig) -> LinkSetup:
+    """A link to an aerial vehicle whose interferer channels, in draw
+    order, send at tx_power_w like the desired one."""
+    members = tuple(Interferer(spec, tx_power_w) for spec in interferers)
+    return LinkSetup(
+        name, desired,
+        InterfererSet(members, p_interf=config.p_interf, mode=config.interference_mode),
+        RadioParams(bandwidth_hz, tx_power_w, config.noise_density_w_hz(),
+                    config.noise_figure_av_db),
     )
-    return tuple(Interferer(spec, tx_power_w) for _, spec in ranked[:count])
 
 
-def _g2a_link(name, site, victim, other_sites, config, env, table) -> LinkSetup:
-    desired = _g2a_channel(site, victim, config, env, table)
-    p_gbs = _dbm_to_w(config.tx_power_gbs_dbm)
-    candidates = [
-        (o.id, _g2a_channel(o, victim, config, env, table)) for o in other_sites
-    ]
-    interferers = InterfererSet(
-        members=_strongest(candidates, p_gbs, config.interferer_count),
-        p_interf=config.p_interf,
-        mode=config.interference_mode,
-    )
-    radio = RadioParams(
-        config.bandwidth_ga_hz, p_gbs, config.noise_density_w_hz(),
-        config.noise_figure_av_db,
-    )
-    return LinkSetup(name, desired, interferers, radio,
-                     meta={"tx_id": site.id, "rx_id": victim.id})
+def _interfered_link(name, channel, tx, others, tx_power_w, bandwidth_hz,
+                     config: ScenarioConfig) -> LinkSetup:
+    """The link from tx, with channel(node) the channel from a node to the
+    victim, and as interferers the interferer_count strongest of the others
+    that are not tx by mean received power (ties resolve by node id). Every
+    node sends at tx_power_w."""
+    ranked = sorted(((o.id, channel(o)) for o in others if o.id != tx.id),
+                    key=lambda item: (-item[1].mean_gain * tx_power_w, item[0]))
+    return _link(name, channel(tx), [spec for _, spec in ranked[:config.interferer_count]],
+                 tx_power_w, bandwidth_hz, config)
+
+
+def _g2a_link(name, site, victim, sites, config, env, table) -> LinkSetup:
+    return _interfered_link(name, lambda tx: _g2a_channel(tx, victim, config, env, table),
+                            site, sites, _dbm_to_w(config.tx_power_gbs_dbm),
+                            config.bandwidth_ga_hz, config)
 
 
 def _a2a_channel(tx, victim, config, table) -> ChannelSpec:
@@ -427,68 +430,29 @@ def _a2a_channel(tx, victim, config, table) -> ChannelSpec:
 def _a2a_link(name, relay, victim, background, config, table) -> LinkSetup:
     if geo.distance_3d(relay, victim) <= 0.0:
         raise ValueError("relay and destination poses coincide")
-    desired = _a2a_channel(relay, victim, config, table)
-    p_av = _dbm_to_w(config.tx_power_av_dbm)
-    candidates = [
-        (o.id, _a2a_channel(o, victim, config, table))
-        for o in background
-        if o.id != relay.id
-    ]
-    interferers = InterfererSet(
-        members=_strongest(candidates, p_av, config.interferer_count),
-        p_interf=config.p_interf,
-        mode=config.interference_mode,
-    )
-    radio = RadioParams(
-        config.bandwidth_aa_hz, p_av, config.noise_density_w_hz(),
-        config.noise_figure_av_db,
-    )
-    return LinkSetup(name, desired, interferers, radio,
-                     meta={"tx_id": relay.id, "rx_id": victim.id})
+    return _interfered_link(name, lambda tx: _a2a_channel(tx, victim, config, table),
+                            relay, background, _dbm_to_w(config.tx_power_av_dbm),
+                            config.bandwidth_aa_hz, config)
 
 
 def _h2a_link(hap, victim, sites, serving_site, config, table) -> LinkSetup:
     """Platform beam to the destination; every beam serving another cell
-    interferes with the side-lobe gain toward the destination."""
-    d = geo.distance_3d(hap, victim)
+    interferes, in site order, with its side-lobe gain toward the
+    destination."""
+    pl = float(ch.fspl_db(geo.distance_3d(hap, victim), config.fc_ghz))
     elevation = min(geo.elevation_angle_deg(victim, hap), 90.0)
     k_db = ch.rice_k_db(ch.LinkKind.H2A, elevation, table)
-    pl = float(ch.fspl_db(d, config.fc_ghz))
-    rx_gain = _dbi_to_lin(config.av_antenna_gain_dbi)
     reflector = config.reflector()
-    desired = ChannelSpec(
-        pl_db=pl,
-        tx_gain=float(ch.hap_gain(0.0, reflector)),
-        rx_gain=rx_gain,
-        k_db=k_db,
-    )
-    p_hap = _dbm_to_w(config.tx_power_hap_dbm)
-    members = []
-    for site in sites:
-        if site.id == serving_site.id:
-            continue
-        aim = geo.NodePose(site.id, geo.NodeKind.AERIAL_VEHICLE,
-                           site.x, site.y, config.av_altitude_m)
-        offset = geo.angle_between_deg(hap, aim, victim)
-        members.append(Interferer(
-            ChannelSpec(
-                pl_db=pl,
-                tx_gain=float(ch.hap_gain(offset, reflector)),
-                rx_gain=rx_gain,
-                k_db=k_db,
-            ),
-            p_hap,
-        ))
-    interferers = InterfererSet(
-        members=tuple(members), p_interf=config.p_interf,
-        mode=config.interference_mode,
-    )
-    radio = RadioParams(
-        config.bandwidth_ha_hz, p_hap, config.noise_density_w_hz(),
-        config.noise_figure_av_db,
-    )
-    return LinkSetup("h2a", desired, interferers, radio,
-                     meta={"rx_id": victim.id, "beam_count": len(members)})
+
+    def beam(offset_deg):
+        return ChannelSpec(pl_db=pl, tx_gain=float(ch.hap_gain(offset_deg, reflector)),
+                           rx_gain=_dbi_to_lin(config.av_antenna_gain_dbi), k_db=k_db)
+
+    # each other cell's beam aims at the vehicle altitude above its site
+    aims = [geo.NodePose(s.id, geo.NodeKind.AERIAL_VEHICLE, s.x, s.y, config.av_altitude_m)
+            for s in sites if s.id != serving_site.id]
+    return _link("h2a", beam(0.0), [beam(geo.angle_between_deg(hap, aim, victim)) for aim in aims],
+                 _dbm_to_w(config.tx_power_hap_dbm), config.bandwidth_ha_hz, config)
 
 
 def _g2h_link(gs, hap, config, env, table) -> LinkSetup:
@@ -505,8 +469,7 @@ def _g2h_link(gs, hap, config, env, table) -> LinkSetup:
         config.bandwidth_gh_hz, _dbm_to_w(config.tx_power_gs_dbm),
         config.noise_density_w_hz(), config.noise_figure_hap_db,
     )
-    return LinkSetup("g2h", desired, InterfererSet(p_interf=0.0), radio,
-                     meta={"distance_m": d, "elevation_deg": elevation})
+    return LinkSetup("g2h", desired, InterfererSet(p_interf=0.0), radio)
 
 
 def instantiate(config: ScenarioConfig, stream, r_ga_m: float | None = None) -> Topology:
@@ -537,14 +500,11 @@ def instantiate(config: ScenarioConfig, stream, r_ga_m: float | None = None) -> 
     candidates.sort(key=lambda b: (geo.distance_3d(b, destination), b.id))
     relays = tuple(candidates[: config.a2a_relay_count])
 
-    others = [s for s in sites if s.id != serving.id]
     links: dict[str, LinkSetup] = {}
-    links["g2a_dest"] = _g2a_link("g2a_dest", serving, destination, others, config, env, table)
+    links["g2a_dest"] = _g2a_link("g2a_dest", serving, destination, sites, config, env, table)
     for m, relay in enumerate(relays, start=1):
-        relay_site = geo.serving_bs(relay, sites)
-        relay_others = [s for s in sites if s.id != relay_site.id]
         links[f"g2a_relay_{m}"] = _g2a_link(
-            f"g2a_relay_{m}", relay_site, relay, relay_others, config, env, table
+            f"g2a_relay_{m}", geo.serving_bs(relay, sites), relay, sites, config, env, table
         )
         links[f"a2a_{m}"] = _a2a_link(
             f"a2a_{m}", relay, destination, background, config, table

@@ -10,6 +10,7 @@ worker-count independence of the serialized outputs.
 
 import dataclasses
 import math
+import os
 import textwrap
 import time
 
@@ -282,12 +283,15 @@ def test_single_cell_rate_ladder():
 # Operating-region grids
 # ============================================================
 
+# Both grids run on every core: no output depends on the worker count
+# (test_outputs_identical_for_any_worker_count).
+
 def test_saturated_interference_leaves_uncovered_region():
     """With heavy interferer activity and a weak backhaul there must be
     cells no combination can serve, all at 300 kbps or more."""
     config = dataclasses.replace(ScenarioConfig(), p_interf=0.1, eps_b=1e-5)
     started = time.monotonic()
-    result = run_operating_region(config)
+    result = run_operating_region(config, threads=os.cpu_count())
     elapsed = time.monotonic() - started
     assert elapsed < 600.0
 
@@ -303,7 +307,7 @@ def test_platform_path_required_at_rate_extremes():
     both under the site (near zero ground distance) and at the cell edge."""
     config = ScenarioConfig()
     started = time.monotonic()
-    result = run_operating_region(config)
+    result = run_operating_region(config, threads=os.cpu_count())
     elapsed = time.monotonic() - started
     assert elapsed < 600.0
 

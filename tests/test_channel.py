@@ -5,6 +5,7 @@ same closed-form expressions.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -66,6 +67,19 @@ class TestLosProbability:
         low = p_los(800.0, 25.0, 100.0, ENV)
         high = p_los(800.0, 25.0, 300.0, ENV)
         assert high > low
+
+    def test_long_ray_stops_at_zero(self):
+        # 1.2e10 buildings; every factor is above 1/2, so without the flush
+        # the product would sit at 5e-324 through all of them
+        started = time.monotonic()
+        assert p_los(1e12, 25.0, 300.0, ENV) == 0.0
+        assert time.monotonic() - started < 1.0
+
+    def test_subnormal_product_is_zero(self):
+        # the full product here is the subnormal 1e-323, which reads 0; a
+        # normal product is returned as it is
+        assert p_los(1e6, 25.0, 100.0, ENV) == 0.0
+        assert 0.0 < p_los(1e6, 25.0, 300.0, ENV) < 1e-100
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -346,6 +347,17 @@ class TestLinkBudget:
         res = runner.invoke(main, ["link-budget", kind, "--distance-m", value])
         assert res.exit_code == 2
         assert "--distance-m must be finite" in res.output
+
+    @pytest.mark.parametrize("kind", ["g2a", "a2a", "hap"])
+    def test_distance_beyond_the_bound_is_a_usage_error(self, runner, kind):
+        # p_los loops once per building, so 1e300 m would never return
+        started = time.monotonic()
+        res = runner.invoke(main, ["link-budget", kind, "--distance-m", "1e300"])
+        assert time.monotonic() - started < 5.0
+        assert res.exit_code == 2
+        assert "at most 1e+06 m" in res.output
+        res = runner.invoke(main, ["link-budget", kind, "--distance-m", "1e6"])
+        assert res.exit_code == 0
 
     def test_a2a_requires_distance(self, runner):
         res = runner.invoke(main, ["link-budget", "a2a"])
