@@ -1,7 +1,7 @@
 """Radio channel models: LoS statistics, path loss, antennas, Rice factors.
 
 Provides:
- - Environment / LinkKind / RiceTable    : channel parameterization
+ - Environment                           : channel parameterization
  - p_los                                 : urban line-of-sight probability
  - pl_g2a_los_db / pl_g2a_nlos_db / pl_avg_g2a_db : ground-to-air path loss
  - fspl_db / clutter_loss_db / pl_g2h_db : free-space and platform links
@@ -12,7 +12,6 @@ Provides:
 
 from __future__ import annotations
 
-import enum
 import math
 import sys
 from dataclasses import dataclass, field
@@ -23,9 +22,8 @@ from .link import SF_SIGMA_MAX_DB
 from .mathfun import bessel_j1
 
 __all__ = [
-    "LinkKind",
+    "Q2_MAX_PER_KM2",
     "Environment",
-    "RiceTable",
     "UlaSpec",
     "ReflectorSpec",
     "p_los",
@@ -43,11 +41,9 @@ __all__ = [
 ]
 
 
-class LinkKind(str, enum.Enum):
-    G2A = "g2a"   # ground station / base station -> aerial vehicle
-    A2A = "a2a"   # aerial vehicle -> aerial vehicle
-    G2H = "g2h"   # ground station -> high-altitude platform
-    H2A = "h2a"   # high-altitude platform -> aerial vehicle
+# largest building density [1/km^2], one building per m^2; p_los loops
+# once per building the ray crosses
+Q2_MAX_PER_KM2 = 1e6
 
 
 @dataclass(frozen=True)
@@ -66,8 +62,10 @@ class Environment:
     def __post_init__(self):
         if not 0.0 < self.q1 <= 1.0:
             raise ValueError("q1 is a fraction of land and must lie in (0, 1]")
-        if self.q2 <= 0.0 or self.q3_m <= 0.0:
-            raise ValueError("q2 and q3_m must be positive")
+        if not 0.0 < self.q2 <= Q2_MAX_PER_KM2:
+            raise ValueError(f"q2 must lie in (0, {Q2_MAX_PER_KM2:g}] buildings per km^2")
+        if self.q3_m <= 0.0:
+            raise ValueError("q3_m must be positive")
         if not all(0.0 <= s <= SF_SIGMA_MAX_DB
                    for s in (self.sf_sigma_los_db, self.sf_sigma_nlos_db)):
             raise ValueError(f"shadow-fading sigmas must lie in [0, {SF_SIGMA_MAX_DB:g}] dB")
@@ -75,16 +73,6 @@ class Environment:
             raise ValueError("clutter_loss_table_db needs one entry per 10-degree bin (9)")
         if any(v < 0.0 for v in self.clutter_loss_table_db):
             raise ValueError("clutter losses must be non-negative")
-
-
-@dataclass(frozen=True)
-class RiceTable:
-    """Rice factor ranges [dB] per link kind, linear in the elevation bin."""
-
-    g2a: tuple = (5.0, 12.0)
-    a2a: tuple = (12.0, 12.0)
-    g2h: tuple = (5.0, 15.0)
-    h2a: tuple = (12.0, 15.0)
 
 
 # ============================================================
@@ -248,10 +236,11 @@ def hap_gain(offset_deg, spec: ReflectorSpec):
 # Rice factor
 # ============================================================
 
-def rice_k_db(kind: LinkKind, elevation_deg: float, table: RiceTable) -> float:
-    """Rice factor for a link kind, linear across nine 10-degree bins."""
+def rice_k_db(k_range, elevation_deg: float) -> float:
+    """Rice factor [dB] of a link kind's (k_min, k_max) range, linear
+    across nine 10-degree elevation bins."""
     if not 0.0 <= elevation_deg <= 90.0:
         raise ValueError("elevation_deg must lie in [0, 90]")
-    k_min, k_max = getattr(table, LinkKind(kind).value)
+    k_min, k_max = k_range
     bin_ix = min(int(elevation_deg // 10.0), 8)
     return k_min + (k_max - k_min) * bin_ix / 8.0

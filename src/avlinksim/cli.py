@@ -263,16 +263,15 @@ def _pose(kind: geometry.NodeKind, x: float, altitude: float) -> geometry.NodePo
 
 
 def _budget_g2a(config: scenario.ScenarioConfig, distance_m: float) -> None:
-    env = config.environment()
     site = _pose(geometry.NodeKind.GROUND_BS, 0.0, config.gbs_height_m)
     av = _pose(geometry.NodeKind.AERIAL_VEHICLE, distance_m, config.av_altitude_m)
-    setup = scenario._g2a_link("g2a", site, av, [], config, env, config.rice_table())
+    setup = scenario._g2a_link("g2a", site, av, [], config)
     d3 = geometry.distance_3d(site, av)
     _echo_budget("g2a link budget", [
         ("d_2d_m", distance_m),
         ("d_3d_m", d3),
         ("elevation_deg", geometry.elevation_angle_deg(site, av)),
-        ("p_los", channel.p_los(distance_m, site.altitude, av.altitude, env)),
+        ("p_los", channel.p_los(distance_m, site.altitude, av.altitude, config.environment())),
         ("pl_los_db", float(channel.pl_g2a_los_db(d3, config.fc_ghz))),
         ("pl_nlos_db", float(channel.pl_g2a_nlos_db(d3, av.altitude, config.fc_ghz))),
         ("pl_avg_db", setup.desired.pl_db),
@@ -286,7 +285,7 @@ def _budget_g2a(config: scenario.ScenarioConfig, distance_m: float) -> None:
 def _budget_a2a(config: scenario.ScenarioConfig, distance_m: float) -> None:
     relay = _pose(geometry.NodeKind.AERIAL_VEHICLE, 0.0, config.av_altitude_m)
     av = _pose(geometry.NodeKind.AERIAL_VEHICLE, distance_m, config.av_altitude_m)
-    setup = scenario._a2a_link("a2a", relay, av, [], config, config.rice_table())
+    setup = scenario._a2a_link("a2a", relay, av, [], config)
     _echo_budget("a2a link budget", [
         ("d_3d_m", geometry.distance_3d(relay, av)),
         ("fspl_db", setup.desired.pl_db),
@@ -300,7 +299,7 @@ def _budget_hap(config: scenario.ScenarioConfig, offset_m: float) -> None:
     hap = _pose(geometry.NodeKind.HAP, 0.0, config.hap_altitude_m)
     av = _pose(geometry.NodeKind.AERIAL_VEHICLE, offset_m, config.av_altitude_m)
     site = _pose(geometry.NodeKind.GROUND_BS, 0.0, config.gbs_height_m)
-    setup = scenario._h2a_link(hap, av, [site], site, config, config.rice_table())
+    setup = scenario._h2a_link(hap, av, [site], site, config)
     d3 = geometry.distance_3d(hap, av)
     _echo_budget("hap link budget", [
         ("nadir_offset_m", offset_m),

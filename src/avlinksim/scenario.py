@@ -70,136 +70,6 @@ class ConfigError(ValueError):
 # Configuration
 # ============================================================
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    # QoS targets
-    eps_th: float = 1e-5
-    delay_threshold_ms: float = 10.0
-    # traffic
-    packet_bits: int = 256
-    # backhaul
-    eps_b: float = 1e-6
-    backhaul_delay_ms: float = 1.0
-    # interference model
-    p_interf: float = 0.01
-    interference_mode: str = "expected"
-    interferer_count: int = 6
-    # radio
-    fc_ghz: float = 2.0
-    noise_density_dbm_hz: float = -174.0
-    bandwidth_ga_hz: float = 0.4e6
-    bandwidth_aa_hz: float = 0.4e6
-    bandwidth_ha_hz: float = 0.4e6
-    bandwidth_gh_hz: float = 0.5e6
-    tx_power_av_dbm: float = 23.0
-    tx_power_gbs_dbm: float = 46.0
-    tx_power_hap_dbm: float = 46.0
-    tx_power_gs_dbm: float = 46.0
-    noise_figure_av_db: float = 9.0
-    noise_figure_hap_db: float = 5.0
-    av_antenna_gain_dbi: float = 0.0
-    gs_antenna_gain_dbi: float = 0.0
-    ula_elements: int = 8
-    ula_downtilt_deg: float = 102.0
-    ula_element_gain_dbi: float = 8.0
-    hap_max_gain_dbi: float = 32.0
-    hap_aperture_radius_wavelengths: float = 10.0
-    # geometry
-    isd_m: float = 500.0
-    grid_tiers: int = 3
-    gbs_height_m: float = 25.0
-    av_altitude_m: float = 300.0
-    hap_altitude_m: float = 20000.0
-    hap_gs_offset_m: float = 5000.0
-    av_count: int = 10
-    r_ga_m: float = 150.0
-    # propagation environment
-    q1: float = 0.3
-    q2_per_km2: float = 500.0
-    q3_m: float = 20.0
-    sf_sigma_los_db: float = 4.0
-    sf_sigma_nlos_db: float = 6.0
-    g2a_shadow_fading: bool = False
-    pl_mixture: str = "db"
-    clutter_loss_db: tuple = (0.0,) * 9
-    rice_k_db: dict = field(
-        default_factory=lambda: {
-            "g2a": (5.0, 12.0),
-            "a2a": (12.0, 12.0),
-            "g2h": (5.0, 15.0),
-            "h2a": (12.0, 15.0),
-        }
-    )
-    # queueing
-    arrival_rate_gbs_pps: float = 1000.0
-    arrival_rate_av_pps: float = 100.0
-    arrival_rate_hap_pps: float = 10000.0
-    queue_delay_bound_ms: float = 0.3
-    eps_q: float = 1e-7
-    service_rate_gbs_pps: float | None = None
-    service_rate_av_pps: float | None = None
-    service_rate_hap_pps: float | None = None
-    # Monte Carlo and grids
-    master_seed: int = 1
-    n_samples: int = 100_000
-    mc_batch_size: int = 1 << 15
-    diversity_branches: int = 1
-    a2a_relay_count: int = 3
-    sweep_topologies: int = 1
-    sweep_rates_kbps: tuple = (
-        10.0, 20.0, 30.0, 50.0, 70.0, 100.0, 140.0, 200.0,
-        280.0, 400.0, 560.0, 800.0, 1000.0,
-    )
-    region_topologies: int = 20
-    region_r_edges_m: tuple = tuple(float(v) for v in range(0, 261, 20))
-    region_rates_kbps: tuple = tuple(float(v) for v in range(100, 1001, 100))
-
-    # -------- derived views --------
-
-    def environment(self) -> ch.Environment:
-        return ch.Environment(
-            q1=self.q1,
-            q2=self.q2_per_km2,
-            q3_m=self.q3_m,
-            sf_sigma_los_db=self.sf_sigma_los_db,
-            sf_sigma_nlos_db=self.sf_sigma_nlos_db,
-            clutter_loss_table_db=tuple(self.clutter_loss_db),
-        )
-
-    def rice_table(self) -> ch.RiceTable:
-        return ch.RiceTable(**{k: tuple(v) for k, v in self.rice_k_db.items()})
-
-    def ula(self) -> ch.UlaSpec:
-        return ch.UlaSpec(self.ula_elements, self.ula_downtilt_deg, self.ula_element_gain_dbi)
-
-    def reflector(self) -> ch.ReflectorSpec:
-        return ch.ReflectorSpec(self.hap_max_gain_dbi, self.hap_aperture_radius_wavelengths)
-
-    def grid(self) -> geo.GridSpec:
-        return geo.GridSpec(self.isd_m, self.grid_tiers, self.gbs_height_m)
-
-    def qos(self) -> e2e.QosTarget:
-        return e2e.QosTarget(self.eps_th, self.delay_threshold_ms * 1e-3)
-
-    def backhaul(self) -> e2e.BackhaulSpec:
-        return e2e.BackhaulSpec(self.backhaul_delay_ms * 1e-3, self.eps_b)
-
-    def queue(self, node: str) -> QueueSpec:
-        """Arrival side of one node type's queue. The ground station ("gs")
-        has no keys of its own: it takes the base station's arrival rate
-        (and, in _queue_gates, its service rate)."""
-        rate = {
-            "gbs": self.arrival_rate_gbs_pps,
-            "gs": self.arrival_rate_gbs_pps,
-            "av": self.arrival_rate_av_pps,
-            "hap": self.arrival_rate_hap_pps,
-        }[node]
-        return QueueSpec(rate, self.queue_delay_bound_ms * 1e-3, self.eps_q)
-
-    def noise_density_w_hz(self) -> float:
-        return 10.0 ** ((self.noise_density_dbm_hz - 30.0) / 10.0)
-
-
 class _Rule(NamedTuple):
     want: str                       # the accepted values, as the error names them
     ok: Callable[[object], bool]
@@ -222,63 +92,170 @@ def _floats(want: str, ok) -> _Rule:
                  and ok(v), lambda v: tuple(map(float, v)))
 
 
+# A probability takes the interval that its model class enforces, so a
+# config that loads always builds the model.
 _ANY, _POS = _number("a number"), _number("a positive number", lambda v: v > 0)
+_COUNT = _number("a positive integer", lambda v: v > 0, int)
+_PROB_OPEN = _number("a probability in (0, 1)", lambda v: 0 < v < 1)
 _SIGMA = _number(f"a shadow sigma in [0, {SF_SIGMA_MAX_DB:g}] dB",  # ChannelSpec
                  lambda v: 0 <= v <= SF_SIGMA_MAX_DB)
-_COUNT = _number("a positive integer", lambda v: v > 0, int)
 _SERVICE = _Rule("a positive number or null", lambda v: v is None or _POS.ok(v),
                  lambda v: None if v is None else float(v))
 _RATES = _floats("a non-empty list of positive rates [kbps]", lambda v: min(v, default=0) > 0)
 _RICE = _floats("a [k_min, k_max] pair with k_min <= k_max",
                 lambda v: len(v) == 2 and v[0] <= v[1])
 
-# One rule per ScenarioConfig field. A probability takes the interval that
-# its model class enforces, so a config that loads always builds the model.
-_RULES = {
-    "eps_th": _number("a probability in (0, 1)", lambda v: 0 < v < 1),  # QosTarget
-    "eps_b": _number("a probability in [0, 1)", lambda v: 0 <= v < 1),  # BackhaulSpec
-    "eps_q": _number("a probability in (0, 1)", lambda v: 0 < v < 1),  # QueueSpec
-    "p_interf": _number("a probability in [0, 1]", lambda v: 0 <= v <= 1),  # InterfererSet
-    "q1": _number("a fraction in (0, 1]", lambda v: 0 < v <= 1),  # P.1410 built-up ratio
-    "grid_tiers": _number("a non-negative integer", lambda v: v >= 0, int),
-    "master_seed": _number("a 64-bit unsigned integer", lambda v: 0 <= v < 2 ** 64, int),
-    "interference_mode": _Rule("'expected' or 'bernoulli'",
-                               lambda v: v in ("expected", "bernoulli")),
-    "pl_mixture": _Rule("'db' or 'linear'", lambda v: v in ("db", "linear")),
-    "g2a_shadow_fading": _Rule("a boolean", lambda v: isinstance(v, bool)),
-    "clutter_loss_db": _floats("a list of 9 non-negative numbers",
-                               lambda v: len(v) == 9 and min(v) >= 0),
-    "rice_k_db": _Rule("a mapping with keys g2a, a2a, g2h, h2a", lambda v: isinstance(v, dict)
-                       and set(v) == {"g2a", "a2a", "g2h", "h2a"},
-                       lambda v: {k: _RICE.apply(f"rice_k_db.{k}", p) for k, p in v.items()}),
-    "region_r_edges_m": _floats("a strictly increasing list of at least 2 bin edges [m]",
-                                lambda v: len(v) >= 2 and v[0] >= 0
-                                and all(a < b for a, b in zip(v, v[1:]))),
-    "delay_threshold_ms": _POS, "packet_bits": _COUNT, "backhaul_delay_ms": _POS,
-    "interferer_count": _COUNT, "fc_ghz": _POS, "noise_density_dbm_hz": _ANY,
-    "bandwidth_ga_hz": _POS, "bandwidth_aa_hz": _POS, "bandwidth_ha_hz": _POS,
-    "bandwidth_gh_hz": _POS, "tx_power_av_dbm": _ANY, "tx_power_gbs_dbm": _ANY,
-    "tx_power_hap_dbm": _ANY, "tx_power_gs_dbm": _ANY, "noise_figure_av_db": _ANY,
-    "noise_figure_hap_db": _ANY, "av_antenna_gain_dbi": _ANY, "gs_antenna_gain_dbi": _ANY,
-    "ula_elements": _COUNT, "ula_downtilt_deg": _POS, "ula_element_gain_dbi": _ANY,
-    "hap_max_gain_dbi": _ANY, "hap_aperture_radius_wavelengths": _POS, "isd_m": _POS,
-    "gbs_height_m": _POS, "av_altitude_m": _POS, "hap_altitude_m": _POS,
-    "hap_gs_offset_m": _POS, "av_count": _COUNT, "r_ga_m": _POS, "q2_per_km2": _POS,
-    "q3_m": _POS, "sf_sigma_los_db": _SIGMA, "sf_sigma_nlos_db": _SIGMA,
-    "arrival_rate_gbs_pps": _POS, "arrival_rate_av_pps": _POS, "arrival_rate_hap_pps": _POS,
-    "queue_delay_bound_ms": _POS, "service_rate_gbs_pps": _SERVICE,
-    "service_rate_av_pps": _SERVICE, "service_rate_hap_pps": _SERVICE, "n_samples": _COUNT,
-    "mc_batch_size": _COUNT, "diversity_branches": _COUNT, "a2a_relay_count": _COUNT,
-    "sweep_topologies": _COUNT, "sweep_rates_kbps": _RATES, "region_topologies": _COUNT,
-    "region_rates_kbps": _RATES,
+
+def _key(default, rule: _Rule):
+    """A config field: its default, and the rule every loaded value passes."""
+    if isinstance(default, dict):
+        return field(default_factory=lambda: dict(default), metadata={"rule": rule})
+    return field(default=default, metadata={"rule": rule})
+
+
+# node type -> (arrival key, service key) of its queue. The ground station
+# has no keys of its own: it takes the base station's.
+_QUEUE_KEYS = {
+    "gbs": ("arrival_rate_gbs_pps", "service_rate_gbs_pps"),
+    "av": ("arrival_rate_av_pps", "service_rate_av_pps"),
+    "hap": ("arrival_rate_hap_pps", "service_rate_hap_pps"),
+    "gs": ("arrival_rate_gbs_pps", "service_rate_gbs_pps"),
 }
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """Every scenario parameter, with its default and its load rule."""
+
+    # QoS targets (QosTarget)
+    eps_th: float = _key(1e-5, _PROB_OPEN)
+    delay_threshold_ms: float = _key(10.0, _POS)
+    # traffic
+    packet_bits: int = _key(256, _COUNT)
+    # backhaul (BackhaulSpec)
+    eps_b: float = _key(1e-6, _number("a probability in [0, 1)", lambda v: 0 <= v < 1))
+    backhaul_delay_ms: float = _key(1.0, _POS)
+    # interference model (InterfererSet)
+    p_interf: float = _key(0.01, _number("a probability in [0, 1]", lambda v: 0 <= v <= 1))
+    interference_mode: str = _key("expected", _Rule("'expected' or 'bernoulli'",
+                                                    lambda v: v in ("expected", "bernoulli")))
+    interferer_count: int = _key(6, _COUNT)
+    # radio
+    fc_ghz: float = _key(2.0, _POS)
+    noise_density_dbm_hz: float = _key(-174.0, _ANY)
+    bandwidth_ga_hz: float = _key(0.4e6, _POS)
+    bandwidth_aa_hz: float = _key(0.4e6, _POS)
+    bandwidth_ha_hz: float = _key(0.4e6, _POS)
+    bandwidth_gh_hz: float = _key(0.5e6, _POS)
+    tx_power_av_dbm: float = _key(23.0, _ANY)
+    tx_power_gbs_dbm: float = _key(46.0, _ANY)
+    tx_power_hap_dbm: float = _key(46.0, _ANY)
+    tx_power_gs_dbm: float = _key(46.0, _ANY)
+    noise_figure_av_db: float = _key(9.0, _ANY)
+    noise_figure_hap_db: float = _key(5.0, _ANY)
+    av_antenna_gain_dbi: float = _key(0.0, _ANY)
+    gs_antenna_gain_dbi: float = _key(0.0, _ANY)
+    ula_elements: int = _key(8, _COUNT)
+    ula_downtilt_deg: float = _key(102.0, _POS)
+    ula_element_gain_dbi: float = _key(8.0, _ANY)
+    hap_max_gain_dbi: float = _key(32.0, _ANY)
+    hap_aperture_radius_wavelengths: float = _key(10.0, _POS)
+    # geometry
+    isd_m: float = _key(500.0, _POS)
+    grid_tiers: int = _key(3, _number("a non-negative integer", lambda v: v >= 0, int))
+    gbs_height_m: float = _key(25.0, _POS)
+    av_altitude_m: float = _key(300.0, _POS)
+    hap_altitude_m: float = _key(20000.0, _POS)
+    hap_gs_offset_m: float = _key(5000.0, _POS)
+    av_count: int = _key(10, _COUNT)
+    r_ga_m: float = _key(150.0, _POS)
+    # propagation environment (ITU-R P.1410: built-up ratio, density, height scale)
+    q1: float = _key(0.3, _number("a fraction in (0, 1]", lambda v: 0 < v <= 1))
+    q2_per_km2: float = _key(500.0, _number(  # at most one building per m^2
+        f"a building density in (0, {ch.Q2_MAX_PER_KM2:g}] per km^2",
+        lambda v: 0 < v <= ch.Q2_MAX_PER_KM2))
+    q3_m: float = _key(20.0, _POS)
+    sf_sigma_los_db: float = _key(4.0, _SIGMA)
+    sf_sigma_nlos_db: float = _key(6.0, _SIGMA)
+    g2a_shadow_fading: bool = _key(False, _Rule("a boolean", lambda v: isinstance(v, bool)))
+    pl_mixture: str = _key("db", _Rule("'db' or 'linear'", lambda v: v in ("db", "linear")))
+    clutter_loss_db: tuple = _key((0.0,) * 9, _floats(
+        "a list of 9 non-negative numbers", lambda v: len(v) == 9 and min(v) >= 0))
+    # [k_min, k_max] dB per link kind, linear in the 10-degree elevation bin
+    rice_k_db: dict = _key(
+        {"g2a": (5.0, 12.0), "a2a": (12.0, 12.0), "g2h": (5.0, 15.0), "h2a": (12.0, 15.0)},
+        _Rule("a mapping with keys g2a, a2a, g2h, h2a", lambda v: isinstance(v, dict)
+              and set(v) == {"g2a", "a2a", "g2h", "h2a"},
+              lambda v: {k: _RICE.apply(f"rice_k_db.{k}", p) for k, p in v.items()}))
+    # queueing
+    arrival_rate_gbs_pps: float = _key(1000.0, _POS)
+    arrival_rate_av_pps: float = _key(100.0, _POS)
+    arrival_rate_hap_pps: float = _key(10000.0, _POS)
+    queue_delay_bound_ms: float = _key(0.3, _POS)
+    eps_q: float = _key(1e-7, _PROB_OPEN)  # QueueSpec
+    service_rate_gbs_pps: float | None = _key(None, _SERVICE)
+    service_rate_av_pps: float | None = _key(None, _SERVICE)
+    service_rate_hap_pps: float | None = _key(None, _SERVICE)
+    # Monte Carlo and grids
+    master_seed: int = _key(1, _number("a 64-bit unsigned integer",
+                                       lambda v: 0 <= v < 2 ** 64, int))
+    n_samples: int = _key(100_000, _COUNT)
+    mc_batch_size: int = _key(1 << 15, _COUNT)
+    diversity_branches: int = _key(1, _COUNT)
+    a2a_relay_count: int = _key(3, _COUNT)
+    sweep_topologies: int = _key(1, _COUNT)
+    sweep_rates_kbps: tuple = _key((10.0, 20.0, 30.0, 50.0, 70.0, 100.0, 140.0, 200.0, 280.0,
+                                    400.0, 560.0, 800.0, 1000.0), _RATES)
+    region_topologies: int = _key(20, _COUNT)
+    region_r_edges_m: tuple = _key(tuple(float(v) for v in range(0, 261, 20)), _floats(
+        "a strictly increasing list of at least 2 bin edges [m]",
+        lambda v: len(v) >= 2 and v[0] >= 0 and all(a < b for a, b in zip(v, v[1:]))))
+    region_rates_kbps: tuple = _key(tuple(float(v) for v in range(100, 1001, 100)), _RATES)
+
+    # -------- derived views --------
+
+    def environment(self) -> ch.Environment:
+        return ch.Environment(
+            q1=self.q1,
+            q2=self.q2_per_km2,
+            q3_m=self.q3_m,
+            sf_sigma_los_db=self.sf_sigma_los_db,
+            sf_sigma_nlos_db=self.sf_sigma_nlos_db,
+            clutter_loss_table_db=tuple(self.clutter_loss_db),
+        )
+
+    def ula(self) -> ch.UlaSpec:
+        return ch.UlaSpec(self.ula_elements, self.ula_downtilt_deg, self.ula_element_gain_dbi)
+
+    def reflector(self) -> ch.ReflectorSpec:
+        return ch.ReflectorSpec(self.hap_max_gain_dbi, self.hap_aperture_radius_wavelengths)
+
+    def grid(self) -> geo.GridSpec:
+        return geo.GridSpec(self.isd_m, self.grid_tiers, self.gbs_height_m)
+
+    def qos(self) -> e2e.QosTarget:
+        return e2e.QosTarget(self.eps_th, self.delay_threshold_ms * 1e-3)
+
+    def backhaul(self) -> e2e.BackhaulSpec:
+        return e2e.BackhaulSpec(self.backhaul_delay_ms * 1e-3, self.eps_b)
+
+    def queue(self, node: str) -> QueueSpec:
+        """Arrival side of one node type's queue (_QUEUE_KEYS)."""
+        return QueueSpec(getattr(self, _QUEUE_KEYS[node][0]),
+                         self.queue_delay_bound_ms * 1e-3, self.eps_q)
+
+    def noise_density_w_hz(self) -> float:
+        return 10.0 ** ((self.noise_density_dbm_hz - 30.0) / 10.0)
+
+
+_FIELDS = {f.name: f for f in dataclasses.fields(ScenarioConfig)}
 
 
 def _validate_field(key: str, value):
     """Return the coerced value for one config field; raise ConfigError."""
-    if key not in _RULES:
+    if key not in _FIELDS:
         raise ConfigError(f"unknown config key '{key}'")
-    return _RULES[key].apply(key, value)
+    return _FIELDS[key].metadata["rule"].apply(key, value)
 
 
 def _build_config(overrides: dict) -> ScenarioConfig:
@@ -364,7 +341,7 @@ def _dbi_to_lin(dbi: float) -> float:
     return 10.0 ** (dbi / 10.0)
 
 
-def _g2a_channel(site, victim, config: ScenarioConfig, env, table) -> ChannelSpec:
+def _g2a_channel(site, victim, config: ScenarioConfig, env) -> ChannelSpec:
     zenith = geo.zenith_angle_deg(site, victim)
     elevation = max(geo.elevation_angle_deg(site, victim), 0.0)
     pl = ch.pl_avg_g2a_db(
@@ -380,7 +357,7 @@ def _g2a_channel(site, victim, config: ScenarioConfig, env, table) -> ChannelSpe
         pl_db=pl,
         tx_gain=float(ch.ula_gain(zenith, config.ula())),
         rx_gain=_dbi_to_lin(config.av_antenna_gain_dbi),
-        k_db=ch.rice_k_db(ch.LinkKind.G2A, min(elevation, 90.0), table),
+        k_db=ch.rice_k_db(config.rice_k_db["g2a"], min(elevation, 90.0)),
         sf_sigma_db=sf,
     )
 
@@ -410,38 +387,39 @@ def _interfered_link(name, channel, tx, others, tx_power_w, bandwidth_hz,
                  tx_power_w, bandwidth_hz, config)
 
 
-def _g2a_link(name, site, victim, sites, config, env, table) -> LinkSetup:
-    return _interfered_link(name, lambda tx: _g2a_channel(tx, victim, config, env, table),
+def _g2a_link(name, site, victim, sites, config) -> LinkSetup:
+    env = config.environment()
+    return _interfered_link(name, lambda tx: _g2a_channel(tx, victim, config, env),
                             site, sites, _dbm_to_w(config.tx_power_gbs_dbm),
                             config.bandwidth_ga_hz, config)
 
 
-def _a2a_channel(tx, victim, config, table) -> ChannelSpec:
+def _a2a_channel(tx, victim, config) -> ChannelSpec:
     d = geo.distance_3d(tx, victim)
     elevation = min(abs(geo.elevation_angle_deg(victim, tx)), 90.0)
     return ChannelSpec(
         pl_db=float(ch.fspl_db(d, config.fc_ghz)),
         tx_gain=_dbi_to_lin(config.av_antenna_gain_dbi),
         rx_gain=_dbi_to_lin(config.av_antenna_gain_dbi),
-        k_db=ch.rice_k_db(ch.LinkKind.A2A, elevation, table),
+        k_db=ch.rice_k_db(config.rice_k_db["a2a"], elevation),
     )
 
 
-def _a2a_link(name, relay, victim, background, config, table) -> LinkSetup:
+def _a2a_link(name, relay, victim, background, config) -> LinkSetup:
     if geo.distance_3d(relay, victim) <= 0.0:
         raise ValueError("relay and destination poses coincide")
-    return _interfered_link(name, lambda tx: _a2a_channel(tx, victim, config, table),
+    return _interfered_link(name, lambda tx: _a2a_channel(tx, victim, config),
                             relay, background, _dbm_to_w(config.tx_power_av_dbm),
                             config.bandwidth_aa_hz, config)
 
 
-def _h2a_link(hap, victim, sites, serving_site, config, table) -> LinkSetup:
+def _h2a_link(hap, victim, sites, serving_site, config) -> LinkSetup:
     """Platform beam to the destination; every beam serving another cell
     interferes, in site order, with its side-lobe gain toward the
     destination."""
     pl = float(ch.fspl_db(geo.distance_3d(hap, victim), config.fc_ghz))
     elevation = min(geo.elevation_angle_deg(victim, hap), 90.0)
-    k_db = ch.rice_k_db(ch.LinkKind.H2A, elevation, table)
+    k_db = ch.rice_k_db(config.rice_k_db["h2a"], elevation)
     reflector = config.reflector()
 
     def beam(offset_deg):
@@ -455,14 +433,15 @@ def _h2a_link(hap, victim, sites, serving_site, config, table) -> LinkSetup:
                  _dbm_to_w(config.tx_power_hap_dbm), config.bandwidth_ha_hz, config)
 
 
-def _g2h_link(gs, hap, config, env, table) -> LinkSetup:
+def _g2h_link(gs, hap, config) -> LinkSetup:
+    env = config.environment()
     d = geo.distance_3d(gs, hap)
     elevation = min(geo.elevation_angle_deg(gs, hap), 90.0)
     desired = ChannelSpec(
         pl_db=float(ch.pl_g2h_db(d, config.fc_ghz, elevation, env)),
         tx_gain=_dbi_to_lin(config.gs_antenna_gain_dbi),
         rx_gain=_dbi_to_lin(config.hap_max_gain_dbi),
-        k_db=ch.rice_k_db(ch.LinkKind.G2H, elevation, table),
+        k_db=ch.rice_k_db(config.rice_k_db["g2h"], elevation),
         sf_sigma_db=env.sf_sigma_los_db,
     )
     radio = RadioParams(
@@ -482,8 +461,6 @@ def instantiate(config: ScenarioConfig, stream, r_ga_m: float | None = None) -> 
     """
     if isinstance(stream, int):
         stream = RngStream(stream)
-    env = config.environment()
-    table = config.rice_table()
     sites = geo.hex_grid(config.grid())
     serving = sites[0]
     r_ga = config.r_ga_m if r_ga_m is None else float(r_ga_m)
@@ -501,16 +478,13 @@ def instantiate(config: ScenarioConfig, stream, r_ga_m: float | None = None) -> 
     relays = tuple(candidates[: config.a2a_relay_count])
 
     links: dict[str, LinkSetup] = {}
-    links["g2a_dest"] = _g2a_link("g2a_dest", serving, destination, sites, config, env, table)
+    links["g2a_dest"] = _g2a_link("g2a_dest", serving, destination, sites, config)
     for m, relay in enumerate(relays, start=1):
         links[f"g2a_relay_{m}"] = _g2a_link(
-            f"g2a_relay_{m}", geo.serving_bs(relay, sites), relay, sites, config, env, table
-        )
-        links[f"a2a_{m}"] = _a2a_link(
-            f"a2a_{m}", relay, destination, background, config, table
-        )
-    links["g2h"] = _g2h_link(gs, hap, config, env, table)
-    links["h2a"] = _h2a_link(hap, destination, sites, serving, config, table)
+            f"g2a_relay_{m}", geo.serving_bs(relay, sites), relay, sites, config)
+        links[f"a2a_{m}"] = _a2a_link(f"a2a_{m}", relay, destination, background, config)
+    links["g2h"] = _g2h_link(gs, hap, config)
+    links["h2a"] = _h2a_link(hap, destination, sites, serving, config)
 
     return Topology(
         sites=tuple(sites),
@@ -555,15 +529,11 @@ def _gamma_batches(setup: LinkSetup, config: ScenarioConfig, stream: RngStream,
 
 def _queue_gates(config: ScenarioConfig) -> dict:
     """{node type: queue gate}; a node without a service rate passes. The
-    ground station takes the base station's arrival and service rates, so
-    its gate always equals "gbs"'s."""
+    ground station takes the base station's keys (_QUEUE_KEYS), so its gate
+    always equals "gbs"'s."""
     gates = {}
-    for node, service in (
-        ("gbs", config.service_rate_gbs_pps),
-        ("av", config.service_rate_av_pps),
-        ("hap", config.service_rate_hap_pps),
-        ("gs", config.service_rate_gbs_pps),
-    ):
+    for node, (_, service_key) in _QUEUE_KEYS.items():
+        service = getattr(config, service_key)
         gates[node] = True if service is None else queue_feasible(service, config.queue(node))
     return gates
 
@@ -723,10 +693,8 @@ def run_rate_sweep(config: ScenarioConfig, threads: int = 1) -> SweepResult:
                           m.d_std_error, m.feasible)
                  for rate, merged in zip(rates, per_rate) for m in merged.values())
     diagnostics = {
-        "effective_bandwidth_pps": {
-            node: effective_bandwidth(config.queue(node))
-            for node in ("gbs", "av", "hap", "gs")
-        },
+        "effective_bandwidth_pps": {node: effective_bandwidth(config.queue(node))
+                                    for node in _QUEUE_KEYS},
         "queue_gates": _queue_gates(config),
         "topologies": config.sweep_topologies,
         "n_samples": config.n_samples,

@@ -12,10 +12,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from avlinksim.channel import (
+    Q2_MAX_PER_KM2,
     Environment,
-    LinkKind,
     ReflectorSpec,
-    RiceTable,
     UlaSpec,
     clutter_loss_db,
     fspl_db,
@@ -195,6 +194,11 @@ class TestClutterAndG2h:
         Environment(q1=1.0)
         with pytest.raises(ValueError):
             Environment(clutter_loss_table_db=(0.0,) * 8)
+        # p_los loops once per building the ray crosses
+        Environment(q1=1.0, q2=Q2_MAX_PER_KM2)
+        for q2 in (0.0, 1e7, math.nan):
+            with pytest.raises(ValueError, match="q2"):
+                Environment(q2=q2)
         with pytest.raises(ValueError):
             Environment(clutter_loss_table_db=(0.0,) * 8 + (-1.0,))
 
@@ -299,34 +303,35 @@ class TestHapBeam:
 # ============================================================
 
 class TestRiceTable:
-    TABLE = RiceTable()
+    # the default [k_min, k_max] range of each link kind
+    RANGES = {"g2a": (5.0, 12.0), "a2a": (12.0, 12.0), "g2h": (5.0, 15.0), "h2a": (12.0, 15.0)}
 
     @pytest.mark.parametrize(
         "kind,elev,expected",
         [
-            (LinkKind.G2A, 0.0, 5.0),
-            (LinkKind.G2A, 9.99, 5.0),
-            (LinkKind.G2A, 45.0, 8.5),
-            (LinkKind.G2A, 61.389540334034783042, 10.25),
-            (LinkKind.G2A, 90.0, 12.0),
-            (LinkKind.A2A, 0.0, 12.0),
-            (LinkKind.A2A, 77.0, 12.0),
-            (LinkKind.G2H, 75.963756532073521417, 13.75),
-            (LinkKind.H2A, 89.5, 15.0),
-            (LinkKind.H2A, 5.0, 12.0),
+            ("g2a", 0.0, 5.0),
+            ("g2a", 9.99, 5.0),
+            ("g2a", 45.0, 8.5),
+            ("g2a", 61.389540334034783042, 10.25),
+            ("g2a", 90.0, 12.0),
+            ("a2a", 0.0, 12.0),
+            ("a2a", 77.0, 12.0),
+            ("g2h", 75.963756532073521417, 13.75),
+            ("h2a", 89.5, 15.0),
+            ("h2a", 5.0, 12.0),
         ],
     )
     def test_bin_interpolation(self, kind, elev, expected):
-        assert_allclose(rice_k_db(kind, elev, self.TABLE), expected, rtol=1e-13)
+        assert_allclose(rice_k_db(self.RANGES[kind], elev), expected, rtol=1e-13)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            rice_k_db(LinkKind.G2A, -0.1, self.TABLE)
+            rice_k_db(self.RANGES["g2a"], -0.1)
         with pytest.raises(ValueError):
-            rice_k_db(LinkKind.G2A, 90.5, self.TABLE)
+            rice_k_db(self.RANGES["g2a"], 90.5)
 
     def test_monotone_for_increasing_ranges(self):
-        ks = [rice_k_db(LinkKind.G2H, e, self.TABLE) for e in range(0, 91, 10)]
+        ks = [rice_k_db(self.RANGES["g2h"], e) for e in range(0, 91, 10)]
         assert all(a <= b for a, b in zip(ks, ks[1:]))
 
 

@@ -359,6 +359,17 @@ class TestLinkBudget:
         res = runner.invoke(main, ["link-budget", kind, "--distance-m", "1e6"])
         assert res.exit_code == 0
 
+    def test_building_density_beyond_the_bound_is_a_config_error(self, runner, tmp_path):
+        # 5.5e8 buildings on the ray would keep p_los looping for minutes
+        dense = tmp_path / "dense.yaml"
+        dense.write_text("q2_per_km2: 1000000000000\ngbs_height_m: 290\n", encoding="utf-8")
+        started = time.monotonic()
+        res = runner.invoke(main, ["link-budget", "g2a", "--distance-m", "1e6",
+                                   "--config", str(dense)])
+        assert time.monotonic() - started < 5.0
+        assert res.exit_code == 2
+        assert res.stderr.startswith("config error: config key 'q2_per_km2'")
+
     def test_a2a_requires_distance(self, runner):
         res = runner.invoke(main, ["link-budget", "a2a"])
         assert res.exit_code == 2

@@ -167,8 +167,7 @@ class TestLoadConfig:
             load_config(_write(tmp_path, "interference_mode: sometimes\n"))
 
     def test_every_default_passes_its_rule_unchanged(self):
-        # a field without a validation rule would be rejected on load as
-        # an unknown key; this names it instead
+        # writing a default into a config file must leave the config as it is
         for f in dataclasses.fields(ScenarioConfig):
             default = getattr(ScenarioConfig(), f.name)
             got = scenario._validate_field(f.name, default)
@@ -204,8 +203,8 @@ class TestLoadConfig:
     ])
     def test_accepted_extremes_build_the_model(self, tmp_path, text):
         cfg = load_config(_write(tmp_path, text))
-        for build in (cfg.qos, cfg.backhaul, cfg.environment, cfg.rice_table,
-                      cfg.ula, cfg.reflector, cfg.grid):
+        for build in (cfg.qos, cfg.backhaul, cfg.environment, cfg.ula, cfg.reflector,
+                      cfg.grid):
             build()
         for node in ("gbs", "av", "hap", "gs"):
             cfg.queue(node)
@@ -227,8 +226,16 @@ class TestLoadConfig:
         (gamma,) = scenario._gamma_batches(setup, cfg, RngStream(cfg.master_seed))
         assert np.all(gamma >= 0.0)
 
-    def test_one_rule_per_field(self):
-        assert set(scenario._RULES) == {f.name for f in dataclasses.fields(ScenarioConfig)}
+    def test_every_field_declares_a_rule(self):
+        for f in dataclasses.fields(ScenarioConfig):
+            assert isinstance(f.metadata.get("rule"), scenario._Rule), f.name
+
+    def test_building_density_bounded(self, tmp_path):
+        # p_los loops once per building the ray crosses
+        assert load_config(_write(tmp_path, "q2_per_km2: 1000000\n")).q2_per_km2 == 1e6
+        with pytest.raises(ConfigError, match="'q2_per_km2': expected a building density in "
+                                              r"\(0, 1e\+06\] per km\^2"):
+            load_config(_write(tmp_path, "q2_per_km2: 1000001\n"))
 
     def test_config_is_frozen(self):
         cfg = ScenarioConfig()
@@ -278,6 +285,16 @@ class TestInstantiate:
         assert len(topo.links["g2a_dest"].interferers.members) == 6
         assert len(topo.links["h2a"].interferers.members) == 36
         assert topo.links["g2h"].interferers.members == ()
+
+    def test_each_link_takes_its_kinds_rice_range(self, tmp_path):
+        # flat ranges, one K per kind, so the elevation of a channel drops out
+        cfg = load_config(_write(tmp_path, "rice_k_db: {g2a: [0, 0], a2a: [-5, -5], "
+                                           "g2h: [5, 5], h2a: [30, 30]}\n"))
+        kinds = {"g2a": 0.0, "a2a": -5.0, "g2h": 5.0, "h2a": 30.0}
+        for name, setup in instantiate(cfg, 7).links.items():
+            k_db = kinds[name.split("_")[0]]
+            channels = [setup.desired] + [m.channel for m in setup.interferers.members]
+            assert [c.k_db for c in channels] == [k_db] * len(channels), name
 
     def test_relays_sorted_by_distance(self):
         topo = instantiate(ScenarioConfig(), 7)
