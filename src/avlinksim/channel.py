@@ -64,14 +64,14 @@ class Environment:
             raise ValueError("q1 is a fraction of land and must lie in (0, 1]")
         if not 0.0 < self.q2 <= Q2_MAX_PER_KM2:
             raise ValueError(f"q2 must lie in (0, {Q2_MAX_PER_KM2:g}] buildings per km^2")
-        if self.q3_m <= 0.0:
+        if not self.q3_m > 0.0:
             raise ValueError("q3_m must be positive")
         if not all(0.0 <= s <= SF_SIGMA_MAX_DB
                    for s in (self.sf_sigma_los_db, self.sf_sigma_nlos_db)):
             raise ValueError(f"shadow-fading sigmas must lie in [0, {SF_SIGMA_MAX_DB:g}] dB")
         if len(self.clutter_loss_table_db) != 9:
             raise ValueError("clutter_loss_table_db needs one entry per 10-degree bin (9)")
-        if any(v < 0.0 for v in self.clutter_loss_table_db):
+        if not all(v >= 0.0 for v in self.clutter_loss_table_db):
             raise ValueError("clutter losses must be non-negative")
 
 

@@ -1,14 +1,16 @@
 """End-to-end path composition: reliability, delay, and path combining.
 
 Provides:
- - BackhaulSpec / QosTarget / PathOutcome   : composition inputs and result
+ - BackhaulSpec / PathOutcome               : composition input and result
+ - QosTarget                                : the loss and delay target
  - da2g_path / a2a_path / hap_path          : the three path constructions
  - combine_paths                            : parallel (cloned) paths
- - CANONICAL_COMBINATIONS / enumerate_combinations / min_feasible_combination :
-                                            canonical search order
+ - CANONICAL_COMBINATIONS / enumerate_combinations : canonical search order
 
 Loss probabilities compose as 1 - prod(1 - eps_i) over the chain elements;
-delays add along a chain and take the minimum across parallel paths.
+delays add along a chain and take the minimum across parallel paths. This
+module only composes: whether an outcome meets a QosTarget is decided once,
+on the topology averages, by the scenario drivers.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ __all__ = [
     "combine_paths",
     "CANONICAL_COMBINATIONS",
     "enumerate_combinations",
-    "min_feasible_combination",
     "MAX_A2A_PATHS",
 ]
 
@@ -45,7 +46,7 @@ class BackhaulSpec:
     eps: float = 1e-6
 
     def __post_init__(self):
-        if self.delay_s < 0.0:
+        if not self.delay_s >= 0.0:
             raise ValueError("delay_s must be non-negative")
         if not 0.0 <= self.eps < 1.0:
             raise ValueError("eps must lie in [0, 1)")
@@ -59,7 +60,7 @@ class QosTarget:
     def __post_init__(self):
         if not 0.0 < self.eps_th < 1.0:
             raise ValueError("eps_th must lie in (0, 1)")
-        if self.d_max_s <= 0.0:
+        if not self.d_max_s > 0.0:
             raise ValueError("d_max_s must be positive")
 
     def admits(self, eps: float, delay_s: float) -> bool:
@@ -72,7 +73,6 @@ class PathOutcome:
     label: str
     eps_e2e: float
     d_e2e: float
-    feasible: bool
     delay_breakdown: dict = field(default_factory=dict)   # sums exactly to d_e2e
     error_terms: dict = field(default_factory=dict)       # chain loss terms
     eps_std_error: float = 0.0
@@ -135,7 +135,7 @@ def _radio(name, stats: LinkStats, eps=None, eps_se=None):
     return name, stats.d_t_bar, eps, eps_se, d_var
 
 
-def _chain(label, qos: QosTarget, hops) -> PathOutcome:
+def _chain(label, hops) -> PathOutcome:
     """Compose a chain of hops (name, delay, loss or None, loss SE, delay
     variance): delays and their variances add, the losses compose by
     chain_loss, and the loss SE is that of the product of the survivals
@@ -143,14 +143,11 @@ def _chain(label, qos: QosTarget, hops) -> PathOutcome:
     breakdown = {name: delay for name, delay, *_ in hops}
     terms = {name: loss for name, _, loss, _, _ in hops if loss is not None}
     survivals = [(name, 1.0 - loss, se) for name, _, loss, se, _ in hops if loss is not None]
-    d_e2e = sum(breakdown.values())
-    eps = chain_loss(terms.values())
     d_var = sum(var for *_, var in hops)
     return PathOutcome(
         label=label,
-        eps_e2e=eps,
-        d_e2e=d_e2e,
-        feasible=qos.admits(eps, d_e2e),
+        eps_e2e=chain_loss(terms.values()),
+        d_e2e=sum(breakdown.values()),
         delay_breakdown=breakdown,
         error_terms=terms,
         eps_std_error=_product_stderr(survivals),
@@ -166,7 +163,6 @@ def da2g_path(
     backhaul: BackhaulSpec,
     gbs_queue: QueueSpec,
     branches,
-    qos: QosTarget,
     label: str = "DA2G",
 ) -> PathOutcome:
     """Direct path: backhaul -> base-station queue -> K diversity branches.
@@ -178,7 +174,7 @@ def da2g_path(
     branches = list(branches)
     if not branches:
         raise ValueError("at least one radio branch is required")
-    return _chain(label, qos, [
+    return _chain(label, [
         _hop("backhaul", backhaul.delay_s, backhaul.eps),
         _hop("queue_gbs", gbs_queue.delay_bound_s, gbs_queue.violation_prob),
         _radio("radio_da2g", min(branches, key=lambda b: b.d_t_bar),
@@ -193,11 +189,10 @@ def a2a_path(
     g2a: LinkStats,
     relay_queue: QueueSpec,
     a2a: LinkStats,
-    qos: QosTarget,
     label: str = "A2A",
 ) -> PathOutcome:
     """Relayed path: backhaul -> base station -> relay vehicle -> destination."""
-    return _chain(label, qos, [
+    return _chain(label, [
         _hop("backhaul", backhaul.delay_s, backhaul.eps),
         _hop("queue_gbs", gbs_queue.delay_bound_s, gbs_queue.violation_prob),
         _radio("radio_g2a", g2a),
@@ -214,7 +209,6 @@ def hap_path(
     hap_queue: QueueSpec,
     h2a: LinkStats,
     d_h2a_m: float,
-    qos: QosTarget,
     label: str = "HAP",
 ) -> PathOutcome:
     """Platform path: backhaul -> ground station -> platform -> destination.
@@ -223,7 +217,7 @@ def hap_path(
     """
     if d_g2h_m <= 0.0 or d_h2a_m <= 0.0:
         raise ValueError("hop distances must be positive")
-    return _chain(label, qos, [
+    return _chain(label, [
         _hop("backhaul", backhaul.delay_s, backhaul.eps),
         _hop("queue_gs", gs_queue.delay_bound_s, gs_queue.violation_prob),
         _radio("radio_g2h", g2h),
@@ -238,19 +232,17 @@ def hap_path(
 # Parallel combining and combination search
 # ============================================================
 
-def combine_paths(paths, qos: QosTarget, label: str | None = None) -> PathOutcome:
+def combine_paths(paths, label: str | None = None) -> PathOutcome:
     """Parallel cloned paths: losses multiply, delay is the fastest path's.
     A path passed more than once is one estimate, not independent ones."""
     paths = list(paths)
     if not paths:
         raise ValueError("at least one path is required")
-    eps = math.prod(p.eps_e2e for p in paths)
     best = min(paths, key=lambda p: p.d_e2e)
     return PathOutcome(
         label=label if label is not None else " + ".join(p.label for p in paths),
-        eps_e2e=eps,
+        eps_e2e=math.prod(p.eps_e2e for p in paths),
         d_e2e=best.d_e2e,
-        feasible=qos.admits(eps, best.d_e2e),
         delay_breakdown=dict(best.delay_breakdown),
         error_terms={p.label: p.eps_e2e for p in paths},
         eps_std_error=_product_stderr((p, p.eps_e2e, p.eps_std_error) for p in paths),
@@ -268,23 +260,14 @@ _LADDER = tuple((m, platform) for platform in (False, True) for m in range(MAX_A
 CANONICAL_COMBINATIONS = tuple(_combination_label(*rung) for rung in _LADDER)
 
 
-def enumerate_combinations(da2g: PathOutcome, a2a_paths, hap: PathOutcome | None,
-                           qos: QosTarget) -> list[PathOutcome]:
+def enumerate_combinations(da2g: PathOutcome, a2a_paths, hap: PathOutcome) -> list[PathOutcome]:
     """All candidate combinations in canonical preference order
-    (CANONICAL_COMBINATIONS), skipping those that need a relayed path or a
-    platform path that is not there."""
+    (CANONICAL_COMBINATIONS), skipping those that need more relayed paths
+    than are given."""
     a2a_paths = list(a2a_paths)[:MAX_A2A_PATHS]
     return [
-        combine_paths([da2g] + a2a_paths[:m] + ([hap] if platform else []), qos,
+        combine_paths([da2g] + a2a_paths[:m] + ([hap] if platform else []),
                       label=_combination_label(m, platform))
         for m, platform in _LADDER
-        if m <= len(a2a_paths) and (hap is not None or not platform)
+        if m <= len(a2a_paths)
     ]
-
-
-def min_feasible_combination(combos) -> str:
-    """Label of the first feasible combination in the given order, or "none"."""
-    for combo in combos:
-        if combo.feasible:
-            return combo.label
-    return "none"

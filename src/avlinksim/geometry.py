@@ -56,7 +56,7 @@ class GridSpec:
     bs_height_m: float = 25.0
 
     def __post_init__(self):
-        if self.isd_m <= 0.0:
+        if not self.isd_m > 0.0:
             raise ValueError("isd_m must be positive")
         if self.tiers < 0:
             raise ValueError("tiers must be non-negative")

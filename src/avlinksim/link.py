@@ -32,7 +32,6 @@ __all__ = [
     "Interferer",
     "InterfererSet",
     "LinkStats",
-    "NO_INTERFERENCE",
     "SF_SIGMA_MAX_DB",
     "sinr_sample",
     "fbl_rate",
@@ -56,9 +55,9 @@ class RadioParams:
     noise_figure_db: float = 0.0
 
     def __post_init__(self):
-        if self.bandwidth_hz <= 0.0 or self.tx_power_w <= 0.0:
+        if not (self.bandwidth_hz > 0.0 and self.tx_power_w > 0.0):
             raise ValueError("bandwidth_hz and tx_power_w must be positive")
-        if self.noise_density_w_hz <= 0.0:
+        if not self.noise_density_w_hz > 0.0:
             raise ValueError("noise_density_w_hz must be positive")
 
     @property
@@ -113,9 +112,6 @@ class InterfererSet:
             raise ValueError("p_interf must lie in [0, 1]")
         if self.mode not in ("expected", "bernoulli"):
             raise ValueError("mode must be 'expected' or 'bernoulli'")
-
-
-NO_INTERFERENCE = InterfererSet()
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,9 @@ class QueueSpec:
     violation_prob: float       # allowed P[delay > bound]
 
     def __post_init__(self):
-        if self.arrival_rate_pps <= 0.0:
+        if not self.arrival_rate_pps > 0.0:
             raise ValueError("arrival_rate_pps must be positive")
-        if self.delay_bound_s <= 0.0:
+        if not self.delay_bound_s > 0.0:
             raise ValueError("delay_bound_s must be positive")
         if not 0.0 < self.violation_prob < 1.0:
             raise ValueError("violation_prob must lie in (0, 1)")

@@ -245,7 +245,7 @@ class ScenarioConfig:
                          self.queue_delay_bound_ms * 1e-3, self.eps_q)
 
     def noise_density_w_hz(self) -> float:
-        return 10.0 ** ((self.noise_density_dbm_hz - 30.0) / 10.0)
+        return _dbm_to_w(self.noise_density_dbm_hz)
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(ScenarioConfig)}
@@ -557,30 +557,29 @@ def _topology_rows(topology: Topology, stats: dict, config: ScenarioConfig) -> d
     has the same labels: a relay that instantiate could not place (no
     vehicle left 1 m or more from the destination) is a path that never
     delivers, with error 1 and infinite delay, so a combination that adds
-    it equals the one without it. Feasibility, queue gates included, is
-    decided on the averages across topologies (_mean_outcomes)."""
-    qos = config.qos()
+    it equals the one without it. Feasibility is decided on the averages
+    across topologies (_mean_outcomes)."""
     backhaul = config.backhaul()
     branches = [stats["g2a_dest"]] * config.diversity_branches
-    da2g = e2e.da2g_path(backhaul, config.queue("gbs"), branches, qos)
+    da2g = e2e.da2g_path(backhaul, config.queue("gbs"), branches)
     a2a_paths = [
         e2e.a2a_path(
             backhaul, config.queue("gbs"), stats[f"g2a_relay_{m}"],
-            config.queue("av"), stats[f"a2a_{m}"], qos, label=f"A2A-{m}",
+            config.queue("av"), stats[f"a2a_{m}"], label=f"A2A-{m}",
         ) if m <= len(topology.relays) else
-        e2e.PathOutcome(f"A2A-{m}", 1.0, math.inf, False, d_std_error=math.inf)
+        e2e.PathOutcome(f"A2A-{m}", 1.0, math.inf, d_std_error=math.inf)
         for m in range(1, config.a2a_relay_count + 1)
     ]
     hap = e2e.hap_path(
         backhaul, config.queue("gs"), stats["g2h"], topology.d_g2h_m,
-        config.queue("hap"), stats["h2a"], topology.d_h2a_m, qos,
+        config.queue("hap"), stats["h2a"], topology.d_h2a_m,
     )
     rows = {"DA2G": da2g}
     if a2a_paths:
         rows["A2A"] = a2a_paths[0]
     rows["HAP"] = hap
     rows.update((combo.label, combo)
-                for combo in e2e.enumerate_combinations(da2g, a2a_paths, hap, qos)
+                for combo in e2e.enumerate_combinations(da2g, a2a_paths, hap)
                 if combo.label != "DA2G")
     return rows
 
@@ -605,9 +604,10 @@ def _link_stats(setup: LinkSetup, config: ScenarioConfig, stream: RngStream,
     )
 
 
-def _mean_outcomes(per_topology: list, qos: e2e.QosTarget, gates: dict) -> dict:
-    """{label: PathOutcome} averaged across topologies. This is the one
-    feasibility decision: the averages must meet the target and the
+def _mean_outcomes(per_topology: list, rate_bps: float, qos: e2e.QosTarget,
+                   gates: dict) -> dict:
+    """{label: SweepRow} at one rate, averaged across topologies. This is
+    the one feasibility decision: the averages must meet the target and the
     label's queue gate must pass."""
     merged = {}
     t = len(per_topology)
@@ -618,15 +618,14 @@ def _mean_outcomes(per_topology: list, qos: e2e.QosTarget, gates: dict) -> dict:
         eps_se = math.sqrt(sum(o.eps_std_error ** 2 for o in outs)) / t
         finite = [o.d_std_error for o in outs if math.isfinite(o.d_std_error)]
         delay_se = (math.sqrt(sum(s ** 2 for s in finite)) / t) if finite else math.inf
-        feasible = qos.admits(eps, delay) and _label_gate(label, gates)
-        merged[label] = e2e.PathOutcome(label, eps, delay, feasible,
-                                        eps_std_error=eps_se, d_std_error=delay_se)
+        merged[label] = SweepRow(rate_bps, label, eps, eps_se, delay, delay_se,
+                                 qos.admits(eps, delay) and _label_gate(label, gates))
     return merged
 
 
 def _group_means(config: ScenarioConfig, groups, n_topo: int, rates_bps,
                  threads: int) -> list:
-    """Per group, per rate: {label: PathOutcome} averaged over the group's
+    """Per group, per rate: {label: SweepRow} averaged over the group's
     n_topo topologies (_mean_outcomes).
 
     A group is (topology key, sample key, r_ga_m): its topology t is
@@ -654,8 +653,8 @@ def _group_means(config: ScenarioConfig, groups, n_topo: int, rates_bps,
                     for topology, _ in group]
         means.append([_mean_outcomes(
             [_topology_rows(topology, {name: s[rate_ix] for name, s in links.items()}, config)
-             for topology, links in per_link], qos, gates)
-            for rate_ix in range(len(rates_bps))])
+             for topology, links in per_link], rate, qos, gates)
+            for rate_ix, rate in enumerate(rates_bps)])
     return means
 
 
@@ -689,9 +688,7 @@ def run_rate_sweep(config: ScenarioConfig, threads: int = 1) -> SweepResult:
     rates = [rate_kbps * 1e3 for rate_kbps in config.sweep_rates_kbps]
     group = ((_NS_SWEEP_TOPO,), (_NS_SWEEP_SAMP,), config.r_ga_m)
     (per_rate,) = _group_means(config, [group], config.sweep_topologies, rates, threads)
-    rows = tuple(SweepRow(rate, m.label, m.eps_e2e, m.eps_std_error, m.d_e2e,
-                          m.d_std_error, m.feasible)
-                 for rate, merged in zip(rates, per_rate) for m in merged.values())
+    rows = tuple(row for merged in per_rate for row in merged.values())
     diagnostics = {
         "effective_bandwidth_pps": {node: effective_bandwidth(config.queue(node))
                                     for node in _QUEUE_KEYS},
@@ -734,15 +731,10 @@ class RegionResult:
     def label_at(self, col_ix: int, rate_ix: int) -> str:
         return self.cells[col_ix * len(self.rates_bps) + rate_ix].label
 
-    def canonical_index(self, label: str) -> int:
-        """Position in the preference order; "none" sorts above everything."""
-        if label == "none":
-            return len(self.labels)
-        return self.labels.index(label)
-
 
 def run_operating_region(config: ScenarioConfig, threads: int = 1) -> RegionResult:
-    """Minimum feasible combination per (distance bin, rate bin) cell."""
+    """Minimum feasible combination per (distance bin, rate bin) cell: the
+    first label of CANONICAL_COMBINATIONS whose row is feasible, or "none"."""
     edges = config.region_r_edges_m
     bins = list(zip(edges, edges[1:]))
     rates = [rate_kbps * 1e3 for rate_kbps in config.region_rates_kbps]
@@ -750,8 +742,9 @@ def run_operating_region(config: ScenarioConfig, threads: int = 1) -> RegionResu
               for col_ix, (lo, hi) in enumerate(bins)]
     columns = _group_means(config, groups, config.region_topologies, rates, threads)
     cells = tuple(
-        RegionCell(lo, hi, 0.5 * (lo + hi), rate, e2e.min_feasible_combination(
-            merged[label] for label in CANONICAL_COMBINATIONS if label in merged))
+        RegionCell(lo, hi, 0.5 * (lo + hi), rate, next(
+            (label for label in CANONICAL_COMBINATIONS
+             if label in merged and merged[label].feasible), "none"))
         for (lo, hi), per_rate in zip(bins, columns)
         for rate, merged in zip(rates, per_rate)
     )

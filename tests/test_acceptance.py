@@ -151,13 +151,12 @@ def test_backhaul_floor_blocks_every_single_path():
     backhaul = e2e.BackhaulSpec(delay_s=1e-3, eps=1e-5)
     queue = QueueSpec(1000.0, 0.3e-3, 1e-7)
     perfect = LinkStats(0.0, 1e-3, 1, 0.0)
-    da2g = e2e.da2g_path(backhaul, queue, [perfect], qos)
-    a2a = e2e.a2a_path(backhaul, queue, perfect, queue, perfect, qos)
-    hap = e2e.hap_path(backhaul, queue, perfect, 20000.0, queue, perfect,
-                       19700.0, qos)
+    da2g = e2e.da2g_path(backhaul, queue, [perfect])
+    a2a = e2e.a2a_path(backhaul, queue, perfect, queue, perfect)
+    hap = e2e.hap_path(backhaul, queue, perfect, 20000.0, queue, perfect, 19700.0)
     for path in (da2g, a2a, hap):
         assert path.eps_e2e > qos.eps_th
-        assert not path.feasible
+        assert not qos.admits(path.eps_e2e, path.d_e2e)
 
     config = dataclasses.replace(
         ScenarioConfig(), eps_b=1e-5, n_samples=20_000

@@ -25,13 +25,11 @@ from avlinksim.e2e import (
     da2g_path,
     enumerate_combinations,
     hap_path,
-    min_feasible_combination,
 )
 from avlinksim.link import LinkStats
 from avlinksim.queueing import QueueSpec
 
 QOS = QosTarget(eps_th=1e-5, d_max_s=10e-3)
-LOOSE_QOS = QosTarget(eps_th=0.5, d_max_s=1.0)
 BACKHAUL = BackhaulSpec(delay_s=1e-3, eps=1e-6)
 QUEUE = QueueSpec(1000.0, 0.3e-3, 1e-7)
 
@@ -90,20 +88,20 @@ class TestChainLoss:
 class TestDa2gPath:
     def test_two_branch_loss(self):
         branches = [_stats(3.2e-3, 1.2e-3), _stats(3.2e-3, 0.9e-3)]
-        out = da2g_path(BACKHAUL, QUEUE, branches, LOOSE_QOS)
+        out = da2g_path(BACKHAUL, QUEUE, branches)
         assert_allclose(out.eps_e2e, 1.1339988636001024e-5, rtol=1e-9)
         assert out.label == "DA2G"
 
     def test_delay_uses_fastest_branch(self):
         branches = [_stats(3.2e-3, 1.2e-3), _stats(3.2e-3, 0.9e-3)]
-        out = da2g_path(BACKHAUL, QUEUE, branches, LOOSE_QOS)
+        out = da2g_path(BACKHAUL, QUEUE, branches)
         assert out.delay_breakdown["radio_da2g"] == 0.9e-3
         assert set(out.delay_breakdown) == {"backhaul", "queue_gbs", "radio_da2g"}
         assert out.d_e2e == sum(out.delay_breakdown.values())
 
     def test_std_error_first_order(self):
         branches = [_stats(1e-2, se=1e-4), _stats(2e-2, se=2e-4)]
-        out = da2g_path(BACKHAUL, QUEUE, branches, LOOSE_QOS)
+        out = da2g_path(BACKHAUL, QUEUE, branches)
         radio_se = math.sqrt((1e-4 * 2e-2) ** 2 + (2e-4 * 1e-2) ** 2)
         partial = (1.0 - 1e-6) * (1.0 - 1e-7)
         assert_allclose(out.eps_std_error, radio_se * partial, rtol=1e-12)
@@ -112,15 +110,15 @@ class TestDa2gPath:
         # K copies of one estimate: d(eps^K)/d eps = K eps^(K-1), so the
         # radio SE at K = 2 is 2 * 1e-2 * 1e-3 = 2e-5, not sqrt(2) * 1e-5
         one = _stats(1e-2, se=1e-3)
-        out = da2g_path(BACKHAUL, QUEUE, [one, one], LOOSE_QOS)
+        out = da2g_path(BACKHAUL, QUEUE, [one, one])
         partial = (1.0 - 1e-6) * (1.0 - 1e-7)
         assert_allclose(out.eps_std_error, 2e-5 * partial, rtol=1e-12)
-        three = da2g_path(BACKHAUL, QUEUE, [one] * 3, LOOSE_QOS)
+        three = da2g_path(BACKHAUL, QUEUE, [one] * 3)
         assert_allclose(three.eps_std_error, 3 * 1e-4 * 1e-3 * partial, rtol=1e-12)
 
     def test_equal_but_separate_estimates_stay_independent(self):
         branches = [_stats(1e-2, se=1e-3), _stats(1e-2, se=1e-3)]
-        out = da2g_path(BACKHAUL, QUEUE, branches, LOOSE_QOS)
+        out = da2g_path(BACKHAUL, QUEUE, branches)
         partial = (1.0 - 1e-6) * (1.0 - 1e-7)
         assert_allclose(out.eps_std_error, math.sqrt(2.0) * 1e-5 * partial, rtol=1e-12)
 
@@ -128,35 +126,26 @@ class TestDa2gPath:
         # [x, y, x]: radio eps = eps_x^2 eps_y, so d/d eps_x = 2 eps_x eps_y
         # and d/d eps_y = eps_x^2, each squared once
         x, y = _stats(1e-2, se=1e-3), _stats(3e-2, se=2e-3)
-        out = da2g_path(BACKHAUL, QUEUE, [x, y, x], LOOSE_QOS)
+        out = da2g_path(BACKHAUL, QUEUE, [x, y, x])
         radio_se = math.hypot(2 * 1e-2 * 3e-2 * 1e-3, 1e-2 ** 2 * 2e-3)
         partial = (1.0 - 1e-6) * (1.0 - 1e-7)
         assert_allclose(out.eps_std_error, radio_se * partial, rtol=1e-12)
 
-    def test_feasibility_flips(self):
-        good = da2g_path(BACKHAUL, QUEUE, [_stats(1e-7, 0.5e-3)], QOS)
-        assert good.feasible
-        bad_eps = da2g_path(BACKHAUL, QUEUE, [_stats(1e-3, 0.5e-3)], QOS)
-        assert not bad_eps.feasible
-        bad_delay = da2g_path(BackhaulSpec(delay_s=20e-3), QUEUE,
-                              [_stats(1e-7, 0.5e-3)], QOS)
-        assert not bad_delay.feasible
-
     def test_empty_branches_rejected(self):
         with pytest.raises(ValueError):
-            da2g_path(BACKHAUL, QUEUE, [], QOS)
+            da2g_path(BACKHAUL, QUEUE, [])
 
 
 class TestA2aPath:
     def test_chain_loss(self):
         out = a2a_path(BackhaulSpec(delay_s=1e-3, eps=1e-5), QUEUE,
-                       _stats(1e-3), QUEUE, _stats(1e-3), LOOSE_QOS)
+                       _stats(1e-3), QUEUE, _stats(1e-3))
         assert_allclose(out.eps_e2e, 0.0020091796081940180898, rtol=1e-9)
         assert out.label == "A2A"
 
     def test_breakdown_keys_and_sum(self):
         out = a2a_path(BACKHAUL, QUEUE, _stats(1e-3, 0.8e-3), QUEUE,
-                       _stats(2e-3, 0.7e-3), LOOSE_QOS)
+                       _stats(2e-3, 0.7e-3))
         assert set(out.delay_breakdown) == {
             "backhaul", "queue_gbs", "radio_g2a", "queue_relay", "radio_a2a"
         }
@@ -169,7 +158,7 @@ class TestHapPath:
     def test_propagation_terms(self):
         d_g2h = 20615.528128088302749
         out = hap_path(BACKHAUL, QUEUE, _stats(1e-4, 0.64e-3), d_g2h,
-                       QUEUE, _stats(1e-4, 0.64e-3), 19700.0, LOOSE_QOS)
+                       QUEUE, _stats(1e-4, 0.64e-3), 19700.0)
         assert_allclose(out.delay_breakdown["prop_g2h"],
                         6.8764269940254512171e-5, rtol=1e-12)
         assert_allclose(out.delay_breakdown["prop_h2a"],
@@ -181,7 +170,7 @@ class TestHapPath:
 
     def test_breakdown_sums_exactly(self):
         out = hap_path(BACKHAUL, QUEUE, _stats(1e-4, 0.64e-3), 20000.0,
-                       QUEUE, _stats(1e-4, 0.64e-3), 19700.0, LOOSE_QOS)
+                       QUEUE, _stats(1e-4, 0.64e-3), 19700.0)
         assert set(out.delay_breakdown) == {
             "backhaul", "queue_gs", "radio_g2h", "prop_g2h",
             "queue_hap", "radio_h2a", "prop_h2a",
@@ -191,14 +180,14 @@ class TestHapPath:
     def test_rejects_non_positive_distances(self):
         with pytest.raises(ValueError):
             hap_path(BACKHAUL, QUEUE, _stats(1e-4), 0.0,
-                     QUEUE, _stats(1e-4), 19700.0, QOS)
+                     QUEUE, _stats(1e-4), 19700.0)
         with pytest.raises(ValueError):
             hap_path(BACKHAUL, QUEUE, _stats(1e-4), 20000.0,
-                     QUEUE, _stats(1e-4), -1.0, QOS)
+                     QUEUE, _stats(1e-4), -1.0)
 
     def test_loss_never_below_backhaul_floor(self):
         out = hap_path(BACKHAUL, QUEUE, _stats(0.0, 0.64e-3), 20000.0,
-                       QUEUE, _stats(0.0, 0.64e-3), 19700.0, LOOSE_QOS)
+                       QUEUE, _stats(0.0, 0.64e-3), 19700.0)
         assert out.eps_e2e >= BACKHAUL.eps
 
 
@@ -208,13 +197,12 @@ class TestHapPath:
 
 class TestCombinePaths:
     def _path(self, label, eps, delay, se=0.0):
-        return PathOutcome(label, eps, delay, True,
-                           {"total": delay}, {label: eps}, se, 0.0)
+        return PathOutcome(label, eps, delay, {"total": delay}, {label: eps}, se, 0.0)
 
     def test_product_and_min_delay(self):
         a = self._path("DA2G", 2e-3, 2.1e-3)
         b = self._path("A2A-1", 2e-3, 3.4e-3)
-        out = combine_paths([a, b], LOOSE_QOS)
+        out = combine_paths([a, b])
         assert_allclose(out.eps_e2e, 4e-6, rtol=1e-12)
         assert out.d_e2e == 2.1e-3
         assert out.label == "DA2G + A2A-1"
@@ -223,32 +211,32 @@ class TestCombinePaths:
     def test_std_error_first_order(self):
         a = self._path("DA2G", 1e-3, 2e-3, se=1e-5)
         b = self._path("HAP", 2e-3, 3e-3, se=3e-5)
-        out = combine_paths([a, b], LOOSE_QOS)
+        out = combine_paths([a, b])
         expected = math.sqrt((1e-5 * 2e-3) ** 2 + (3e-5 * 1e-3) ** 2)
         assert_allclose(out.eps_std_error, expected, rtol=1e-12)
 
     def test_one_path_twice_is_one_estimate(self):
         a = self._path("DA2G", 1e-3, 2e-3, se=1e-5)
-        out = combine_paths([a, a], LOOSE_QOS)
+        out = combine_paths([a, a])
         assert_allclose(out.eps_std_error, 2 * 1e-3 * 1e-5, rtol=1e-12)
         twin = self._path("DA2G", 1e-3, 2e-3, se=1e-5)
-        apart = combine_paths([a, twin], LOOSE_QOS)
+        apart = combine_paths([a, twin])
         assert_allclose(apart.eps_std_error, math.sqrt(2.0) * 1e-3 * 1e-5, rtol=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            combine_paths([], QOS)
+            combine_paths([])
 
     @pytest.mark.parametrize("path", [
-        da2g_path(BACKHAUL, QUEUE, [_stats(2e-6, se=3e-7)], QOS),
-        da2g_path(BACKHAUL, QUEUE, [_stats(0.3, d_t=2e-3, se=1.7e-3)], QOS),
+        da2g_path(BACKHAUL, QUEUE, [_stats(2e-6, se=3e-7)]),
+        da2g_path(BACKHAUL, QUEUE, [_stats(0.3, d_t=2e-3, se=1.7e-3)]),
         hap_path(BACKHAUL, QUEUE, _stats(1e-4, se=2e-5), 2.1e4, QUEUE,
-                 _stats(3e-3, se=4e-4), 1.97e4, QOS),
+                 _stats(3e-3, se=4e-4), 1.97e4),
     ], ids=["feasible", "infeasible", "hap"])
     def test_single_path_is_the_path(self, path):
         # the region picks its "DA2G" cell from the direct path itself
-        out = combine_paths([path], QOS, label="DA2G")
-        for name in ("eps_e2e", "d_e2e", "eps_std_error", "d_std_error", "feasible"):
+        out = combine_paths([path], label="DA2G")
+        for name in ("eps_e2e", "d_e2e", "eps_std_error", "d_std_error"):
             assert getattr(out, name) == getattr(path, name), name
 
     @given(st.lists(st.floats(min_value=1e-6, max_value=0.5),
@@ -257,7 +245,7 @@ class TestCombinePaths:
     def test_product_law(self, losses):
         paths = [self._path(f"P{i}", eps, 1e-3 + i * 1e-4)
                  for i, eps in enumerate(losses)]
-        out = combine_paths(paths, LOOSE_QOS)
+        out = combine_paths(paths)
         assert_allclose(out.eps_e2e, math.prod(losses), rtol=1e-12)
         assert out.d_e2e == 1e-3
 
@@ -267,17 +255,16 @@ class TestCombinePaths:
 # ============================================================
 
 class TestEnumerate:
-    def _paths(self, n_a2a, with_hap=True):
-        da2g = PathOutcome("DA2G", 1e-3, 2e-3, False, {"t": 2e-3}, {})
-        a2a = [PathOutcome(f"A2A-{m}", 2e-3, 3e-3, False, {"t": 3e-3}, {})
+    def _paths(self, n_a2a):
+        da2g = PathOutcome("DA2G", 1e-3, 2e-3, {"t": 2e-3}, {})
+        a2a = [PathOutcome(f"A2A-{m}", 2e-3, 3e-3, {"t": 3e-3}, {})
                for m in range(1, n_a2a + 1)]
-        hap = (PathOutcome("HAP", 5e-4, 4e-3, False, {"t": 4e-3}, {})
-               if with_hap else None)
+        hap = PathOutcome("HAP", 5e-4, 4e-3, {"t": 4e-3}, {})
         return da2g, a2a, hap
 
     def test_canonical_labels(self):
         da2g, a2a, hap = self._paths(3)
-        combos = enumerate_combinations(da2g, a2a, hap, LOOSE_QOS)
+        combos = enumerate_combinations(da2g, a2a, hap)
         assert [c.label for c in combos] == [
             "DA2G",
             "DA2G + 1-A2A",
@@ -290,36 +277,20 @@ class TestEnumerate:
         ]
         assert tuple(c.label for c in combos) == CANONICAL_COMBINATIONS
 
-    def test_no_hap_gives_four(self):
-        da2g, a2a, _ = self._paths(3, with_hap=False)
-        combos = enumerate_combinations(da2g, a2a, None, LOOSE_QOS)
-        assert [c.label for c in combos] == [
-            "DA2G", "DA2G + 1-A2A", "DA2G + 2-A2A", "DA2G + 3-A2A"
-        ]
-
     def test_extra_relays_capped_at_three(self):
         da2g, a2a, hap = self._paths(5)
-        combos = enumerate_combinations(da2g, a2a, hap, LOOSE_QOS)
+        combos = enumerate_combinations(da2g, a2a, hap)
         assert len(combos) == 8
         assert combos[3].label == "DA2G + 3-A2A"
 
     def test_losses_multiply_down_the_ladder(self):
         da2g, a2a, hap = self._paths(3)
-        combos = enumerate_combinations(da2g, a2a, hap, LOOSE_QOS)
+        combos = enumerate_combinations(da2g, a2a, hap)
         by_label = {c.label: c for c in combos}
         assert_allclose(by_label["DA2G + 2-A2A"].eps_e2e,
                         1e-3 * 2e-3 * 2e-3, rtol=1e-12)
         assert_allclose(by_label["DA2G + 3-A2A + HAP"].eps_e2e,
                         1e-3 * (2e-3) ** 3 * 5e-4, rtol=1e-12)
-
-    def test_min_feasible(self):
-        da2g, a2a, hap = self._paths(3)
-        combos = enumerate_combinations(da2g, a2a, hap, QosTarget(1e-8, 1.0))
-        assert min_feasible_combination(combos) == "DA2G + 2-A2A"
-        strict = enumerate_combinations(da2g, a2a, hap, QosTarget(1e-14, 1.0))
-        assert min_feasible_combination(strict) == "DA2G + 3-A2A + HAP"
-        hopeless = enumerate_combinations(da2g, a2a, hap, QosTarget(1e-15, 1e-6))
-        assert min_feasible_combination(hopeless) == "none"
 
 
 # ============================================================

@@ -17,7 +17,6 @@ from scipy.optimize import brentq
 
 from avlinksim import link
 from avlinksim.link import (
-    NO_INTERFERENCE,
     ChannelSpec,
     Interferer,
     InterfererSet,
@@ -75,8 +74,9 @@ class TestContainers:
             InterfererSet(p_interf=0.5, mode="sometimes")
 
     def test_no_interference_constant(self):
-        assert NO_INTERFERENCE.members == ()
-        assert NO_INTERFERENCE.p_interf == 0.0
+        # the default set is the interference-free link
+        assert InterfererSet().members == ()
+        assert InterfererSet().p_interf == 0.0
 
 
 # ============================================================
@@ -111,7 +111,7 @@ class TestSinrSample:
     def test_deterministic_unit_snr(self):
         desired, radio = _unit_gamma_setup()
         rng = RngStream(1).generator()
-        gamma = sinr_sample(desired, NO_INTERFERENCE, radio, rng, size=64)
+        gamma = sinr_sample(desired, InterfererSet(), radio, rng, size=64)
         assert_allclose(gamma, 1.0, rtol=1e-12)
 
     def test_expected_mode_scales_interference(self):
@@ -172,7 +172,7 @@ class TestSinrSample:
             ChannelSpec(pl_db=95.0, tx_gain=1.0, rx_gain=1.0, k_db=8.0), 1.0
         )
         iset = InterfererSet((interferer,), p_interf=0.1, mode="expected")
-        clean = sinr_sample(desired, NO_INTERFERENCE, radio, RngStream(6).generator(), size=4096)
+        clean = sinr_sample(desired, InterfererSet(), radio, RngStream(6).generator(), size=4096)
         dirty = sinr_sample(desired, iset, radio, RngStream(6).generator(), size=4096)
         assert np.all(dirty <= clean + 1e-18)
 
@@ -182,8 +182,8 @@ class TestSinrSample:
         shadowed = ChannelSpec(
             pl_db=90.0, tx_gain=1.0, rx_gain=1.0, k_db=np.inf, sf_sigma_db=4.0
         )
-        a = sinr_sample(plain, NO_INTERFERENCE, radio, RngStream(7).generator(), size=20_000)
-        b = sinr_sample(shadowed, NO_INTERFERENCE, radio, RngStream(7).generator(), size=20_000)
+        a = sinr_sample(plain, InterfererSet(), radio, RngStream(7).generator(), size=20_000)
+        b = sinr_sample(shadowed, InterfererSet(), radio, RngStream(7).generator(), size=20_000)
         assert float(np.std(np.log10(a))) < 1e-12
         assert float(np.std(10.0 * np.log10(b))) == pytest.approx(4.0, rel=0.05)
 
@@ -344,7 +344,7 @@ def _batches(desired, radio, n_samples, stream, batch_size=1 << 15):
     """SINR draws in fixed batches, one child stream per batch index."""
     for ix, done in enumerate(range(0, n_samples, batch_size)):
         m = min(batch_size, n_samples - done)
-        yield sinr_sample(desired, NO_INTERFERENCE, radio, stream.child(ix).generator(), size=m)
+        yield sinr_sample(desired, InterfererSet(), radio, stream.child(ix).generator(), size=m)
 
 
 def _reference(gamma, bandwidth_hz, packet_bits, rate_bps):
@@ -368,7 +368,7 @@ def _assert_matches_reference(stats, gamma, bandwidth_hz, packet_bits, rates):
 
 def _rician_draws(n, seed=12):
     desired = ChannelSpec(pl_db=135.0, tx_gain=1.0, rx_gain=1.0, k_db=6.0)
-    return sinr_sample(desired, NO_INTERFERENCE, _radio(), RngStream(seed).generator(), size=n)
+    return sinr_sample(desired, InterfererSet(), _radio(), RngStream(seed).generator(), size=n)
 
 
 class TestAvgDecodingError:

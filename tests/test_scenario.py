@@ -3,6 +3,7 @@ and the operating-region search."""
 
 import concurrent.futures
 import dataclasses
+import math
 import sys
 import textwrap
 import threading
@@ -210,6 +211,25 @@ class TestLoadConfig:
             cfg.queue(node)
         topo = instantiate(cfg, RngStream(cfg.master_seed))
         assert len(topo.sites) == 3 * cfg.grid_tiers * (cfg.grid_tiers + 1) + 1
+
+    @pytest.mark.parametrize("key, value, build", [
+        ("q3_m", math.nan, ScenarioConfig.environment),
+        ("clutter_loss_db", (math.nan,) * 9, ScenarioConfig.environment),
+        ("isd_m", math.nan, ScenarioConfig.grid),
+        ("arrival_rate_gbs_pps", math.nan, lambda c: c.queue("gbs")),
+        ("queue_delay_bound_ms", math.nan, lambda c: c.queue("gbs")),
+        ("backhaul_delay_ms", math.nan, ScenarioConfig.backhaul),
+        ("delay_threshold_ms", math.nan, ScenarioConfig.qos),
+        ("bandwidth_gh_hz", math.nan, lambda c: instantiate(c, RngStream(1))),
+        ("tx_power_gs_dbm", math.nan, lambda c: instantiate(c, RngStream(1))),
+        ("noise_density_dbm_hz", math.nan, lambda c: instantiate(c, RngStream(1))),
+    ])
+    def test_nan_fails_the_rule_and_the_model(self, key, value, build):
+        # NaN compares False, so every check must be written to fail on it
+        with pytest.raises(ConfigError):
+            scenario._validate_field(key, value)
+        with pytest.raises(ValueError):
+            build(dataclasses.replace(ScenarioConfig(), **{key: value}))
 
     @pytest.mark.parametrize("key", ["sf_sigma_los_db", "sf_sigma_nlos_db"])
     def test_shadow_sigma_above_100_db_rejected(self, tmp_path, key):
@@ -492,9 +512,8 @@ class TestRelayShortage:
         rows = scenario._topology_rows(topology, stats, config)
         for platform in ("", " + HAP"):
             two, three = rows[f"DA2G + 2-A2A{platform}"], rows[f"DA2G + 3-A2A{platform}"]
-            assert (three.eps_e2e, three.d_e2e, three.feasible, three.eps_std_error,
-                    three.d_std_error) == (two.eps_e2e, two.d_e2e, two.feasible,
-                                           two.eps_std_error, two.d_std_error)
+            assert (three.eps_e2e, three.d_e2e, three.eps_std_error, three.d_std_error) \
+                == (two.eps_e2e, two.d_e2e, two.eps_std_error, two.d_std_error)
 
 
 class TestQueueGates:
@@ -534,20 +553,44 @@ class TestQueueGates:
         # averages (7.55e-6, 6.5 ms) meet both thresholds
         label = "DA2G + HAP"
         outcomes = [
-            {label: e2e.PathOutcome(label, 1.5e-5, 1e-3, False)},
-            {label: e2e.PathOutcome(label, 1e-7, 12e-3, False)},
+            {label: e2e.PathOutcome(label, 1.5e-5, 1e-3)},
+            {label: e2e.PathOutcome(label, 1e-7, 12e-3)},
         ]
         qos = FAST.qos()
         gates = {"gbs": True, "av": True, "gs": True, "hap": False}
-        assert not scenario._mean_outcomes(outcomes, qos, gates)[label].feasible
+        assert not scenario._mean_outcomes(outcomes, 100e3, qos, gates)[label].feasible
         open_gates = dict.fromkeys(gates, True)
-        assert scenario._mean_outcomes(outcomes, qos, open_gates)[label].feasible
+        assert scenario._mean_outcomes(outcomes, 100e3, qos, open_gates)[label].feasible
 
     def test_platform_path_does_not_cross_base_station(self):
         gates = {"gbs": False, "av": True, "gs": True, "hap": True}
         assert scenario._label_gate("HAP", gates)
         assert not scenario._label_gate("DA2G + HAP", gates)
         assert not scenario._label_gate("A2A", gates)
+
+
+class TestFeasibilityDecision:
+    def test_cell_is_the_first_feasible_canonical_row(self):
+        # the region reads the same averaged rows as the sweep: each cell
+        # takes the first canonical label whose row is feasible, or "none"
+        cfg = dataclasses.replace(FAST, region_r_edges_m=(60.0, 140.0, 220.0),
+                                  region_rates_kbps=(100.0, 400.0, 800.0, 1500.0))
+        rates = [rate_kbps * 1e3 for rate_kbps in cfg.region_rates_kbps]
+        groups = [((scenario._NS_REGION_TOPO, col), (scenario._NS_REGION_SAMP, col), centre)
+                  for col, centre in enumerate((100.0, 180.0))]
+        expected = [
+            next((label for label in CANONICAL_COMBINATIONS
+                  if label in rows and rows[label].feasible), "none")
+            for per_rate in scenario._group_means(cfg, groups, cfg.region_topologies, rates, 1)
+            for rows in per_rate
+        ]
+        assert [cell.label for cell in run_operating_region(cfg).cells] == expected
+        assert {"DA2G", "DA2G + 1-A2A", "DA2G + HAP", "none"} <= set(expected)
+
+    def test_delay_budget_below_the_backhaul_admits_nothing(self):
+        cfg = dataclasses.replace(FAST, delay_threshold_ms=0.5)   # backhaul 1 ms
+        assert all(cell.label == "none" for cell in run_operating_region(cfg).cells)
+        assert not any(row.feasible for row in run_rate_sweep(cfg).rows)
 
 
 # ============================================================
@@ -575,14 +618,6 @@ class TestOperatingRegion:
         result = run_operating_region(FAST)
         assert result.label_at(0, 0) == "DA2G"
 
-    def test_canonical_index(self):
-        result = run_operating_region(FAST)
-        assert result.canonical_index("DA2G") == 0
-        assert result.canonical_index("DA2G + 3-A2A + HAP") == 7
-        assert result.canonical_index("none") == len(CANONICAL_COMBINATIONS)
-        with pytest.raises(ValueError):
-            result.canonical_index("never-heard-of-it")
-
     def test_deterministic_and_thread_invariant(self):
         cfg = dataclasses.replace(FAST, region_r_edges_m=(100.0, 150.0, 200.0))
         a = run_operating_region(cfg, threads=1)
@@ -596,8 +631,9 @@ class TestOperatingRegion:
             FAST, region_rates_kbps=(50.0, 100.0, 200.0, 400.0)
         )
         result = run_operating_region(cfg)
+        order = CANONICAL_COMBINATIONS + ("none",)
         indices = [
-            result.canonical_index(result.label_at(0, k))
+            order.index(result.label_at(0, k))
             for k in range(len(cfg.region_rates_kbps))
         ]
         assert indices == sorted(indices)
