@@ -181,6 +181,10 @@ class UlaSpec:
     def __post_init__(self):
         if self.n_elements < 1:
             raise ValueError("n_elements must be at least 1")
+        if not math.isfinite(self.downtilt_deg):
+            raise ValueError("downtilt_deg must be finite")
+        if not math.isfinite(self.element_gain_max_dbi):
+            raise ValueError("element_gain_max_dbi must be finite")
 
 
 @dataclass(frozen=True)
@@ -189,6 +193,12 @@ class ReflectorSpec:
 
     max_gain_dbi: float = 32.0
     aperture_radius_wavelengths: float = 10.0
+
+    def __post_init__(self):
+        if not math.isfinite(self.max_gain_dbi):
+            raise ValueError("max_gain_dbi must be finite")
+        if not 0.0 < self.aperture_radius_wavelengths < math.inf:
+            raise ValueError("aperture_radius_wavelengths must be finite and positive")
 
 
 def ula_element_gain(zenith_deg, spec: UlaSpec):

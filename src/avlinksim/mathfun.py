@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -256,6 +255,7 @@ def gaussian_q_inv(p):
     p_arr = np.asarray(p, dtype=float)
     if not np.all((p_arr > 0.0) & (p_arr < 1.0)):
         raise ValueError("gaussian_q_inv requires 0 < p < 1")
+    from statistics import NormalDist     # here, so a sweep or region never loads it
     inv_cdf = NormalDist().inv_cdf
     x = np.array([-inv_cdf(v) for v in p_arr.ravel().tolist()]).reshape(p_arr.shape)
     return float(x) if np.isscalar(p) else x

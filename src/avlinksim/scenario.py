@@ -14,13 +14,14 @@ link, batch) -> stream, so results are identical for any worker count.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -604,6 +605,23 @@ def _link_stats(setup: LinkSetup, config: ScenarioConfig, stream: RngStream,
     )
 
 
+class _Outcome(NamedTuple):
+    """The floats of one topology's PathOutcome that _mean_outcomes reads."""
+    eps_e2e: float
+    eps_std_error: float
+    d_e2e: float
+    d_std_error: float
+
+
+def _topology_outcomes(topology: Topology, links: dict, config: ScenarioConfig) -> list:
+    """Per rate, {label: _Outcome} of one topology, from its {link name:
+    LinkStats per rate}: what the group average needs of it, without the
+    topology, its link stats or the paths' chain terms."""
+    return [{label: _Outcome(o.eps_e2e, o.eps_std_error, o.d_e2e, o.d_std_error)
+             for label, o in _topology_rows(topology, dict(zip(links, at_rate)), config).items()}
+            for at_rate in zip(*links.values())]
+
+
 def _mean_outcomes(per_topology: list, rate_bps: float, qos: e2e.QosTarget,
                    gates: dict) -> dict:
     """{label: SweepRow} at one rate, averaged across topologies. This is
@@ -632,29 +650,40 @@ def _group_means(config: ScenarioConfig, groups, n_topo: int, rates_bps,
     instantiate(config, root.child(*topology key, t), r_ga_m) and draws from
     root.child(*sample key, t), where root is the master seed's stream.
     Every link of every topology is one work item, and link i of a topology
-    draws from its sample stream's child(i). Results are collected in
-    submission order, so the worker count changes no number. Each group's
-    path outcomes are built and averaged one rate at a time, so at most
-    n_topo row tables are alive at once.
+    draws from its sample stream's child(i). Topologies are instantiated on
+    the calling thread in that fixed order, as their items are submitted,
+    and results are collected in submission order, so the worker count
+    changes no number. Once a topology's links are in it is reduced to its
+    _Outcome floats and dropped, so a run holds the topologies of the map's
+    window and the current group's floats, however many groups and
+    topologies there are.
     """
     root = RngStream(config.master_seed)
-    members = [[(instantiate(config, root.child(*topo_key, t), r_ga_m=r_ga_m),
-                 root.child(*samp_key, t)) for t in range(n_topo)]
-               for topo_key, samp_key, r_ga_m in groups]
     buffers = threading.local()
-    work = [(setup, config, stream.child(link_ix), rates_bps, buffers)
-            for group in members for topology, stream in group
-            for link_ix, setup in enumerate(topology.links.values())]
-    stats = iter(_parallel_map(_link_stats, work, threads))
+    pending = collections.deque()       # instantiated, results not yet collected
+
+    def items():
+        for topo_key, samp_key, r_ga_m in groups:
+            for t in range(n_topo):
+                pending.append(instantiate(config, root.child(*topo_key, t), r_ga_m=r_ga_m))
+                stream = root.child(*samp_key, t)
+                for link_ix, setup in enumerate(pending[-1].links.values()):
+                    yield setup, config, stream.child(link_ix), rates_bps, buffers
+
+    def by_topology():
+        stats = _parallel_map(_link_stats, items(), threads)
+        for first in stats:
+            topology = pending.popleft()    # the map took it with its first link
+            yield topology, dict(zip(topology.links, itertools.chain([first], stats)))
+
+    topologies = by_topology()
     qos, gates = config.qos(), _queue_gates(config)
     means = []
-    for group in members:
-        per_link = [(topology, {name: next(stats) for name in topology.links})
-                    for topology, _ in group]
-        means.append([_mean_outcomes(
-            [_topology_rows(topology, {name: s[rate_ix] for name, s in links.items()}, config)
-             for topology, links in per_link], rate, qos, gates)
-            for rate_ix, rate in enumerate(rates_bps)])
+    for _ in groups:
+        per_topology = [_topology_outcomes(topology, links, config)
+                        for topology, links in itertools.islice(topologies, n_topo)]
+        means.append([_mean_outcomes([topo[rate_ix] for topo in per_topology], rate, qos, gates)
+                      for rate_ix, rate in enumerate(rates_bps)])
     return means
 
 
@@ -758,19 +787,36 @@ def run_operating_region(config: ScenarioConfig, threads: int = 1) -> RegionResu
     )
 
 
-def _parallel_map(fn, arg_tuples, threads: int) -> list:
-    """Map on worker threads, at most one per item; collected in submission
-    order so the result never depends on the worker count. The hot numpy
-    loops release the GIL. On a failure the items not yet started are
-    cancelled."""
-    workers = min(threads, len(arg_tuples))
-    if workers <= 1:
-        return [fn(*args) for args in arg_tuples]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, *args) for args in arg_tuples]
+# items in the pool per worker thread: enough that a worker finds one
+# queued while the oldest, perhaps the slowest, still runs (on a 2-core
+# host, 2 per worker made a 2-thread region-coarse run ~9% slower than
+# queueing every item; 4 and 8 matched it)
+_WINDOW_PER_WORKER = 4
+
+
+def _parallel_map(fn, arg_tuples, threads: int):
+    """Lazy map on up to threads worker threads, no more than there are
+    items, yielding results in submission order so they never depend on the
+    worker count. The hot numpy loops release the GIL. Items are taken from
+    arg_tuples on the calling thread as the pool has room, at most
+    _WINDOW_PER_WORKER per worker at a time, with no barrier between any of
+    them. On a failure the items not yet started are cancelled."""
+    items = iter(arg_tuples)
+    head = list(itertools.islice(items, threads)) if threads > 1 else []
+    if len(head) <= 1:
+        yield from (fn(*args) for args in itertools.chain(head, items))
+        return
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=len(head)) as pool:
+        window = collections.deque()
         try:
-            return [f.result() for f in futures]
+            for args in itertools.chain(head, items):
+                window.append(pool.submit(fn, *args))
+                if len(window) == _WINDOW_PER_WORKER * len(head):
+                    yield window.popleft().result()
+            while window:
+                yield window.popleft().result()
         except BaseException:
-            for f in futures:
+            for f in window:
                 f.cancel()
             raise

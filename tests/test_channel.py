@@ -256,6 +256,12 @@ class TestUla:
     def test_element_peak_at_horizontal(self):
         assert_allclose(ula_element_gain(90.0, self.SPEC), 10.0 ** 0.8, rtol=1e-13)
 
+    def test_validation(self):
+        # a NaN downtilt made ula_gain NaN at every angle
+        for args in ((8, math.nan), (8, math.inf), (8, 102.0, math.nan)):
+            with pytest.raises(ValueError, match="must be finite"):
+                UlaSpec(*args)
+
     def test_total_is_product(self):
         for phi in (30.0, 75.0, 102.0, 140.0):
             assert_allclose(
@@ -291,6 +297,15 @@ class TestHapBeam:
     def test_sidelobe_below_peak(self):
         for theta in (1.0, 2.0, 5.0, 10.0, 45.0):
             assert hap_gain(theta, self.SPEC) < hap_gain(0.0, self.SPEC)
+
+    def test_validation(self):
+        # a zero aperture gave the full on-axis gain at every offset
+        for aperture in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="aperture_radius_wavelengths"):
+                ReflectorSpec(32.0, aperture)
+        for gain in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="max_gain_dbi"):
+                ReflectorSpec(gain, 10.0)
 
     def test_main_lobe_monotone(self):
         thetas = np.linspace(0.0, 3.4, 35)

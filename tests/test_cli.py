@@ -48,15 +48,26 @@ def fast_config(tmp_path):
 # ============================================================
 
 class TestTopLevel:
-    def test_import_leaves_scipy_out(self):
-        # the runtime needs numpy, click and PyYAML only
+    def test_import_leaves_scipy_out(self, fast_config, tmp_path):
+        # the runtime needs numpy, click and PyYAML only, and a 1-worker sweep
+        # or region never needs the thread pool or the inverse of Q
+        modules = ("scipy", "concurrent.futures", "statistics")
         src = str(pathlib.Path(avlinksim.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        code = "import sys, avlinksim.cli; print('scipy' in sys.modules)"
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=120, check=True)
-        assert done.stdout.strip() == "False"
+        code = textwrap.dedent("""\
+            import sys
+            from avlinksim import cli
+            config, out, *modules = sys.argv[1:]
+            for command in ("sweep", "region"):
+                cli.main([command, "--config", config, "--out", out, "--quiet"],
+                         standalone_mode=False)
+            print([m for m in modules if m in sys.modules])
+        """)
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(fast_config), str(tmp_path / "out.csv"), *modules],
+            env=env, capture_output=True, text=True, timeout=120, check=True)
+        assert done.stdout.strip() == "[]"
 
     def test_version(self, runner):
         res = runner.invoke(main, ["--version"])

@@ -645,10 +645,13 @@ class TestOperatingRegion:
 
 class _RecordingPool:
     """Stands in for ThreadPoolExecutor: runs each job in the calling thread
-    and records the requested worker count and the submitted jobs."""
+    and records the requested worker count, the submitted jobs, how many
+    of their results were read, and how many were unread at each submit."""
 
     requested = []
     submitted = []
+    collected = 0
+    in_flight = []
 
     def __init__(self, max_workers):
         self.requested.append(max_workers)
@@ -661,31 +664,41 @@ class _RecordingPool:
 
     def submit(self, fn, *args):
         self.submitted.append(args)
-        done = concurrent.futures.Future()
+        self.in_flight.append(len(self.submitted) - _RecordingPool.collected)
+        done = _CountedResult()
         done.set_result(fn(*args))
         return done
 
 
+class _CountedResult(concurrent.futures.Future):
+    def result(self, timeout=None):
+        _RecordingPool.collected += 1
+        return super().result(timeout)
+
+
 @pytest.fixture
 def pool(monkeypatch):
-    monkeypatch.setattr(scenario, "ThreadPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RecordingPool)
     _RecordingPool.requested = []
     _RecordingPool.submitted = []
+    _RecordingPool.collected = 0
+    _RecordingPool.in_flight = []
     return _RecordingPool
 
 
 class TestParallelMap:
     def test_workers_clamped_to_work_items(self, pool):
-        out = scenario._parallel_map(pow, [(2, 1), (2, 2), (2, 3)], 256)
+        out = list(scenario._parallel_map(pow, [(2, 1), (2, 2), (2, 3)], 256))
         assert out == [2, 4, 8]
         assert pool.requested == [3]
 
     def test_fewer_threads_than_items_kept(self, pool):
-        assert scenario._parallel_map(pow, [(3, k) for k in range(5)], 2) == [1, 3, 9, 27, 81]
+        assert list(scenario._parallel_map(pow, [(3, k) for k in range(5)], 2)) \
+            == [1, 3, 9, 27, 81]
         assert pool.requested == [2]
 
     def test_single_item_runs_in_process(self, pool):
-        assert scenario._parallel_map(pow, [(5, 2)], 64) == [25]
+        assert list(scenario._parallel_map(pow, [(5, 2)], 64)) == [25]
         assert pool.requested == []
 
     def test_failure_cancels_items_not_started(self):
@@ -706,7 +719,7 @@ class TestParallelMap:
         timer.start()
         try:
             with pytest.raises(RuntimeError, match="item 0 failed"):
-                scenario._parallel_map(job, [(k,) for k in range(8)], 2)
+                list(scenario._parallel_map(job, [(k,) for k in range(8)], 2))
         finally:
             timer.cancel()
             release.set()
@@ -754,3 +767,53 @@ class TestWorkItems:
         n_links = 3 + 2 * config.a2a_relay_count
         assert len(pool.submitted) == 2 * config.region_topologies * n_links
         assert result == run_operating_region(config, threads=1)
+
+
+class TestStreaming:
+    """Topologies are instantiated as their links are submitted, and reduced
+    to floats as their results come in, so what a run holds follows the
+    work in flight, not the grid."""
+
+    # six columns of two relays each: every topology has 3 + 2 * 2 links
+    GRID = dataclasses.replace(FAST, region_r_edges_m=tuple(float(r) for r in range(0, 121, 20)))
+    N_LINKS = 7
+
+    def test_window_bounds_items_and_topologies_in_flight(self, pool, monkeypatch):
+        config = dataclasses.replace(self.GRID, region_topologies=4)
+        expected = run_operating_region(config, threads=1)
+        window = scenario._WINDOW_PER_WORKER * 2
+        ahead = []
+        make = scenario.instantiate
+
+        def instantiate(*args, **kwargs):
+            # topologies made, this one included, less those whose every
+            # result has been read
+            ahead.append(len(ahead) + 1 - pool.collected // self.N_LINKS)
+            return make(*args, **kwargs)
+
+        monkeypatch.setattr(scenario, "instantiate", instantiate)
+        assert run_operating_region(config, threads=2) == expected
+        assert len(pool.submitted) == 6 * 4 * self.N_LINKS == pool.collected
+        assert max(pool.in_flight) == window
+        assert len(ahead) == 6 * 4
+        assert max(ahead) <= 1 + -(-window // self.N_LINKS)
+
+    @staticmethod
+    def _traced_peak(config):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_operating_region(config)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_grows_by_one_columns_floats_per_topology(self):
+        # each extra topology leaves its floats (2 rates x 8 labels, about
+        # 10 kB) while its column lasts; holding the topologies of all six
+        # columns until the run ends grew the peak by about 200 kB each
+        config = dataclasses.replace(self.GRID, n_samples=200, mc_batch_size=200)
+        self._traced_peak(config)           # lazy imports and caches
+        small = self._traced_peak(dataclasses.replace(config, region_topologies=2))
+        large = self._traced_peak(dataclasses.replace(config, region_topologies=8))
+        assert large - small < 6 * 16_000
