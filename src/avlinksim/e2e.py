@@ -95,6 +95,15 @@ def chain_loss(terms) -> float:
     return -math.expm1(acc)
 
 
+def _total(values) -> float:
+    """Left-to-right float sum: the order of Python 3.11's sum(), which
+    Python 3.12 compensates, so a total is the same on every version."""
+    acc = 0.0
+    for value in values:
+        acc += value
+    return acc
+
+
 def _product_stderr(factors) -> float:
     """First-order standard error of prod(value) over (estimate, value, se)
     factors: d prod / d value_i = prod_{j != i} value_j.
@@ -112,7 +121,7 @@ def _product_stderr(factors) -> float:
                 math.prod(values[:i] + values[i + 1:]))
     var = 0.0
     for se, copies in partials.values():
-        var += (se * sum(copies)) ** 2
+        var += (se * _total(copies)) ** 2
     return math.sqrt(var)
 
 
@@ -143,11 +152,11 @@ def _chain(label, hops) -> PathOutcome:
     breakdown = {name: delay for name, delay, *_ in hops}
     terms = {name: loss for name, _, loss, _, _ in hops if loss is not None}
     survivals = [(name, 1.0 - loss, se) for name, _, loss, se, _ in hops if loss is not None]
-    d_var = sum(var for *_, var in hops)
+    d_var = _total(var for *_, var in hops)
     return PathOutcome(
         label=label,
         eps_e2e=chain_loss(terms.values()),
-        d_e2e=sum(breakdown.values()),
+        d_e2e=_total(breakdown.values()),
         delay_breakdown=breakdown,
         error_terms=terms,
         eps_std_error=_product_stderr(survivals),

@@ -575,13 +575,10 @@ def _topology_rows(topology: Topology, stats: dict, config: ScenarioConfig) -> d
         backhaul, config.queue("gs"), stats["g2h"], topology.d_g2h_m,
         config.queue("hap"), stats["h2a"], topology.d_h2a_m,
     )
-    rows = {"DA2G": da2g}
-    if a2a_paths:
-        rows["A2A"] = a2a_paths[0]
-    rows["HAP"] = hap
+    rows = {"DA2G": da2g, "A2A": a2a_paths[0], "HAP": hap}
+    # the first combination is DA2G alone
     rows.update((combo.label, combo)
-                for combo in e2e.enumerate_combinations(da2g, a2a_paths, hap)
-                if combo.label != "DA2G")
+                for combo in e2e.enumerate_combinations(da2g, a2a_paths, hap)[1:])
     return rows
 
 
@@ -605,38 +602,31 @@ def _link_stats(setup: LinkSetup, config: ScenarioConfig, stream: RngStream,
     )
 
 
-class _Outcome(NamedTuple):
-    """The floats of one topology's PathOutcome that _mean_outcomes reads."""
-    eps_e2e: float
-    eps_std_error: float
-    d_e2e: float
-    d_std_error: float
+def _add_rows(sums: dict, rows: dict) -> None:
+    """Add one topology's {label: PathOutcome} at one rate into that rate's
+    running sums, {label: [ε, ε SE², delay, finite delay SE², whether any
+    delay SE was finite]}. Topologies are added in order, one float
+    addition each, so the sums do not depend on the Python version."""
+    for label, o in rows.items():
+        s = sums.setdefault(label, [0.0, 0.0, 0.0, 0.0, False])
+        s[0] += o.eps_e2e
+        s[1] += o.eps_std_error ** 2
+        s[2] += o.d_e2e
+        if math.isfinite(o.d_std_error):
+            s[3] += o.d_std_error ** 2
+            s[4] = True
 
 
-def _topology_outcomes(topology: Topology, links: dict, config: ScenarioConfig) -> list:
-    """Per rate, {label: _Outcome} of one topology, from its {link name:
-    LinkStats per rate}: what the group average needs of it, without the
-    topology, its link stats or the paths' chain terms."""
-    return [{label: _Outcome(o.eps_e2e, o.eps_std_error, o.d_e2e, o.d_std_error)
-             for label, o in _topology_rows(topology, dict(zip(links, at_rate)), config).items()}
-            for at_rate in zip(*links.values())]
-
-
-def _mean_outcomes(per_topology: list, rate_bps: float, qos: e2e.QosTarget,
+def _mean_outcomes(sums: dict, t: int, rate_bps: float, qos: e2e.QosTarget,
                    gates: dict) -> dict:
-    """{label: SweepRow} at one rate, averaged across topologies. This is
-    the one feasibility decision: the averages must meet the target and the
-    label's queue gate must pass."""
+    """{label: SweepRow} at one rate, from the running sums (_add_rows) of
+    t topologies. This is the one feasibility decision: the averages must
+    meet the target and the label's queue gate must pass."""
     merged = {}
-    t = len(per_topology)
-    for label in per_topology[0]:
-        outs = [topo[label] for topo in per_topology]
-        eps = sum(o.eps_e2e for o in outs) / t
-        delay = sum(o.d_e2e for o in outs) / t
-        eps_se = math.sqrt(sum(o.eps_std_error ** 2 for o in outs)) / t
-        finite = [o.d_std_error for o in outs if math.isfinite(o.d_std_error)]
-        delay_se = (math.sqrt(sum(s ** 2 for s in finite)) / t) if finite else math.inf
-        merged[label] = SweepRow(rate_bps, label, eps, eps_se, delay, delay_se,
+    for label, (eps, eps_var, delay, delay_var, finite) in sums.items():
+        eps, delay = eps / t, delay / t
+        delay_se = math.sqrt(delay_var) / t if finite else math.inf
+        merged[label] = SweepRow(rate_bps, label, eps, math.sqrt(eps_var) / t, delay, delay_se,
                                  qos.admits(eps, delay) and _label_gate(label, gates))
     return merged
 
@@ -653,10 +643,10 @@ def _group_means(config: ScenarioConfig, groups, n_topo: int, rates_bps,
     draws from its sample stream's child(i). Topologies are instantiated on
     the calling thread in that fixed order, as their items are submitted,
     and results are collected in submission order, so the worker count
-    changes no number. Once a topology's links are in it is reduced to its
-    _Outcome floats and dropped, so a run holds the topologies of the map's
-    window and the current group's floats, however many groups and
-    topologies there are.
+    changes no number. Once a topology's links are in, its rows at every
+    rate are added into the group's running sums (_add_rows) and it is
+    dropped, so a run holds the topologies of the map's window and one
+    group's sums, however many groups and topologies there are.
     """
     root = RngStream(config.master_seed)
     buffers = threading.local()
@@ -670,20 +660,18 @@ def _group_means(config: ScenarioConfig, groups, n_topo: int, rates_bps,
                 for link_ix, setup in enumerate(pending[-1].links.values()):
                     yield setup, config, stream.child(link_ix), rates_bps, buffers
 
-    def by_topology():
-        stats = _parallel_map(_link_stats, items(), threads)
-        for first in stats:
-            topology = pending.popleft()    # the map took it with its first link
-            yield topology, dict(zip(topology.links, itertools.chain([first], stats)))
-
-    topologies = by_topology()
+    stats = _parallel_map(_link_stats, items(), threads)
     qos, gates = config.qos(), _queue_gates(config)
     means = []
     for _ in groups:
-        per_topology = [_topology_outcomes(topology, links, config)
-                        for topology, links in itertools.islice(topologies, n_topo)]
-        means.append([_mean_outcomes([topo[rate_ix] for topo in per_topology], rate, qos, gates)
-                      for rate_ix, rate in enumerate(rates_bps)])
+        sums = [{} for _ in rates_bps]
+        for first in itertools.islice(stats, n_topo):     # each topology's first link
+            topology = pending.popleft()    # the map took it with its first link
+            links = dict(zip(topology.links, itertools.chain([first], stats)))
+            for rate_sums, at_rate in zip(sums, zip(*links.values())):
+                _add_rows(rate_sums, _topology_rows(topology, dict(zip(links, at_rate)), config))
+        means.append([_mean_outcomes(rate_sums, n_topo, rate, qos, gates)
+                      for rate_sums, rate in zip(sums, rates_bps)])
     return means
 
 
@@ -727,7 +715,7 @@ def run_rate_sweep(config: ScenarioConfig, threads: int = 1) -> SweepResult:
     }
     return SweepResult(
         rows=rows,
-        labels=tuple(per_rate[0]) if per_rate else (),
+        labels=tuple(per_rate[0]),
         rates_bps=tuple(rates),
         seed=config.master_seed,
         config_digest=config_hash(config),

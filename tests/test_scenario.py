@@ -1,6 +1,7 @@
 """Tests for configuration loading, topology instantiation, the rate sweep,
 and the operating-region search."""
 
+import builtins
 import concurrent.futures
 import dataclasses
 import math
@@ -552,15 +553,14 @@ class TestQueueGates:
         # each topology fails the platform gate and one threshold, but the
         # averages (7.55e-6, 6.5 ms) meet both thresholds
         label = "DA2G + HAP"
-        outcomes = [
-            {label: e2e.PathOutcome(label, 1.5e-5, 1e-3)},
-            {label: e2e.PathOutcome(label, 1e-7, 12e-3)},
-        ]
+        sums = {}
+        for outcome in (e2e.PathOutcome(label, 1.5e-5, 1e-3), e2e.PathOutcome(label, 1e-7, 12e-3)):
+            scenario._add_rows(sums, {label: outcome})
         qos = FAST.qos()
         gates = {"gbs": True, "av": True, "gs": True, "hap": False}
-        assert not scenario._mean_outcomes(outcomes, 100e3, qos, gates)[label].feasible
+        assert not scenario._mean_outcomes(sums, 2, 100e3, qos, gates)[label].feasible
         open_gates = dict.fromkeys(gates, True)
-        assert scenario._mean_outcomes(outcomes, 100e3, qos, open_gates)[label].feasible
+        assert scenario._mean_outcomes(sums, 2, 100e3, qos, open_gates)[label].feasible
 
     def test_platform_path_does_not_cross_base_station(self):
         gates = {"gbs": False, "av": True, "gs": True, "hap": True}
@@ -817,3 +817,41 @@ class TestStreaming:
         small = self._traced_peak(dataclasses.replace(config, region_topologies=2))
         large = self._traced_peak(dataclasses.replace(config, region_topologies=8))
         assert large - small < 6 * 16_000
+
+    def test_column_peak_holds_sums_not_topologies(self):
+        # one default region column: a topology's rows are added into the
+        # column's running sums, so 35 more topologies hold nothing more;
+        # a table of every topology's rows grew the peak by about 770 kB
+        config = dataclasses.replace(ScenarioConfig(), n_samples=200,
+                                     region_r_edges_m=(0.0, 20.0))
+        self._traced_peak(config)           # lazy imports and caches
+        small = self._traced_peak(dataclasses.replace(config, region_topologies=5))
+        large = self._traced_peak(dataclasses.replace(config, region_topologies=40))
+        assert large <= small + 64_000
+
+
+def _compensated_sum(real_sum):
+    """CPython 3.12's sum(): Neumaier-compensated for float items; anything
+    else is left to real_sum."""
+    def compensated(iterable, /, start=0):
+        items = list(iterable)
+        floats = type(start) in (int, float) and all(type(x) is float for x in items)
+        if not (items and floats):
+            return real_sum(items, start)
+        total, c = float(start), 0.0
+        for x in items:
+            t = total + x
+            c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+            total = t
+        return total + c if c and math.isfinite(c) else total
+    return compensated
+
+
+class TestPythonVersion:
+    def test_rows_do_not_depend_on_sum_compensation(self, monkeypatch):
+        # Python 3.12 made sum() compensated; the pipeline adds left to
+        # right itself, so a 3.12 sum changes no row
+        config = dataclasses.replace(FAST, sweep_topologies=3)
+        expected = run_rate_sweep(config).rows
+        monkeypatch.setattr(builtins, "sum", _compensated_sum(builtins.sum))
+        assert run_rate_sweep(config).rows == expected
