@@ -265,7 +265,7 @@ def _pose(kind: geometry.NodeKind, x: float, altitude: float) -> geometry.NodePo
 def _budget_g2a(config: scenario.ScenarioConfig, distance_m: float) -> None:
     site = _pose(geometry.NodeKind.GROUND_BS, 0.0, config.gbs_height_m)
     av = _pose(geometry.NodeKind.AERIAL_VEHICLE, distance_m, config.av_altitude_m)
-    setup = scenario._g2a_link("g2a", site, av, [], config)
+    setup = scenario._g2a_link(site, av, [], config)
     d3 = geometry.distance_3d(site, av)
     _echo_budget("g2a link budget", [
         ("d_2d_m", distance_m),
@@ -285,7 +285,7 @@ def _budget_g2a(config: scenario.ScenarioConfig, distance_m: float) -> None:
 def _budget_a2a(config: scenario.ScenarioConfig, distance_m: float) -> None:
     relay = _pose(geometry.NodeKind.AERIAL_VEHICLE, 0.0, config.av_altitude_m)
     av = _pose(geometry.NodeKind.AERIAL_VEHICLE, distance_m, config.av_altitude_m)
-    setup = scenario._a2a_link("a2a", relay, av, [], config)
+    setup = scenario._a2a_link(relay, av, [], config)
     _echo_budget("a2a link budget", [
         ("d_3d_m", geometry.distance_3d(relay, av)),
         ("fspl_db", setup.desired.pl_db),

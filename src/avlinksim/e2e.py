@@ -160,7 +160,7 @@ def _chain(label, hops) -> PathOutcome:
         delay_breakdown=breakdown,
         error_terms=terms,
         eps_std_error=_product_stderr(survivals),
-        d_std_error=math.sqrt(d_var) if math.isfinite(d_var) else math.inf,
+        d_std_error=math.sqrt(d_var),
     )
 
 

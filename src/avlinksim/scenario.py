@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -314,7 +315,6 @@ def config_hash(config: ScenarioConfig) -> str:
 class LinkSetup:
     """Everything needed to draw SINR samples for one link."""
 
-    name: str
     desired: ChannelSpec
     interferers: InterfererSet
     radio: RadioParams
@@ -363,20 +363,20 @@ def _g2a_channel(site, victim, config: ScenarioConfig, env) -> ChannelSpec:
     )
 
 
-def _link(name, desired, interferers, tx_power_w, bandwidth_hz,
+def _link(desired, interferers, tx_power_w, bandwidth_hz,
           config: ScenarioConfig) -> LinkSetup:
     """A link to an aerial vehicle whose interferer channels, in draw
     order, send at tx_power_w like the desired one."""
     members = tuple(Interferer(spec, tx_power_w) for spec in interferers)
     return LinkSetup(
-        name, desired,
+        desired,
         InterfererSet(members, p_interf=config.p_interf, mode=config.interference_mode),
         RadioParams(bandwidth_hz, tx_power_w, config.noise_density_w_hz(),
                     config.noise_figure_av_db),
     )
 
 
-def _interfered_link(name, channel, tx, others, tx_power_w, bandwidth_hz,
+def _interfered_link(channel, tx, others, tx_power_w, bandwidth_hz,
                      config: ScenarioConfig) -> LinkSetup:
     """The link from tx, with channel(node) the channel from a node to the
     victim, and as interferers the interferer_count strongest of the others
@@ -384,13 +384,13 @@ def _interfered_link(name, channel, tx, others, tx_power_w, bandwidth_hz,
     node sends at tx_power_w."""
     ranked = sorted(((o.id, channel(o)) for o in others if o.id != tx.id),
                     key=lambda item: (-item[1].mean_gain * tx_power_w, item[0]))
-    return _link(name, channel(tx), [spec for _, spec in ranked[:config.interferer_count]],
+    return _link(channel(tx), [spec for _, spec in ranked[:config.interferer_count]],
                  tx_power_w, bandwidth_hz, config)
 
 
-def _g2a_link(name, site, victim, sites, config) -> LinkSetup:
+def _g2a_link(site, victim, sites, config) -> LinkSetup:
     env = config.environment()
-    return _interfered_link(name, lambda tx: _g2a_channel(tx, victim, config, env),
+    return _interfered_link(lambda tx: _g2a_channel(tx, victim, config, env),
                             site, sites, _dbm_to_w(config.tx_power_gbs_dbm),
                             config.bandwidth_ga_hz, config)
 
@@ -406,10 +406,10 @@ def _a2a_channel(tx, victim, config) -> ChannelSpec:
     )
 
 
-def _a2a_link(name, relay, victim, background, config) -> LinkSetup:
+def _a2a_link(relay, victim, background, config) -> LinkSetup:
     if geo.distance_3d(relay, victim) <= 0.0:
         raise ValueError("relay and destination poses coincide")
-    return _interfered_link(name, lambda tx: _a2a_channel(tx, victim, config),
+    return _interfered_link(lambda tx: _a2a_channel(tx, victim, config),
                             relay, background, _dbm_to_w(config.tx_power_av_dbm),
                             config.bandwidth_aa_hz, config)
 
@@ -430,7 +430,7 @@ def _h2a_link(hap, victim, sites, serving_site, config) -> LinkSetup:
     # each other cell's beam aims at the vehicle altitude above its site
     aims = [geo.NodePose(s.id, geo.NodeKind.AERIAL_VEHICLE, s.x, s.y, config.av_altitude_m)
             for s in sites if s.id != serving_site.id]
-    return _link("h2a", beam(0.0), [beam(geo.angle_between_deg(hap, aim, victim)) for aim in aims],
+    return _link(beam(0.0), [beam(geo.angle_between_deg(hap, aim, victim)) for aim in aims],
                  _dbm_to_w(config.tx_power_hap_dbm), config.bandwidth_ha_hz, config)
 
 
@@ -449,7 +449,7 @@ def _g2h_link(gs, hap, config) -> LinkSetup:
         config.bandwidth_gh_hz, _dbm_to_w(config.tx_power_gs_dbm),
         config.noise_density_w_hz(), config.noise_figure_hap_db,
     )
-    return LinkSetup("g2h", desired, InterfererSet(p_interf=0.0), radio)
+    return LinkSetup(desired, InterfererSet(p_interf=0.0), radio)
 
 
 def instantiate(config: ScenarioConfig, stream, r_ga_m: float | None = None) -> Topology:
@@ -479,11 +479,10 @@ def instantiate(config: ScenarioConfig, stream, r_ga_m: float | None = None) -> 
     relays = tuple(candidates[: config.a2a_relay_count])
 
     links: dict[str, LinkSetup] = {}
-    links["g2a_dest"] = _g2a_link("g2a_dest", serving, destination, sites, config)
+    links["g2a_dest"] = _g2a_link(serving, destination, sites, config)
     for m, relay in enumerate(relays, start=1):
-        links[f"g2a_relay_{m}"] = _g2a_link(
-            f"g2a_relay_{m}", geo.serving_bs(relay, sites), relay, sites, config)
-        links[f"a2a_{m}"] = _a2a_link(f"a2a_{m}", relay, destination, background, config)
+        links[f"g2a_relay_{m}"] = _g2a_link(geo.serving_bs(relay, sites), relay, sites, config)
+        links[f"a2a_{m}"] = _a2a_link(relay, destination, background, config)
     links["g2h"] = _g2h_link(gs, hap, config)
     links["h2a"] = _h2a_link(hap, destination, sites, serving, config)
 
@@ -507,25 +506,6 @@ def instantiate(config: ScenarioConfig, stream, r_ga_m: float | None = None) -> 
 
 # stream namespaces: sweep topology / sweep samples / region topology / region samples
 _NS_SWEEP_TOPO, _NS_SWEEP_SAMP, _NS_REGION_TOPO, _NS_REGION_SAMP = 0, 1, 2, 3
-
-
-def _batch_buffer(config: ScenarioConfig) -> np.ndarray:
-    """The (SINR_WORK_ROWS, batch) array one link's batches are drawn in."""
-    return np.empty((SINR_WORK_ROWS, min(config.mc_batch_size, config.n_samples)))
-
-
-def _gamma_batches(setup: LinkSetup, config: ScenarioConfig, stream: RngStream,
-                   work=None):
-    """SINR draws of one link, one mc_batch_size batch at a time, each batch
-    from its own child stream. All batches are drawn in work (a
-    _batch_buffer, allocated here if not given): a yielded batch is its
-    first row, and the next batch overwrites every row."""
-    work = _batch_buffer(config) if work is None else work
-    for batch_ix, done in enumerate(range(0, config.n_samples, config.mc_batch_size)):
-        n = min(config.mc_batch_size, config.n_samples - done)
-        rng = stream.child(batch_ix).generator()
-        yield sinr_sample(setup.desired, setup.interferers, setup.radio, rng,
-                          size=n, work=work)
 
 
 def _queue_gates(config: ScenarioConfig) -> dict:
@@ -582,39 +562,40 @@ def _topology_rows(topology: Topology, stats: dict, config: ScenarioConfig) -> d
     return rows
 
 
-def _link_stats(setup: LinkSetup, config: ScenarioConfig, stream: RngStream,
-                rates_bps, buffers=None) -> list:
-    """One work item: the LinkStats of one link at every rate. Its one
-    batch-length array is the sampler's buffer: each batch is drawn into
-    its first row, and the kernel works in the other rows, which hold only
-    the sampler's scratch until the next batch is drawn. buffers, a
-    threading.local shared by the items of one run, keeps the array for
-    the thread's next item, so a run allocates one per worker thread
-    rather than one per item, and the heap does not fragment under it."""
+def _link_stats(config: ScenarioConfig, rates_bps, buffers: threading.local,
+                setup: LinkSetup, stream: RngStream) -> list:
+    """One work item: the LinkStats of one link at every rate, from
+    n_samples SINR draws in mc_batch_size batches, batch i drawn from
+    stream.child(i). The items of a run share buffers, which holds the
+    (SINR_WORK_ROWS, batch) array of each worker thread, allocated on its
+    first item: each batch is drawn into its first row, and the kernel
+    works in the other rows, which hold only the sampler's scratch until
+    the next batch is drawn. One array per thread rather than one per item
+    keeps the heap from fragmenting under it."""
     work = getattr(buffers, "work", None)
     if work is None:
-        work = _batch_buffer(config)
-        if buffers is not None:
-            buffers.work = work
-    return decoding_error_stats(
-        _gamma_batches(setup, config, stream, work),
-        setup.radio.bandwidth_hz, config.packet_bits, rates_bps, work=work[1:],
-    )
+        work = buffers.work = np.empty((SINR_WORK_ROWS,
+                                        min(config.mc_batch_size, config.n_samples)))
+    n, size = config.n_samples, config.mc_batch_size
+    batches = (sinr_sample(setup.desired, setup.interferers, setup.radio,
+                           stream.child(batch_ix).generator(), size=min(size, n - done),
+                           work=work)
+               for batch_ix, done in enumerate(range(0, n, size)))
+    return decoding_error_stats(batches, setup.radio.bandwidth_hz, config.packet_bits,
+                                rates_bps, work=work[1:])
 
 
 def _add_rows(sums: dict, rows: dict) -> None:
     """Add one topology's {label: PathOutcome} at one rate into that rate's
-    running sums, {label: [ε, ε SE², delay, finite delay SE², whether any
-    delay SE was finite]}. Topologies are added in order, one float
+    running sums, {label: [ε, ε SE², delay, delay SE²]}. An infinite delay
+    SE keeps its sum infinite. Topologies are added in order, one float
     addition each, so the sums do not depend on the Python version."""
     for label, o in rows.items():
-        s = sums.setdefault(label, [0.0, 0.0, 0.0, 0.0, False])
+        s = sums.setdefault(label, [0.0, 0.0, 0.0, 0.0])
         s[0] += o.eps_e2e
         s[1] += o.eps_std_error ** 2
         s[2] += o.d_e2e
-        if math.isfinite(o.d_std_error):
-            s[3] += o.d_std_error ** 2
-            s[4] = True
+        s[3] += o.d_std_error ** 2
 
 
 def _mean_outcomes(sums: dict, t: int, rate_bps: float, qos: e2e.QosTarget,
@@ -623,10 +604,10 @@ def _mean_outcomes(sums: dict, t: int, rate_bps: float, qos: e2e.QosTarget,
     t topologies. This is the one feasibility decision: the averages must
     meet the target and the label's queue gate must pass."""
     merged = {}
-    for label, (eps, eps_var, delay, delay_var, finite) in sums.items():
+    for label, (eps, eps_var, delay, delay_var) in sums.items():
         eps, delay = eps / t, delay / t
-        delay_se = math.sqrt(delay_var) / t if finite else math.inf
-        merged[label] = SweepRow(rate_bps, label, eps, math.sqrt(eps_var) / t, delay, delay_se,
+        merged[label] = SweepRow(rate_bps, label, eps, math.sqrt(eps_var) / t,
+                                 delay, math.sqrt(delay_var) / t,
                                  qos.admits(eps, delay) and _label_gate(label, gates))
     return merged
 
@@ -639,7 +620,8 @@ def _group_means(config: ScenarioConfig, groups, n_topo: int, rates_bps,
     A group is (topology key, sample key, r_ga_m): its topology t is
     instantiate(config, root.child(*topology key, t), r_ga_m) and draws from
     root.child(*sample key, t), where root is the master seed's stream.
-    Every link of every topology is one work item, and link i of a topology
+    Every link of every topology is one work item, (setup, stream) for
+    _link_stats with the run's constants bound, and link i of a topology
     draws from its sample stream's child(i). Topologies are instantiated on
     the calling thread in that fixed order, as their items are submitted,
     and results are collected in submission order, so the worker count
@@ -649,7 +631,6 @@ def _group_means(config: ScenarioConfig, groups, n_topo: int, rates_bps,
     group's sums, however many groups and topologies there are.
     """
     root = RngStream(config.master_seed)
-    buffers = threading.local()
     pending = collections.deque()       # instantiated, results not yet collected
 
     def items():
@@ -658,9 +639,10 @@ def _group_means(config: ScenarioConfig, groups, n_topo: int, rates_bps,
                 pending.append(instantiate(config, root.child(*topo_key, t), r_ga_m=r_ga_m))
                 stream = root.child(*samp_key, t)
                 for link_ix, setup in enumerate(pending[-1].links.values()):
-                    yield setup, config, stream.child(link_ix), rates_bps, buffers
+                    yield setup, stream.child(link_ix)
 
-    stats = _parallel_map(_link_stats, items(), threads)
+    link_stats = functools.partial(_link_stats, config, rates_bps, threading.local())
+    stats = _parallel_map(link_stats, items(), threads)
     qos, gates = config.qos(), _queue_gates(config)
     means = []
     for _ in groups:
@@ -783,24 +765,24 @@ _WINDOW_PER_WORKER = 4
 
 
 def _parallel_map(fn, arg_tuples, threads: int):
-    """Lazy map on up to threads worker threads, no more than there are
-    items, yielding results in submission order so they never depend on the
-    worker count. The hot numpy loops release the GIL. Items are taken from
-    arg_tuples on the calling thread as the pool has room, at most
-    _WINDOW_PER_WORKER per worker at a time, with no barrier between any of
-    them. On a failure the items not yet started are cancelled."""
-    items = iter(arg_tuples)
-    head = list(itertools.islice(items, threads)) if threads > 1 else []
-    if len(head) <= 1:
-        yield from (fn(*args) for args in itertools.chain(head, items))
+    """Lazy map on up to threads worker threads, yielding results in
+    submission order so they never depend on the worker count. The hot
+    numpy loops release the GIL. Items are taken from arg_tuples on the
+    calling thread as the pool has room, at most _WINDOW_PER_WORKER per
+    worker at a time, with no barrier between any of them; the pool starts
+    a thread only when no idle one can take an item, so it never starts
+    more threads than there are items. On a failure the items not yet
+    started are cancelled."""
+    if threads <= 1:
+        yield from (fn(*args) for args in arg_tuples)
         return
     from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=len(head)) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         window = collections.deque()
         try:
-            for args in itertools.chain(head, items):
+            for args in arg_tuples:
                 window.append(pool.submit(fn, *args))
-                if len(window) == _WINDOW_PER_WORKER * len(head):
+                if len(window) == _WINDOW_PER_WORKER * threads:
                     yield window.popleft().result()
             while window:
                 yield window.popleft().result()

@@ -244,7 +244,10 @@ class TestLoadConfig:
                                            "n_samples: 4096\nmc_batch_size: 4096\n"))
         setup = instantiate(cfg, RngStream(cfg.master_seed)).links["g2a_dest"]
         assert setup.desired.sf_sigma_db == 100.0
-        (gamma,) = scenario._gamma_batches(setup, cfg, RngStream(cfg.master_seed))
+        # the one batch of a link item on this stream, in a work item's buffer
+        gamma = sinr_sample(setup.desired, setup.interferers, setup.radio,
+                            RngStream(cfg.master_seed).child(0).generator(),
+                            size=cfg.n_samples, work=np.empty((SINR_WORK_ROWS, cfg.n_samples)))
         assert np.all(gamma >= 0.0)
 
     def test_every_field_declares_a_rule(self):
@@ -429,21 +432,34 @@ class TestRateSweep:
 
 class TestGammaBatches:
     @pytest.mark.parametrize("mode", ["expected", "bernoulli"])
-    def test_reused_buffers_match_fresh_draws(self, mode):
-        # every batch is drawn into the same buffers; copied as they come,
-        # they equal fresh draws from each batch's child stream bit for bit
+    def test_reused_buffers_match_fresh_draws(self, monkeypatch, mode):
+        # every batch of a link item is drawn into the same buffer; copied
+        # as they come, they equal fresh draws from each batch's child
+        # stream bit for bit
         config = dataclasses.replace(FAST, n_samples=1300, interference_mode=mode)
         topology = instantiate(
             config, RngStream(config.master_seed).child(scenario._NS_SWEEP_TOPO, 0))
         samples = RngStream(config.master_seed).child(scenario._NS_SWEEP_SAMP, 0)
+        batches, buffers = [], []
+
+        def recording(*args, work, **kwargs):
+            gamma = sinr_sample(*args, work=work, **kwargs)
+            batches.append(gamma.copy())
+            buffers.append(work)
+            return gamma
+
+        monkeypatch.setattr(scenario, "sinr_sample", recording)
+        thread_buffers = threading.local()
         for link_ix, setup in enumerate(topology.links.values()):
             stream = samples.child(link_ix)
-            batches = [g.copy() for g in scenario._gamma_batches(setup, config, stream)]
+            batches.clear()
+            scenario._link_stats(config, [100e3], thread_buffers, setup, stream)
             assert [g.size for g in batches] == [512, 512, 276]
             for batch_ix, got in enumerate(batches):
                 fresh = sinr_sample(setup.desired, setup.interferers, setup.radio,
                                     stream.child(batch_ix).generator(), size=got.size)
                 assert np.array_equal(got, fresh)
+        assert all(work is buffers[0] for work in buffers)
 
 
 class TestLinkItemMemory:
@@ -460,7 +476,8 @@ class TestLinkItemMemory:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            scenario._link_stats(topology.links["g2a_dest"], config, stream, rates)
+            scenario._link_stats(config, rates, threading.local(),
+                                 topology.links["g2a_dest"], stream)
             return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -508,13 +525,70 @@ class TestRelayShortage:
         root = RngStream(config.master_seed)
         topology = instantiate(config, root.child(scenario._NS_SWEEP_TOPO, 23))
         samples = root.child(scenario._NS_SWEEP_SAMP, 23)
-        stats = {name: scenario._link_stats(setup, config, samples.child(i), [100e3])[0]
+        buffers = threading.local()
+        stats = {name: scenario._link_stats(config, [100e3], buffers, setup,
+                                            samples.child(i))[0]
                  for i, (name, setup) in enumerate(topology.links.items())}
         rows = scenario._topology_rows(topology, stats, config)
         for platform in ("", " + HAP"):
             two, three = rows[f"DA2G + 2-A2A{platform}"], rows[f"DA2G + 3-A2A{platform}"]
             assert (three.eps_e2e, three.d_e2e, three.eps_std_error, three.d_std_error) \
                 == (two.eps_e2e, two.d_e2e, two.eps_std_error, two.d_std_error)
+
+
+class TestDiversityBranches:
+    """At diversity_branches K every branch carries a clone over the same
+    g2a_dest link, so the branches are one estimate, not K independent
+    ones."""
+
+    CONFIG = dataclasses.replace(FAST, diversity_branches=2, sweep_topologies=1,
+                                 sweep_rates_kbps=(100.0, 1000.0))
+
+    def test_radio_loss_is_the_branch_error_squared(self):
+        config = self.CONFIG
+        root = RngStream(config.master_seed)
+        topology = instantiate(config, root.child(scenario._NS_SWEEP_TOPO, 0))
+        samples = root.child(scenario._NS_SWEEP_SAMP, 0)
+        rates = [rate_kbps * 1e3 for rate_kbps in config.sweep_rates_kbps]
+        buffers = threading.local()
+        stats = {name: scenario._link_stats(config, rates, buffers, setup, samples.child(i))
+                 for i, (name, setup) in enumerate(topology.links.items())}
+        sweep = {(r.rate_bps, r.label): r for r in run_rate_sweep(config).rows}
+        exact_hops = (1.0 - config.eps_b) * (1.0 - config.eps_q)
+        for k, rate in enumerate(rates):
+            branch = stats["g2a_dest"][k]
+            da2g = scenario._topology_rows(
+                topology, {name: per_rate[k] for name, per_rate in stats.items()},
+                config)["DA2G"]
+            assert da2g.error_terms["radio_da2g"] == branch.eps_t_bar * branch.eps_t_bar
+            assert da2g.delay_breakdown["radio_da2g"] == branch.d_t_bar
+            assert da2g.eps_std_error == pytest.approx(
+                exact_hops * 2.0 * branch.eps_t_bar * branch.std_error, rel=1e-12)
+            # the sweep of this one topology reports exactly its row
+            row = sweep[(rate, "DA2G")]
+            assert (row.eps_e2e, row.delay_s) == (da2g.eps_e2e, da2g.d_e2e)
+            assert row.eps_std_error == pytest.approx(da2g.eps_std_error, rel=1e-15)
+        assert any(0.0 < per_rate.eps_t_bar < 1.0 and per_rate.std_error > 0.0
+                   for per_rate in stats["g2a_dest"])
+
+    def test_rows_do_not_depend_on_the_worker_count(self):
+        config = dataclasses.replace(self.CONFIG, sweep_topologies=2)
+        assert run_rate_sweep(config, threads=2).rows == run_rate_sweep(config, threads=1).rows
+
+
+class TestTopologyAverages:
+    def test_infinite_mean_delay_has_an_infinite_se(self):
+        # averaged with a topology whose path delivers, one whose path
+        # never does gives an infinite mean delay, and so an infinite SE
+        qos, gates = ScenarioConfig().qos(), dict.fromkeys(("gbs", "av", "gs", "hap"), True)
+        sums = {}
+        scenario._add_rows(sums, {"A2A": e2e.PathOutcome(
+            "A2A", 1e-3, 2e-3, eps_std_error=1e-4, d_std_error=1e-5)})
+        scenario._add_rows(sums, {"A2A": e2e.PathOutcome(
+            "A2A", 1.0, math.inf, d_std_error=math.inf)})
+        row = scenario._mean_outcomes(sums, 2, 2e6, qos, gates)["A2A"]
+        assert (row.delay_s, row.delay_std_error) == (math.inf, math.inf)
+        assert row.eps_std_error == pytest.approx(5e-5)
 
 
 class TestQueueGates:
@@ -687,19 +761,41 @@ def pool(monkeypatch):
 
 
 class TestParallelMap:
-    def test_workers_clamped_to_work_items(self, pool):
-        out = list(scenario._parallel_map(pow, [(2, 1), (2, 2), (2, 3)], 256))
-        assert out == [2, 4, 8]
-        assert pool.requested == [3]
+    def test_workers_clamped_to_work_items(self):
+        # the executor starts a thread only when no idle one can take an
+        # item; the barrier holds each item until all three run at once, so
+        # every thread the 256-worker pool started is alive at that point
+        before = set(threading.enumerate())
+        barrier = threading.Barrier(3, timeout=10.0)
+        alive = []
+
+        def job(k):
+            barrier.wait()
+            alive.append(len(set(threading.enumerate()) - before))
+            return 2 ** k
+
+        assert list(scenario._parallel_map(job, [(1,), (2,), (3,)], 256)) == [2, 4, 8]
+        assert alive == [3, 3, 3]
+
+    def test_single_item_runs_in_process(self):
+        # a one-item map on a 64-worker pool runs its item on a single
+        # thread of this process: the executor starts no second thread
+        before = set(threading.enumerate())
+        ran_on = []
+
+        def job(base, exp):
+            ran_on.append((threading.current_thread(),
+                           set(threading.enumerate()) - before))
+            return base ** exp
+
+        assert list(scenario._parallel_map(job, [(5, 2)], 64)) == [25]
+        ((thread, started),) = ran_on
+        assert started == {thread}
 
     def test_fewer_threads_than_items_kept(self, pool):
         assert list(scenario._parallel_map(pow, [(3, k) for k in range(5)], 2)) \
             == [1, 3, 9, 27, 81]
         assert pool.requested == [2]
-
-    def test_single_item_runs_in_process(self, pool):
-        assert list(scenario._parallel_map(pow, [(5, 2)], 64)) == [25]
-        assert pool.requested == []
 
     def test_failure_cancels_items_not_started(self):
         # two workers: item 0 fails at once while item 1 and whichever item
@@ -753,12 +849,15 @@ class TestWorkItems:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_one_batch_buffer_per_worker_thread(self, monkeypatch, threads):
         # every link item of a run draws and evaluates in its thread's buffer
-        made = []
-        make = scenario._batch_buffer
-        monkeypatch.setattr(scenario, "_batch_buffer",
-                            lambda config: made.append(config) or make(config))
+        buffers = []        # held, so no two buffers share an id
+
+        def recording(*args, work, **kwargs):
+            buffers.append(work)
+            return sinr_sample(*args, work=work, **kwargs)
+
+        monkeypatch.setattr(scenario, "sinr_sample", recording)
         run_rate_sweep(FAST, threads=threads)
-        assert 1 <= len(made) <= threads
+        assert 1 <= len({id(work) for work in buffers}) <= threads
 
     def test_region_submits_columns_by_topologies_by_links(self, pool):
         config = dataclasses.replace(FAST, region_r_edges_m=(60.0, 120.0, 180.0))
