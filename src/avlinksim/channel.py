@@ -23,6 +23,7 @@ from .mathfun import bessel_j1
 
 __all__ = [
     "Q2_MAX_PER_KM2",
+    "MAX_DISTANCE_M",
     "Environment",
     "UlaSpec",
     "ReflectorSpec",
@@ -41,9 +42,12 @@ __all__ = [
 ]
 
 
-# largest building density [1/km^2], one building per m^2; p_los loops
-# once per building the ray crosses
+# p_los loops once per building the ray crosses, so both the building
+# density [1/km^2] (one building per m^2) and the horizontal distance [m]
+# that a config or link-budget may ask of it are bounded; 1e6 m is far
+# beyond any modelled link
 Q2_MAX_PER_KM2 = 1e6
+MAX_DISTANCE_M = 1e6
 
 
 @dataclass(frozen=True)

@@ -40,11 +40,6 @@ EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-# largest link-budget --distance-m [m], far beyond any modelled link; the
-# LoS probability loops once per building the ray crosses
-MAX_DISTANCE_M = 1e6
-
-
 # ============================================================
 # Shared helpers
 # ============================================================
@@ -318,13 +313,13 @@ def _budget_hap(config: scenario.ScenarioConfig, offset_m: float) -> None:
 @click.option("--distance-m", type=float, default=None,
               help="g2a: horizontal site-to-vehicle distance; a2a: vehicle "
                    "separation (required); hap: nadir offset (default 0). "
-                   f"At most {MAX_DISTANCE_M:g} m.")
+                   f"At most {channel.MAX_DISTANCE_M:g} m.")
 @click.option("--config", "config_path", type=str, default=None)
 def link_budget(kind, distance_m, config_path) -> None:
     """Deterministic budget breakdown for a single link type."""
-    if distance_m is not None and not abs(distance_m) <= MAX_DISTANCE_M:
+    if distance_m is not None and not abs(distance_m) <= channel.MAX_DISTANCE_M:
         raise click.UsageError(f"--distance-m must be finite and at most "
-                               f"{MAX_DISTANCE_M:g} m, got {distance_m}")
+                               f"{channel.MAX_DISTANCE_M:g} m, got {distance_m}")
     try:
         config = _load(config_path, None)
     except scenario.ConfigError as exc:

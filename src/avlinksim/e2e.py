@@ -105,23 +105,13 @@ def _total(values) -> float:
 
 
 def _product_stderr(factors) -> float:
-    """First-order standard error of prod(value) over (estimate, value, se)
-    factors: d prod / d value_i = prod_{j != i} value_j.
-
-    Factors that are one estimate (the same object) are fully correlated:
-    their partial derivatives add before squaring, so K copies give
-    K value^(K-1) se.
-    """
-    factors = list(factors)
-    values = [v for _, v, _ in factors]
-    partials = {}           # id(estimate) -> (se, partial of each copy)
-    for i, (est, _, se) in enumerate(factors):
-        if se != 0.0:       # exact inputs (backhaul, queues) add no variance
-            partials.setdefault(id(est), (se, []))[1].append(
-                math.prod(values[:i] + values[i + 1:]))
+    """First-order standard error of prod(value) over independent (value,
+    se) factors: d prod / d value_i = prod_{j != i} value_j."""
+    values = [v for v, _ in factors]
     var = 0.0
-    for se, copies in partials.values():
-        var += (se * _total(copies)) ** 2
+    for i, (_, se) in enumerate(factors):
+        if se != 0.0:       # exact inputs (backhaul, queues) add no variance
+            var += (se * math.prod(values[:i] + values[i + 1:])) ** 2
     return math.sqrt(var)
 
 
@@ -131,36 +121,35 @@ def _hop(name, delay_s, loss=None):
     return name, delay_s, loss, 0.0, 0.0
 
 
-def _radio(name, stats: LinkStats, eps=None, eps_se=None):
+def _radio(name, stats: LinkStats, copies: int = 1):
     """A radio hop: stats' mean ARQ delay d_t / (1 - eps), with the variance
-    that stats' eps SE induces in it, and a loss that is stats' own unless
-    eps and eps_se are given."""
-    if eps is None:
-        eps, eps_se = stats.eps_t_bar, stats.std_error
+    that stats' eps SE induces in it. The hop sends `copies` clones over
+    links that stats' one estimate describes, so its loss is eps^copies,
+    with SE copies eps^(copies - 1) se."""
+    partial = math.prod((stats.eps_t_bar,) * (copies - 1))   # eps^(copies - 1)
     if not math.isfinite(stats.d_t_bar) or stats.eps_t_bar >= 1.0:
         d_var = math.inf
     else:
         d_var = (stats.d_t_bar * stats.std_error / (1.0 - stats.eps_t_bar)) ** 2
-    return name, stats.d_t_bar, eps, eps_se, d_var
+    return (name, stats.d_t_bar, partial * stats.eps_t_bar,
+            copies * partial * stats.std_error, d_var)
 
 
 def _chain(label, hops) -> PathOutcome:
     """Compose a chain of hops (name, delay, loss or None, loss SE, delay
     variance): delays and their variances add, the losses compose by
     chain_loss, and the loss SE is that of the product of the survivals
-    1 - loss."""
-    breakdown = {name: delay for name, delay, *_ in hops}
-    terms = {name: loss for name, _, loss, _, _ in hops if loss is not None}
-    survivals = [(name, 1.0 - loss, se) for name, _, loss, se, _ in hops if loss is not None]
-    d_var = _total(var for *_, var in hops)
+    1 - loss. Totals run over the hop list, so hops that share a name
+    each count."""
+    lossy = [(loss, se) for _, _, loss, se, _ in hops if loss is not None]
     return PathOutcome(
         label=label,
-        eps_e2e=chain_loss(terms.values()),
-        d_e2e=_total(breakdown.values()),
-        delay_breakdown=breakdown,
-        error_terms=terms,
-        eps_std_error=_product_stderr(survivals),
-        d_std_error=math.sqrt(d_var),
+        eps_e2e=chain_loss(loss for loss, _ in lossy),
+        d_e2e=_total(delay for _, delay, *_ in hops),
+        delay_breakdown={name: delay for name, delay, *_ in hops},
+        error_terms={name: loss for name, _, loss, *_ in hops if loss is not None},
+        eps_std_error=_product_stderr([(1.0 - loss, se) for loss, se in lossy]),
+        d_std_error=math.sqrt(_total(var for *_, var in hops)),
     )
 
 
@@ -171,24 +160,20 @@ def _chain(label, hops) -> PathOutcome:
 def da2g_path(
     backhaul: BackhaulSpec,
     gbs_queue: QueueSpec,
-    branches,
+    g2a: LinkStats,
+    branches: int = 1,
     label: str = "DA2G",
 ) -> PathOutcome:
-    """Direct path: backhaul -> base-station queue -> K diversity branches.
-
-    All branches carry a clone, so the radio loss is the product of branch
-    errors and the radio delay is the fastest branch's mean delay. A branch
-    passed more than once is one estimate, not independent ones.
-    """
-    branches = list(branches)
-    if not branches:
+    """Direct path: backhaul -> base-station queue -> the g2a link, over
+    `branches` diversity branches that each carry a clone. The branches are
+    clones of the one g2a estimate, so the radio loss is its error to the
+    power `branches` and the radio delay is its mean delay."""
+    if branches < 1:
         raise ValueError("at least one radio branch is required")
     return _chain(label, [
         _hop("backhaul", backhaul.delay_s, backhaul.eps),
         _hop("queue_gbs", gbs_queue.delay_bound_s, gbs_queue.violation_prob),
-        _radio("radio_da2g", min(branches, key=lambda b: b.d_t_bar),
-               math.prod(b.eps_t_bar for b in branches),
-               _product_stderr((b, b.eps_t_bar, b.std_error) for b in branches)),
+        _radio("radio_da2g", g2a, branches),
     ])
 
 
@@ -241,20 +226,20 @@ def hap_path(
 # Parallel combining and combination search
 # ============================================================
 
-def combine_paths(paths, label: str | None = None) -> PathOutcome:
-    """Parallel cloned paths: losses multiply, delay is the fastest path's.
-    A path passed more than once is one estimate, not independent ones."""
+def combine_paths(paths, label: str) -> PathOutcome:
+    """Parallel cloned paths, each an independent estimate: losses
+    multiply, delay is the fastest path's."""
     paths = list(paths)
     if not paths:
         raise ValueError("at least one path is required")
     best = min(paths, key=lambda p: p.d_e2e)
     return PathOutcome(
-        label=label if label is not None else " + ".join(p.label for p in paths),
+        label=label,
         eps_e2e=math.prod(p.eps_e2e for p in paths),
         d_e2e=best.d_e2e,
         delay_breakdown=dict(best.delay_breakdown),
         error_terms={p.label: p.eps_e2e for p in paths},
-        eps_std_error=_product_stderr((p, p.eps_e2e, p.eps_std_error) for p in paths),
+        eps_std_error=_product_stderr([(p.eps_e2e, p.eps_std_error) for p in paths]),
         d_std_error=best.d_std_error,
     )
 
@@ -273,7 +258,7 @@ def enumerate_combinations(da2g: PathOutcome, a2a_paths, hap: PathOutcome) -> li
     """All candidate combinations in canonical preference order
     (CANONICAL_COMBINATIONS), skipping those that need more relayed paths
     than are given."""
-    a2a_paths = list(a2a_paths)[:MAX_A2A_PATHS]
+    a2a_paths = list(a2a_paths)
     return [
         combine_paths([da2g] + a2a_paths[:m] + ([hap] if platform else []),
                       label=_combination_label(m, platform))

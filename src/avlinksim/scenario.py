@@ -99,6 +99,12 @@ def _floats(want: str, ok) -> _Rule:
 _ANY, _POS = _number("a number"), _number("a positive number", lambda v: v > 0)
 _COUNT = _number("a positive integer", lambda v: v > 0, int)
 _PROB_OPEN = _number("a probability in (0, 1)", lambda v: 0 < v < 1)
+# a power, gain, noise figure or noise density [dBm, dBi, dB, dBm/Hz]: within
+# 300 dB the linear values, and a link budget's product of them, stay normal doubles
+_LEVEL = _number("a level in [-300, 300] dB", lambda v: -300 <= v <= 300)
+# a horizontal distance: p_los loops once per building the ray crosses
+_DISTANCE = _number(f"a distance in (0, {ch.MAX_DISTANCE_M:g}] m",
+                    lambda v: 0 < v <= ch.MAX_DISTANCE_M)
 _SIGMA = _number(f"a shadow sigma in [0, {SF_SIGMA_MAX_DB:g}] dB",  # ChannelSpec
                  lambda v: 0 <= v <= SF_SIGMA_MAX_DB)
 _SERVICE = _Rule("a positive number or null", lambda v: v is None or _POS.ok(v),
@@ -144,23 +150,23 @@ class ScenarioConfig:
     interferer_count: int = _key(6, _COUNT)
     # radio
     fc_ghz: float = _key(2.0, _POS)
-    noise_density_dbm_hz: float = _key(-174.0, _ANY)
+    noise_density_dbm_hz: float = _key(-174.0, _LEVEL)
     bandwidth_ga_hz: float = _key(0.4e6, _POS)
     bandwidth_aa_hz: float = _key(0.4e6, _POS)
     bandwidth_ha_hz: float = _key(0.4e6, _POS)
     bandwidth_gh_hz: float = _key(0.5e6, _POS)
-    tx_power_av_dbm: float = _key(23.0, _ANY)
-    tx_power_gbs_dbm: float = _key(46.0, _ANY)
-    tx_power_hap_dbm: float = _key(46.0, _ANY)
-    tx_power_gs_dbm: float = _key(46.0, _ANY)
-    noise_figure_av_db: float = _key(9.0, _ANY)
-    noise_figure_hap_db: float = _key(5.0, _ANY)
-    av_antenna_gain_dbi: float = _key(0.0, _ANY)
-    gs_antenna_gain_dbi: float = _key(0.0, _ANY)
+    tx_power_av_dbm: float = _key(23.0, _LEVEL)
+    tx_power_gbs_dbm: float = _key(46.0, _LEVEL)
+    tx_power_hap_dbm: float = _key(46.0, _LEVEL)
+    tx_power_gs_dbm: float = _key(46.0, _LEVEL)
+    noise_figure_av_db: float = _key(9.0, _LEVEL)
+    noise_figure_hap_db: float = _key(5.0, _LEVEL)
+    av_antenna_gain_dbi: float = _key(0.0, _LEVEL)
+    gs_antenna_gain_dbi: float = _key(0.0, _LEVEL)
     ula_elements: int = _key(8, _COUNT)
     ula_downtilt_deg: float = _key(102.0, _POS)
-    ula_element_gain_dbi: float = _key(8.0, _ANY)
-    hap_max_gain_dbi: float = _key(32.0, _ANY)
+    ula_element_gain_dbi: float = _key(8.0, _LEVEL)
+    hap_max_gain_dbi: float = _key(32.0, _LEVEL)
     hap_aperture_radius_wavelengths: float = _key(10.0, _POS)
     # geometry
     isd_m: float = _key(500.0, _POS)
@@ -170,7 +176,7 @@ class ScenarioConfig:
     hap_altitude_m: float = _key(20000.0, _POS)
     hap_gs_offset_m: float = _key(5000.0, _POS)
     av_count: int = _key(10, _COUNT)
-    r_ga_m: float = _key(150.0, _POS)
+    r_ga_m: float = _key(150.0, _DISTANCE)
     # propagation environment (ITU-R P.1410: built-up ratio, density, height scale)
     q1: float = _key(0.3, _number("a fraction in (0, 1]", lambda v: 0 < v <= 1))
     q2_per_km2: float = _key(500.0, _number(  # at most one building per m^2
@@ -210,8 +216,9 @@ class ScenarioConfig:
                                     400.0, 560.0, 800.0, 1000.0), _RATES)
     region_topologies: int = _key(20, _COUNT)
     region_r_edges_m: tuple = _key(tuple(float(v) for v in range(0, 261, 20)), _floats(
-        "a strictly increasing list of at least 2 bin edges [m]",
-        lambda v: len(v) >= 2 and v[0] >= 0 and all(a < b for a, b in zip(v, v[1:]))))
+        f"a strictly increasing list of at least 2 bin edges in [0, {ch.MAX_DISTANCE_M:g}] m",
+        lambda v: len(v) >= 2 and v[0] >= 0 and v[-1] <= ch.MAX_DISTANCE_M
+        and all(a < b for a, b in zip(v, v[1:]))))
     region_rates_kbps: tuple = _key(tuple(float(v) for v in range(100, 1001, 100)), _RATES)
 
     # -------- derived views --------
@@ -267,6 +274,9 @@ def _build_config(overrides: dict) -> ScenarioConfig:
         raise ConfigError("config key 'av_altitude_m': must exceed gbs_height_m")
     if cfg.hap_altitude_m <= cfg.av_altitude_m:
         raise ConfigError("config key 'hap_altitude_m': must exceed av_altitude_m")
+    if cfg.isd_m * cfg.grid_tiers > ch.MAX_DISTANCE_M:
+        raise ConfigError(f"config key 'grid_tiers': the grid's extent isd_m * grid_tiers "
+                          f"must be at most {ch.MAX_DISTANCE_M:g} m")
     if cfg.a2a_relay_count > e2e.MAX_A2A_PATHS:
         raise ConfigError(f"config key 'a2a_relay_count': at most {e2e.MAX_A2A_PATHS} "
                           f"relayed paths, got {cfg.a2a_relay_count}")
@@ -275,11 +285,28 @@ def _build_config(overrides: dict) -> ScenarioConfig:
     return cfg
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """The safe YAML loader, but a key repeated in one mapping is an error
+    rather than silently overriding the first."""
+
+    def construct_mapping(self, node, deep=False):
+        self.flatten_mapping(node)      # resolve "<<" merge keys first
+        lines = {}
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode):   # other keys fail in super()
+                key, line = self.construct_object(key_node), key_node.start_mark.line + 1
+                if key in lines:
+                    raise ConfigError(f"config parse error at line {line}: key '{key}' "
+                                      f"given twice (first at line {lines[key]})")
+                lines[key] = line
+        return super().construct_mapping(node, deep)
+
+
 def load_config(path=None) -> ScenarioConfig:
     """Load a YAML key/value config; None or an empty file yields defaults.
 
-    Every key is validated on load; unknown keys are rejected by name and
-    parse errors carry the line number.
+    Every key is validated on load; unknown and repeated keys are rejected
+    by name and parse errors carry the line number.
     """
     if path is None:
         return ScenarioConfig()
@@ -289,7 +316,7 @@ def load_config(path=None) -> ScenarioConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_ConfigLoader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""
@@ -541,8 +568,8 @@ def _topology_rows(topology: Topology, stats: dict, config: ScenarioConfig) -> d
     it equals the one without it. Feasibility is decided on the averages
     across topologies (_mean_outcomes)."""
     backhaul = config.backhaul()
-    branches = [stats["g2a_dest"]] * config.diversity_branches
-    da2g = e2e.da2g_path(backhaul, config.queue("gbs"), branches)
+    da2g = e2e.da2g_path(backhaul, config.queue("gbs"), stats["g2a_dest"],
+                         config.diversity_branches)
     a2a_paths = [
         e2e.a2a_path(
             backhaul, config.queue("gbs"), stats[f"g2a_relay_{m}"],

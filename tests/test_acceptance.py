@@ -25,8 +25,6 @@ from avlinksim.link import LinkStats, fbl_error, fbl_rate
 from avlinksim.queueing import QueueSpec, effective_bandwidth
 from avlinksim.scenario import ScenarioConfig, run_operating_region, run_rate_sweep
 
-LOOSE = e2e.QosTarget(0.5, 10.0)
-
 
 def _max_feasible_kbps(rows, label):
     rates = [r.rate_bps for r in rows if r.label == label and r.feasible]
@@ -79,26 +77,26 @@ def test_path_composition_matches_bernoulli_replay():
         backhaul = e2e.BackhaulSpec(delay_s=rng.uniform(0.5e-3, 2e-3), eps=eps_b)
         queue = QueueSpec(1000.0, rng.uniform(0.1e-3, 0.5e-3), eps_q)
 
-        branches = [_draw_hop(rng) for _ in range(1 + (k % 2))]
-        path_a = e2e.da2g_path(
-            backhaul, queue, [_stats(e, d, n) for e, d in branches], LOOSE
-        )
+        # 1 or 2 diversity branches, each a clone over the one g2a link
+        branch_eps, branch_d = _draw_hop(rng)
+        branches = 1 + (k % 2)
+        path_a = e2e.da2g_path(backhaul, queue, _stats(branch_eps, branch_d, n), branches)
         hops = [_draw_hop(rng) for _ in range(2)]
         if k % 2 == 0:
             path_b = e2e.a2a_path(backhaul, queue, _stats(*hops[0], n),
-                                  queue, _stats(*hops[1], n), LOOSE)
+                                  queue, _stats(*hops[1], n))
         else:
             d1, d2 = rng.uniform(5e3, 25e3), rng.uniform(15e3, 25e3)
             path_b = e2e.hap_path(backhaul, queue, _stats(*hops[0], n), d1,
-                                  queue, _stats(*hops[1], n), d2, LOOSE)
+                                  queue, _stats(*hops[1], n), d2)
         chain_b = [eps_b, eps_q, hops[0][0], eps_q, hops[1][0]]
 
         sim = np.random.default_rng(np.random.PCG64(777 + k))
         fail_a = sim.random(n) < eps_b
         fail_a |= sim.random(n) < eps_q
         radio_fail = np.ones(n, dtype=bool)
-        for eps, _ in branches:
-            radio_fail &= sim.random(n) < eps
+        for _ in range(branches):
+            radio_fail &= sim.random(n) < branch_eps
         fail_a |= radio_fail
         fail_b = np.zeros(n, dtype=bool)
         for eps in chain_b:
@@ -114,8 +112,7 @@ def test_path_composition_matches_bernoulli_replay():
         worst_z = max(worst_z, z)
         assert z < 3.0
 
-        best = min(branches, key=lambda h: h[1] / (1.0 - h[0]))
-        delay_a = sim.geometric(1.0 - best[0], size=n) * best[1]
+        delay_a = sim.geometric(1.0 - branch_eps, size=n) * branch_d
         mean_a = float(delay_a.mean()) + backhaul.delay_s + queue.delay_bound_s
         z = abs(mean_a - path_a.d_e2e) / (float(delay_a.std()) / math.sqrt(n))
         worst_z = max(worst_z, z)
@@ -151,7 +148,7 @@ def test_backhaul_floor_blocks_every_single_path():
     backhaul = e2e.BackhaulSpec(delay_s=1e-3, eps=1e-5)
     queue = QueueSpec(1000.0, 0.3e-3, 1e-7)
     perfect = LinkStats(0.0, 1e-3, 1, 0.0)
-    da2g = e2e.da2g_path(backhaul, queue, [perfect])
+    da2g = e2e.da2g_path(backhaul, queue, perfect)
     a2a = e2e.a2a_path(backhaul, queue, perfect, queue, perfect)
     hap = e2e.hap_path(backhaul, queue, perfect, 20000.0, queue, perfect, 19700.0)
     for path in (da2g, a2a, hap):

@@ -127,6 +127,36 @@ class TestValidate:
         assert "FAIL - config file: config key 'eps_q'" in res.stdout
 
 
+    @pytest.mark.parametrize("text", [
+        "tx_power_av_dbm: 4000\n",             # overflowed to an OverflowError
+        "noise_density_dbm_hz: -4000\n",       # rounded to 0 W/Hz
+        "n_samples: 200\nn_samples: 300\n",     # loaded as 300 with no message
+    ])
+    def test_config_that_crashed_or_misloaded_is_a_finding(self, runner, tmp_path, text):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text, encoding="utf-8")
+        res = runner.invoke(main, ["validate", "--config", str(bad)])
+        assert res.exit_code == 1
+        assert "FAIL - config file" in res.stdout
+        res = runner.invoke(main, ["sweep", "--config", str(bad), "--quiet"])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("config error: ")
+
+    def test_far_destination_is_a_config_error_not_a_hang(self, tmp_path):
+        # p_los loops once per building: at 1e9 m the sweep ran for minutes
+        far = tmp_path / "far.yaml"
+        far.write_text("r_ga_m: 1000000000.0\nq3_m: 0.01\nn_samples: 200\n"
+                       "sweep_rates_kbps: [100]\n", encoding="utf-8")
+        src = str(pathlib.Path(avlinksim.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run(
+            [sys.executable, "-m", "avlinksim.cli", "sweep", "--config", str(far), "--quiet"],
+            env=env, capture_output=True, text=True, timeout=20)
+        assert done.returncode == 2
+        assert done.stderr.startswith("config error: config key 'r_ga_m'")
+
+
 # ============================================================
 # sweep
 # ============================================================

@@ -19,6 +19,10 @@ from avlinksim.e2e import (
     BackhaulSpec,
     PathOutcome,
     QosTarget,
+    _chain,
+    _hop,
+    _product_stderr,
+    _radio,
     a2a_path,
     chain_loss,
     combine_paths,
@@ -86,54 +90,50 @@ class TestChainLoss:
 # ============================================================
 
 class TestDa2gPath:
+    EXACT_HOPS = (1.0 - 1e-6) * (1.0 - 1e-7)     # backhaul and queue survivals
+
     def test_two_branch_loss(self):
-        branches = [_stats(3.2e-3, 1.2e-3), _stats(3.2e-3, 0.9e-3)]
-        out = da2g_path(BACKHAUL, QUEUE, branches)
+        out = da2g_path(BACKHAUL, QUEUE, _stats(3.2e-3, 0.9e-3), 2)
         assert_allclose(out.eps_e2e, 1.1339988636001024e-5, rtol=1e-9)
         assert out.label == "DA2G"
 
     def test_delay_uses_fastest_branch(self):
-        branches = [_stats(3.2e-3, 1.2e-3), _stats(3.2e-3, 0.9e-3)]
-        out = da2g_path(BACKHAUL, QUEUE, branches)
-        assert out.delay_breakdown["radio_da2g"] == 0.9e-3
-        assert set(out.delay_breakdown) == {"backhaul", "queue_gbs", "radio_da2g"}
-        assert out.d_e2e == sum(out.delay_breakdown.values())
+        # every branch is a clone over the one link, so the fastest branch's
+        # delay is that link's mean delay whatever the branch count
+        for branches in (1, 3):
+            out = da2g_path(BACKHAUL, QUEUE, _stats(3.2e-3, 0.9e-3), branches)
+            assert out.delay_breakdown["radio_da2g"] == 0.9e-3
+            assert set(out.delay_breakdown) == {"backhaul", "queue_gbs", "radio_da2g"}
+            assert out.d_e2e == sum(out.delay_breakdown.values())
 
     def test_std_error_first_order(self):
-        branches = [_stats(1e-2, se=1e-4), _stats(2e-2, se=2e-4)]
-        out = da2g_path(BACKHAUL, QUEUE, branches)
-        radio_se = math.sqrt((1e-4 * 2e-2) ** 2 + (2e-4 * 1e-2) ** 2)
-        partial = (1.0 - 1e-6) * (1.0 - 1e-7)
-        assert_allclose(out.eps_std_error, radio_se * partial, rtol=1e-12)
+        out = da2g_path(BACKHAUL, QUEUE, _stats(2e-2, se=2e-4))
+        assert_allclose(out.eps_std_error, 2e-4 * self.EXACT_HOPS, rtol=1e-12)
 
     def test_cloned_branches_are_one_estimate(self):
-        # K copies of one estimate: d(eps^K)/d eps = K eps^(K-1), so the
+        # K clones of one estimate: d(eps^K)/d eps = K eps^(K-1), so the
         # radio SE at K = 2 is 2 * 1e-2 * 1e-3 = 2e-5, not sqrt(2) * 1e-5
-        one = _stats(1e-2, se=1e-3)
-        out = da2g_path(BACKHAUL, QUEUE, [one, one])
-        partial = (1.0 - 1e-6) * (1.0 - 1e-7)
-        assert_allclose(out.eps_std_error, 2e-5 * partial, rtol=1e-12)
-        three = da2g_path(BACKHAUL, QUEUE, [one] * 3)
-        assert_allclose(three.eps_std_error, 3 * 1e-4 * 1e-3 * partial, rtol=1e-12)
+        eps, se = 1e-2, 1e-3
+        for branches in (1, 2, 3, 4):
+            out = da2g_path(BACKHAUL, QUEUE, _stats(eps, se=se), branches)
+            assert_allclose(out.error_terms["radio_da2g"], eps ** branches, rtol=1e-15)
+            assert_allclose(out.eps_std_error,
+                            branches * eps ** (branches - 1) * se * self.EXACT_HOPS,
+                            rtol=1e-12)
 
     def test_equal_but_separate_estimates_stay_independent(self):
-        branches = [_stats(1e-2, se=1e-3), _stats(1e-2, se=1e-3)]
-        out = da2g_path(BACKHAUL, QUEUE, branches)
-        partial = (1.0 - 1e-6) * (1.0 - 1e-7)
-        assert_allclose(out.eps_std_error, math.sqrt(2.0) * 1e-5 * partial, rtol=1e-12)
-
-    def test_repeated_branch_among_others(self):
-        # [x, y, x]: radio eps = eps_x^2 eps_y, so d/d eps_x = 2 eps_x eps_y
-        # and d/d eps_y = eps_x^2, each squared once
-        x, y = _stats(1e-2, se=1e-3), _stats(3e-2, se=2e-3)
-        out = da2g_path(BACKHAUL, QUEUE, [x, y, x])
-        radio_se = math.hypot(2 * 1e-2 * 3e-2 * 1e-3, 1e-2 ** 2 * 2e-3)
-        partial = (1.0 - 1e-6) * (1.0 - 1e-7)
-        assert_allclose(out.eps_std_error, radio_se * partial, rtol=1e-12)
+        # two direct paths over equal-valued links are two estimates: their
+        # product's SE adds the two first-order terms in quadrature
+        one, twin = _stats(1e-2, se=1e-3), _stats(1e-2, se=1e-3)
+        paths = [da2g_path(BACKHAUL, QUEUE, link) for link in (one, twin)]
+        out = combine_paths(paths, label="two links")
+        path_se = 1e-3 * self.EXACT_HOPS
+        assert_allclose(out.eps_std_error,
+                        math.sqrt(2.0) * paths[0].eps_e2e * path_se, rtol=1e-12)
 
     def test_empty_branches_rejected(self):
         with pytest.raises(ValueError):
-            da2g_path(BACKHAUL, QUEUE, [])
+            da2g_path(BACKHAUL, QUEUE, _stats(1e-2), 0)
 
 
 class TestA2aPath:
@@ -202,34 +202,26 @@ class TestCombinePaths:
     def test_product_and_min_delay(self):
         a = self._path("DA2G", 2e-3, 2.1e-3)
         b = self._path("A2A-1", 2e-3, 3.4e-3)
-        out = combine_paths([a, b])
+        out = combine_paths([a, b], label="DA2G + 1-A2A")
         assert_allclose(out.eps_e2e, 4e-6, rtol=1e-12)
         assert out.d_e2e == 2.1e-3
-        assert out.label == "DA2G + A2A-1"
+        assert out.label == "DA2G + 1-A2A"
         assert out.error_terms == {"DA2G": 2e-3, "A2A-1": 2e-3}
 
     def test_std_error_first_order(self):
         a = self._path("DA2G", 1e-3, 2e-3, se=1e-5)
         b = self._path("HAP", 2e-3, 3e-3, se=3e-5)
-        out = combine_paths([a, b])
+        out = combine_paths([a, b], label="DA2G + HAP")
         expected = math.sqrt((1e-5 * 2e-3) ** 2 + (3e-5 * 1e-3) ** 2)
         assert_allclose(out.eps_std_error, expected, rtol=1e-12)
 
-    def test_one_path_twice_is_one_estimate(self):
-        a = self._path("DA2G", 1e-3, 2e-3, se=1e-5)
-        out = combine_paths([a, a])
-        assert_allclose(out.eps_std_error, 2 * 1e-3 * 1e-5, rtol=1e-12)
-        twin = self._path("DA2G", 1e-3, 2e-3, se=1e-5)
-        apart = combine_paths([a, twin])
-        assert_allclose(apart.eps_std_error, math.sqrt(2.0) * 1e-3 * 1e-5, rtol=1e-12)
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            combine_paths([])
+            combine_paths([], label="none")
 
     @pytest.mark.parametrize("path", [
-        da2g_path(BACKHAUL, QUEUE, [_stats(2e-6, se=3e-7)]),
-        da2g_path(BACKHAUL, QUEUE, [_stats(0.3, d_t=2e-3, se=1.7e-3)]),
+        da2g_path(BACKHAUL, QUEUE, _stats(2e-6, se=3e-7)),
+        da2g_path(BACKHAUL, QUEUE, _stats(0.3, d_t=2e-3, se=1.7e-3)),
         hap_path(BACKHAUL, QUEUE, _stats(1e-4, se=2e-5), 2.1e4, QUEUE,
                  _stats(3e-3, se=4e-4), 1.97e4),
     ], ids=["feasible", "infeasible", "hap"])
@@ -245,9 +237,53 @@ class TestCombinePaths:
     def test_product_law(self, losses):
         paths = [self._path(f"P{i}", eps, 1e-3 + i * 1e-4)
                  for i, eps in enumerate(losses)]
-        out = combine_paths(paths)
+        out = combine_paths(paths, label="all")
         assert_allclose(out.eps_e2e, math.prod(losses), rtol=1e-12)
         assert out.d_e2e == 1e-3
+
+
+# ============================================================
+# Composition reads values, not identities or names
+# ============================================================
+
+def _outcome(path):
+    return path.eps_e2e, path.d_e2e, path.eps_std_error, path.d_std_error
+
+
+class TestValuesOnly:
+    """Every factor is an independent estimate: an object passed twice
+    composes as two equal-valued objects do."""
+
+    def test_product_stderr(self):
+        factor = (1e-3, 1e-5)
+        twin = tuple([1e-3, 1e-5])
+        assert twin is not factor
+        got = _product_stderr([factor, factor])
+        assert got == _product_stderr([factor, twin])
+        assert_allclose(got, math.sqrt(2.0) * 1e-3 * 1e-5, rtol=1e-12)
+
+    def test_combine_paths(self):
+        a = PathOutcome("DA2G", 1e-3, 2e-3, eps_std_error=1e-5)
+        twin = PathOutcome("DA2G", 1e-3, 2e-3, eps_std_error=1e-5)
+        once = combine_paths([a, a], label="twice")
+        assert _outcome(once) == _outcome(combine_paths([a, twin], label="twice"))
+        assert_allclose(once.eps_std_error, math.sqrt(2.0) * 1e-3 * 1e-5, rtol=1e-12)
+
+    def test_chain(self):
+        one = _stats(1e-2, 1e-3, se=1e-3)
+        twin = _stats(1e-2, 1e-3, se=1e-3)
+        same = _chain("P", [_radio("radio_1", one), _radio("radio_2", one)])
+        apart = _chain("P", [_radio("radio_1", one), _radio("radio_2", twin)])
+        assert _outcome(same) == _outcome(apart)
+        assert_allclose(same.eps_std_error, math.sqrt(2.0) * (1.0 - 1e-2) * 1e-3,
+                        rtol=1e-12)
+
+    def test_hops_that_share_a_name_keep_every_term(self):
+        # the totals run over the hops: a repeated name drops no delay or loss
+        hops = [_hop("queue", 1e-3, 1e-3), _hop("queue", 2e-3, 2e-3)]
+        out = _chain("P", hops)
+        assert out.d_e2e == 1e-3 + 2e-3
+        assert out.eps_e2e == chain_loss([1e-3, 2e-3])
 
 
 # ============================================================

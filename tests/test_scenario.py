@@ -261,6 +261,51 @@ class TestLoadConfig:
                                               r"\(0, 1e\+06\] per km\^2"):
             load_config(_write(tmp_path, "q2_per_km2: 1000001\n"))
 
+    LEVEL_KEYS = ("tx_power_av_dbm", "tx_power_gbs_dbm", "tx_power_hap_dbm", "tx_power_gs_dbm",
+                  "noise_figure_av_db", "noise_figure_hap_db", "noise_density_dbm_hz",
+                  "av_antenna_gain_dbi", "gs_antenna_gain_dbi", "ula_element_gain_dbi",
+                  "hap_max_gain_dbi")
+
+    @pytest.mark.parametrize("value", [4000, -4000])
+    @pytest.mark.parametrize("key", LEVEL_KEYS)
+    def test_level_whose_linear_value_overflows_rejected(self, tmp_path, key, value):
+        # 10^400 overflows a double and 10^-400 rounds to 0, which used to
+        # pass the config check and crash the run
+        with pytest.raises(ConfigError, match=rf"'{key}': expected a level in \[-300, 300\] dB"):
+            load_config(_write(tmp_path, f"{key}: {value}\n"))
+
+    @pytest.mark.parametrize("signal, noise", [(300, -300), (-300, 300), (300, 300)])
+    def test_extreme_levels_run(self, signal, noise):
+        noise_keys = {"noise_figure_av_db", "noise_figure_hap_db", "noise_density_dbm_hz"}
+        config = dataclasses.replace(FAST, sweep_topologies=1, **{
+            key: float(noise if key in noise_keys else signal) for key in self.LEVEL_KEYS})
+        for row in run_rate_sweep(config).rows:
+            assert 0.0 <= row.eps_e2e <= 1.0 and row.delay_s > 0.0, row
+
+    @pytest.mark.parametrize("text, key", [
+        ("r_ga_m: 1000000000.0\n", "r_ga_m"),
+        ("region_r_edges_m: [0, 2000000]\n", "region_r_edges_m"),
+        ("isd_m: 500000\ngrid_tiers: 3\n", "grid_tiers"),
+    ])
+    def test_distance_beyond_the_los_bound_rejected(self, tmp_path, text, key):
+        # p_los loops once per building the ray crosses, as link-budget's bound says
+        with pytest.raises(ConfigError, match=f"'{key}'.*1e\\+06"):
+            load_config(_write(tmp_path, text))
+
+    def test_distance_at_the_los_bound_accepted(self, tmp_path):
+        cfg = load_config(_write(tmp_path, "r_ga_m: 1000000\nregion_r_edges_m: [0, 1000000]\n"
+                                           "isd_m: 250000\ngrid_tiers: 4\n"))
+        assert (cfg.r_ga_m, cfg.region_r_edges_m[-1], cfg.isd_m * cfg.grid_tiers) == (1e6,) * 3
+
+    @pytest.mark.parametrize("text, key, line", [
+        ("n_samples: 200\nn_samples: 300\n", "n_samples", 2),
+        ("eps_th: 1.0e-3\nn_samples: 200\neps_th: 1.0e-4\n", "eps_th", 3),
+        ("rice_k_db:\n  g2a: [5, 12]\n  a2a: [12, 12]\n  g2a: [1, 2]\n", "g2a", 4),
+    ])
+    def test_repeated_key_rejected(self, tmp_path, text, key, line):
+        with pytest.raises(ConfigError, match=f"line {line}: key '{key}' given twice"):
+            load_config(_write(tmp_path, text))
+
     def test_config_is_frozen(self):
         cfg = ScenarioConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
