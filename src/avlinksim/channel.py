@@ -18,12 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .link import SF_SIGMA_MAX_DB
+from .link import LEVEL_MAX_DB, SF_SIGMA_MAX_DB
 from .mathfun import bessel_j1
 
 __all__ = [
     "Q2_MAX_PER_KM2",
     "MAX_DISTANCE_M",
+    "MAX_APERTURE_WAVELENGTHS",
     "Environment",
     "UlaSpec",
     "ReflectorSpec",
@@ -48,6 +49,10 @@ __all__ = [
 # beyond any modelled link
 Q2_MAX_PER_KM2 = 1e6
 MAX_DISTANCE_M = 1e6
+# hap_gain's Bessel quadrature takes one node per unit of its largest
+# argument 2 pi a sin(offset), so the reflector radius a [wavelengths] is
+# bounded too (1e4 keeps a 36-beam link's gains within milliseconds)
+MAX_APERTURE_WAVELENGTHS = 1e4
 
 
 @dataclass(frozen=True)
@@ -187,8 +192,9 @@ class UlaSpec:
             raise ValueError("n_elements must be at least 1")
         if not math.isfinite(self.downtilt_deg):
             raise ValueError("downtilt_deg must be finite")
-        if not math.isfinite(self.element_gain_max_dbi):
-            raise ValueError("element_gain_max_dbi must be finite")
+        if not abs(self.element_gain_max_dbi) <= LEVEL_MAX_DB:   # NaN compares False
+            raise ValueError(f"element_gain_max_dbi must be finite and lie in "
+                             f"[-{LEVEL_MAX_DB:g}, {LEVEL_MAX_DB:g}] dB")
 
 
 @dataclass(frozen=True)
@@ -199,10 +205,12 @@ class ReflectorSpec:
     aperture_radius_wavelengths: float = 10.0
 
     def __post_init__(self):
-        if not math.isfinite(self.max_gain_dbi):
-            raise ValueError("max_gain_dbi must be finite")
-        if not 0.0 < self.aperture_radius_wavelengths < math.inf:
-            raise ValueError("aperture_radius_wavelengths must be finite and positive")
+        if not abs(self.max_gain_dbi) <= LEVEL_MAX_DB:           # NaN compares False
+            raise ValueError(f"max_gain_dbi must lie in [-{LEVEL_MAX_DB:g}, "
+                             f"{LEVEL_MAX_DB:g}] dB")
+        if not 0.0 < self.aperture_radius_wavelengths <= MAX_APERTURE_WAVELENGTHS:
+            raise ValueError(f"aperture_radius_wavelengths must lie in "
+                             f"(0, {MAX_APERTURE_WAVELENGTHS:g}]")
 
 
 def ula_element_gain(zenith_deg, spec: UlaSpec):

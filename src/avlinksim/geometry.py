@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "MAX_GRID_TIERS",
     "NodeKind",
     "NodePose",
     "GridSpec",
@@ -31,6 +32,12 @@ __all__ = [
     "angle_between_deg",
     "serving_bs",
 ]
+
+
+# A layout of t tiers has 3t^2 + 3t + 1 sites, and each topology scans
+# them all (the g2a interferer ranking, one h2a interfering beam per other
+# site), so the tier count is bounded: 20 tiers are 1261 sites
+MAX_GRID_TIERS = 20
 
 
 class NodeKind(str, enum.Enum):
@@ -58,8 +65,8 @@ class GridSpec:
     def __post_init__(self):
         if not self.isd_m > 0.0:
             raise ValueError("isd_m must be positive")
-        if self.tiers < 0:
-            raise ValueError("tiers must be non-negative")
+        if not 0 <= self.tiers <= MAX_GRID_TIERS:
+            raise ValueError(f"tiers must lie in [0, {MAX_GRID_TIERS}]")
 
 
 # unit vectors normal to the three hexagon edge pairs (flat sides face

@@ -1,7 +1,7 @@
 """Single-link radio abstractions: SINR sampling and short-packet decoding.
 
 Provides:
- - RadioParams / ChannelSpec / Interferer / InterfererSet : link description
+ - RadioParams / ChannelSpec / LinkSetup : link description
  - sinr_sample          : Monte Carlo SINR draws under Rician fading,
                           made in caller-owned batch buffers when given
  - fbl_rate / fbl_error : finite-blocklength rate and decoding error
@@ -24,14 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mathfun import _Q_BLOCK, gaussian_q, gaussian_q_inv, sample_rician_power
+from .mathfun import _Q_BLOCK, _Q_FLUSH, gaussian_q, gaussian_q_inv, sample_rician_power
 
 __all__ = [
     "RadioParams",
     "ChannelSpec",
-    "Interferer",
-    "InterfererSet",
+    "LinkSetup",
     "LinkStats",
+    "LEVEL_MAX_DB",
     "SF_SIGMA_MAX_DB",
     "sinr_sample",
     "fbl_rate",
@@ -45,6 +45,10 @@ _LN2 = math.log(2.0)
 # double once |z| > 3082.5 / sigma (30.8 at 100 dB, which no normal draw
 # reaches); past that, inf desired and interferer powers give an inf/inf SINR.
 SF_SIGMA_MAX_DB = 100.0
+# Largest magnitude [dB] of a power, gain, noise figure, noise density or
+# Rice factor: within it the linear values, and a link budget's product of
+# them, stay normal doubles
+LEVEL_MAX_DB = 300.0
 
 
 @dataclass(frozen=True)
@@ -59,6 +63,9 @@ class RadioParams:
             raise ValueError("bandwidth_hz and tx_power_w must be positive")
         if not self.noise_density_w_hz > 0.0:
             raise ValueError("noise_density_w_hz must be positive")
+        if not abs(self.noise_figure_db) <= LEVEL_MAX_DB:    # NaN compares False
+            raise ValueError(f"noise_figure_db must lie in [-{LEVEL_MAX_DB:g}, "
+                             f"{LEVEL_MAX_DB:g}] dB")
 
     @property
     def noise_power_w(self) -> float:
@@ -82,6 +89,9 @@ class ChannelSpec:
     def __post_init__(self):
         if not 0.0 <= self.sf_sigma_db <= SF_SIGMA_MAX_DB:
             raise ValueError(f"sf_sigma_db must lie in [0, {SF_SIGMA_MAX_DB:g}] dB")
+        if not (abs(self.k_db) <= LEVEL_MAX_DB or abs(self.k_db) == math.inf):
+            raise ValueError(f"k_db must lie in [-{LEVEL_MAX_DB:g}, {LEVEL_MAX_DB:g}] dB "
+                             "or be infinite")
 
     @property
     def mean_gain(self) -> float:
@@ -89,21 +99,19 @@ class ChannelSpec:
 
 
 @dataclass(frozen=True)
-class Interferer:
-    channel: ChannelSpec
-    tx_power_w: float
-
-
-@dataclass(frozen=True)
-class InterfererSet:
-    """Co-channel interferers plus the activity model.
+class LinkSetup:
+    """Everything needed to draw SINR samples for one link: the desired
+    channel, the radio, and the co-channel interferers, each a channel from
+    a transmitter that sends at radio.tx_power_w, in draw order.
 
     mode="expected" scales the summed interferer powers by p_interf each
     draw; mode="bernoulli" switches each interferer fully on with
     probability p_interf instead.
     """
 
-    members: tuple = ()
+    desired: ChannelSpec
+    radio: RadioParams
+    interferers: tuple = ()
     p_interf: float = 0.0
     mode: str = "expected"
 
@@ -128,13 +136,10 @@ class LinkStats:
 # SINR sampling
 # ============================================================
 
-def _channel_draw(spec: ChannelSpec, rng: np.random.Generator, n: int,
-                  work=None) -> np.ndarray:
+def _channel_draw(spec: ChannelSpec, rng: np.random.Generator, work) -> np.ndarray:
     """Received gain mean_gain * fade (* shadow), in the first row of work,
-    a (2, n) array (allocated if not given)."""
-    if work is None:
-        work = np.empty((2, n))
-    power = sample_rician_power(spec.k_db, rng, size=n, work=work)
+    a (2, n) array for n draws."""
+    power = sample_rician_power(spec.k_db, rng, size=work.shape[1], work=work)
     power *= spec.mean_gain
     if spec.sf_sigma_db > 0.0:
         shadow = rng.standard_normal(out=work[1])
@@ -146,49 +151,45 @@ def _channel_draw(spec: ChannelSpec, rng: np.random.Generator, n: int,
 
 
 # batch-length rows sinr_sample works in: the desired fade and its scratch,
-# the interference sum, and a member's fade and its scratch
+# the interference sum, and an interferer's fade and its scratch
 SINR_WORK_ROWS = 5
 
 
-def sinr_sample(
-    desired: ChannelSpec,
-    interferers: InterfererSet,
-    radio: RadioParams,
-    rng: np.random.Generator,
-    size: int = 1,
-    work=None,
-) -> np.ndarray:
+def sinr_sample(setup: LinkSetup, rng: np.random.Generator, size: int = 1,
+                work=None) -> np.ndarray:
     """Draw SINR realizations for one link.
 
-    Draw order is fixed (desired channel, then each interferer in member
-    order, in bernoulli mode each followed by its activity marks), so
-    results are reproducible for a given generator state. Interferer
-    powers are added into one running sum in member order, so memory is
-    the SINR_WORK_ROWS rows of work whatever the member count. work, if
-    given, is a (SINR_WORK_ROWS, >= size) array that the draws are made
-    in: the result is a view of its first row, overwritten by the next
-    call with the same work.
+    Draw order is fixed (desired channel, then each interferer in order, in
+    bernoulli mode each followed by its activity marks), so results are
+    reproducible for a given generator state. Every channel's power is
+    scaled by the radio's transmit power, and interferer powers are added
+    into one running sum in order, so memory is the SINR_WORK_ROWS rows of
+    work whatever the interferer count. work, if given, is a
+    (SINR_WORK_ROWS, >= size) array that the draws are made in: the result
+    is a view of its first row, overwritten by the next call with the same
+    work.
     """
     n = int(size)
     work = np.empty((SINR_WORK_ROWS, n)) if work is None else work[:, :n]
-    signal = _channel_draw(desired, rng, n, work[0:2])
+    radio = setup.radio
+    signal = _channel_draw(setup.desired, rng, work[0:2])
     signal *= radio.tx_power_w
-    if not interferers.members or interferers.p_interf == 0.0:
+    if not setup.interferers or setup.p_interf == 0.0:
         signal /= radio.noise_power_w
         return signal
-    bernoulli = interferers.mode == "bernoulli"
+    bernoulli = setup.mode == "bernoulli"
     interference = work[2]
     interference.fill(0.0)
-    for member in interferers.members:
-        power = _channel_draw(member.channel, rng, n, work[3:5])
-        power *= member.tx_power_w
+    for channel in setup.interferers:
+        power = _channel_draw(channel, rng, work[3:5])
+        power *= radio.tx_power_w
         if bernoulli:
             active = rng.random(out=work[4])
-            np.less(active, interferers.p_interf, out=active)
+            np.less(active, setup.p_interf, out=active)
             power *= active
         interference += power
     if not bernoulli:
-        interference *= interferers.p_interf
+        interference *= setup.p_interf
     interference += radio.noise_power_w
     signal /= interference
     return signal
@@ -280,11 +281,10 @@ def arq_delay(d_t_s: float, eps_bar: float) -> float:
 # ============================================================
 
 # gaussian_q(x) is exactly 1.0 in float64 for x <= -8.3 and exactly 0.0
-# from 38.5 on (subnormal just below); so an element counted as a 1
-# (argument below _Q_ONE) or a 0 (at or past _Q_CUTOFF) has exactly that
+# from _Q_FLUSH on (subnormal just below); so an element counted as a 1
+# (argument below _Q_ONE) or a 0 (at or past _Q_FLUSH) has exactly that
 # error
 _Q_ONE = -9.0
-_Q_CUTOFF = 38.5
 # an element whose Chernoff bound 0.5 * exp(-x^2 / 2) on Q is below
 # _TAIL_REL / n of a lower bound on its batch's error sum is not evaluated:
 # all of them together move that sum by less than one ULP
@@ -331,7 +331,7 @@ def _batch_moments(gamma, bandwidth_hz, packet_bits, rates, work):
     The batch is sorted once, so at every rate Q's argument rises along it
     and the errors split into three contiguous runs: arguments below
     _Q_ONE (error exactly 1, counted), the evaluated window, and a tail
-    that is either exactly 0 (past _Q_CUTOFF) or below _TAIL_REL of the
+    that is either exactly 0 (past _Q_FLUSH) or below _TAIL_REL of the
     batch sum by the Chernoff bound (counted as 0). Only the windows reach
     gaussian_q, an empty one never; each window's errors are summed in
     ascending-SINR order. work is a (_KERNEL_ROWS, gamma.size) array.
@@ -343,17 +343,16 @@ def _batch_moments(gamma, bandwidth_hz, packet_bits, rates, work):
     a, b = _fbl_terms(ordered, bandwidth_hz, out=work[1:3])
     scale = np.sqrt(packet_bits / rates)
     ones = _count_below(a, b, rates, scale, _Q_ONE)
-    end = _count_below(a, b, rates, scale, _Q_CUTOFF)
     # the certain failures plus the window's first (largest) error bound the
-    # batch sum from below
-    live = ones < end
+    # batch sum from below; past _Q_FLUSH that error is an exact 0
+    live = ones < n
     first = ones[live]
     bound = ones.astype(float)
     if first.size:
         bound[live] += gaussian_q(_fbl_arg(a[first], b[first], rates[live], scale[live]))
     with np.errstate(divide="ignore"):
         x_cut = np.sqrt(-2.0 * np.log(bound * (_TAIL_REL / n)))
-    cut = np.minimum(_count_below(a, b, rates, scale, x_cut), end)
+    cut = _count_below(a, b, rates, scale, np.minimum(x_cut, _Q_FLUSH))
     spans = list(zip(ones.tolist(), cut.tolist()))
     mean = np.empty(rates.size)
     m2 = np.empty(rates.size)

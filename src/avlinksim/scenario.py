@@ -34,9 +34,9 @@ from . import e2e
 from . import geometry as geo
 from .e2e import CANONICAL_COMBINATIONS
 from .link import (
+    LEVEL_MAX_DB,
     ChannelSpec,
-    Interferer,
-    InterfererSet,
+    LinkSetup,
     RadioParams,
     SF_SIGMA_MAX_DB,
     SINR_WORK_ROWS,
@@ -99,9 +99,10 @@ def _floats(want: str, ok) -> _Rule:
 _ANY, _POS = _number("a number"), _number("a positive number", lambda v: v > 0)
 _COUNT = _number("a positive integer", lambda v: v > 0, int)
 _PROB_OPEN = _number("a probability in (0, 1)", lambda v: 0 < v < 1)
-# a power, gain, noise figure or noise density [dBm, dBi, dB, dBm/Hz]: within
-# 300 dB the linear values, and a link budget's product of them, stay normal doubles
-_LEVEL = _number("a level in [-300, 300] dB", lambda v: -300 <= v <= 300)
+# a power, gain, noise figure, noise density or Rice factor [dBm, dBi, dB,
+# dBm/Hz], within the bound its model class enforces
+_LEVEL = _number(f"a level in [-{LEVEL_MAX_DB:g}, {LEVEL_MAX_DB:g}] dB",
+                 lambda v: abs(v) <= LEVEL_MAX_DB)
 # a horizontal distance: p_los loops once per building the ray crosses
 _DISTANCE = _number(f"a distance in (0, {ch.MAX_DISTANCE_M:g}] m",
                     lambda v: 0 < v <= ch.MAX_DISTANCE_M)
@@ -110,8 +111,9 @@ _SIGMA = _number(f"a shadow sigma in [0, {SF_SIGMA_MAX_DB:g}] dB",  # ChannelSpe
 _SERVICE = _Rule("a positive number or null", lambda v: v is None or _POS.ok(v),
                  lambda v: None if v is None else float(v))
 _RATES = _floats("a non-empty list of positive rates [kbps]", lambda v: min(v, default=0) > 0)
-_RICE = _floats("a [k_min, k_max] pair with k_min <= k_max",
-                lambda v: len(v) == 2 and v[0] <= v[1])
+_RICE = _floats(f"a [k_min, k_max] pair of levels in [-{LEVEL_MAX_DB:g}, {LEVEL_MAX_DB:g}] dB "
+                "with k_min <= k_max",
+                lambda v: len(v) == 2 and all(map(_LEVEL.ok, v)) and v[0] <= v[1])
 
 
 def _key(default, rule: _Rule):
@@ -143,7 +145,7 @@ class ScenarioConfig:
     # backhaul (BackhaulSpec)
     eps_b: float = _key(1e-6, _number("a probability in [0, 1)", lambda v: 0 <= v < 1))
     backhaul_delay_ms: float = _key(1.0, _POS)
-    # interference model (InterfererSet)
+    # interference model (LinkSetup)
     p_interf: float = _key(0.01, _number("a probability in [0, 1]", lambda v: 0 <= v <= 1))
     interference_mode: str = _key("expected", _Rule("'expected' or 'bernoulli'",
                                                     lambda v: v in ("expected", "bernoulli")))
@@ -167,10 +169,13 @@ class ScenarioConfig:
     ula_downtilt_deg: float = _key(102.0, _POS)
     ula_element_gain_dbi: float = _key(8.0, _LEVEL)
     hap_max_gain_dbi: float = _key(32.0, _LEVEL)
-    hap_aperture_radius_wavelengths: float = _key(10.0, _POS)
+    hap_aperture_radius_wavelengths: float = _key(10.0, _number(  # ReflectorSpec
+        f"a radius in (0, {ch.MAX_APERTURE_WAVELENGTHS:g}] wavelengths",
+        lambda v: 0 < v <= ch.MAX_APERTURE_WAVELENGTHS))
     # geometry
     isd_m: float = _key(500.0, _POS)
-    grid_tiers: int = _key(3, _number("a non-negative integer", lambda v: v >= 0, int))
+    grid_tiers: int = _key(3, _number(  # GridSpec
+        f"a tier count in [0, {geo.MAX_GRID_TIERS}]", lambda v: 0 <= v <= geo.MAX_GRID_TIERS, int))
     gbs_height_m: float = _key(25.0, _POS)
     av_altitude_m: float = _key(300.0, _POS)
     hap_altitude_m: float = _key(20000.0, _POS)
@@ -339,15 +344,6 @@ def config_hash(config: ScenarioConfig) -> str:
 # ============================================================
 
 @dataclass(frozen=True)
-class LinkSetup:
-    """Everything needed to draw SINR samples for one link."""
-
-    desired: ChannelSpec
-    interferers: InterfererSet
-    radio: RadioParams
-
-
-@dataclass(frozen=True)
 class Topology:
     sites: tuple
     destination: geo.NodePose
@@ -394,13 +390,10 @@ def _link(desired, interferers, tx_power_w, bandwidth_hz,
           config: ScenarioConfig) -> LinkSetup:
     """A link to an aerial vehicle whose interferer channels, in draw
     order, send at tx_power_w like the desired one."""
-    members = tuple(Interferer(spec, tx_power_w) for spec in interferers)
-    return LinkSetup(
-        desired,
-        InterfererSet(members, p_interf=config.p_interf, mode=config.interference_mode),
-        RadioParams(bandwidth_hz, tx_power_w, config.noise_density_w_hz(),
-                    config.noise_figure_av_db),
-    )
+    radio = RadioParams(bandwidth_hz, tx_power_w, config.noise_density_w_hz(),
+                        config.noise_figure_av_db)
+    return LinkSetup(desired, radio, tuple(interferers), config.p_interf,
+                     config.interference_mode)
 
 
 def _interfered_link(channel, tx, others, tx_power_w, bandwidth_hz,
@@ -472,11 +465,9 @@ def _g2h_link(gs, hap, config) -> LinkSetup:
         k_db=ch.rice_k_db(config.rice_k_db["g2h"], elevation),
         sf_sigma_db=env.sf_sigma_los_db,
     )
-    radio = RadioParams(
-        config.bandwidth_gh_hz, _dbm_to_w(config.tx_power_gs_dbm),
-        config.noise_density_w_hz(), config.noise_figure_hap_db,
-    )
-    return LinkSetup(desired, InterfererSet(p_interf=0.0), radio)
+    return LinkSetup(desired, RadioParams(config.bandwidth_gh_hz,
+                                          _dbm_to_w(config.tx_power_gs_dbm),
+                                          config.noise_density_w_hz(), config.noise_figure_hap_db))
 
 
 def instantiate(config: ScenarioConfig, stream, r_ga_m: float | None = None) -> Topology:
@@ -604,8 +595,7 @@ def _link_stats(config: ScenarioConfig, rates_bps, buffers: threading.local,
         work = buffers.work = np.empty((SINR_WORK_ROWS,
                                         min(config.mc_batch_size, config.n_samples)))
     n, size = config.n_samples, config.mc_batch_size
-    batches = (sinr_sample(setup.desired, setup.interferers, setup.radio,
-                           stream.child(batch_ix).generator(), size=min(size, n - done),
+    batches = (sinr_sample(setup, stream.child(batch_ix).generator(), min(size, n - done),
                            work=work)
                for batch_ix, done in enumerate(range(0, n, size)))
     return decoding_error_stats(batches, setup.radio.bandwidth_hz, config.packet_bits,

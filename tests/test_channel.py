@@ -12,6 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from avlinksim.channel import (
+    MAX_APERTURE_WAVELENGTHS,
     Q2_MAX_PER_KM2,
     Environment,
     ReflectorSpec,
@@ -180,7 +181,7 @@ class TestClutterAndG2h:
         det = pl_g2h_db(d, fc, elev, ENV)
         spec = ChannelSpec(pl_db=det, tx_gain=1.0, rx_gain=1.0, k_db=np.inf,
                            sf_sigma_db=ENV.sf_sigma_los_db)
-        power = _channel_draw(spec, RngStream(21).generator(), 200_000)
+        power = _channel_draw(spec, RngStream(21).generator(), np.empty((2, 200_000)))
         draws = -10.0 * np.log10(power)
         assert draws.shape == (200_000,)
         assert float(draws.mean()) == pytest.approx(det, abs=0.05)
@@ -257,8 +258,11 @@ class TestUla:
         assert_allclose(ula_element_gain(90.0, self.SPEC), 10.0 ** 0.8, rtol=1e-13)
 
     def test_validation(self):
-        # a NaN downtilt made ula_gain NaN at every angle
-        for args in ((8, math.nan), (8, math.inf), (8, 102.0, math.nan)):
+        # a NaN downtilt made ula_gain NaN at every angle, and a gain of
+        # 4000 dBi overflows a double: gains take the config's [-300, 300] dB
+        UlaSpec(8, 102.0, 300.0)
+        for args in ((8, math.nan), (8, math.inf), (8, 102.0, math.nan),
+                     (8, 102.0, 4000.0), (8, 102.0, -4000.0)):
             with pytest.raises(ValueError, match="must be finite"):
                 UlaSpec(*args)
 
@@ -299,11 +303,14 @@ class TestHapBeam:
             assert hap_gain(theta, self.SPEC) < hap_gain(0.0, self.SPEC)
 
     def test_validation(self):
-        # a zero aperture gave the full on-axis gain at every offset
-        for aperture in (0.0, -1.0, math.nan, math.inf):
+        # a zero aperture gave the full on-axis gain at every offset; the
+        # Bessel quadrature takes one node per unit of 2 pi a sin(offset), so
+        # a = 1e9 asked for ~4.8e8 nodes; and 4000 dBi overflows a double
+        assert hap_gain(0.0, ReflectorSpec(300.0, MAX_APERTURE_WAVELENGTHS)) == 1e30
+        for aperture in (0.0, -1.0, math.nan, math.inf, 1e9):
             with pytest.raises(ValueError, match="aperture_radius_wavelengths"):
                 ReflectorSpec(32.0, aperture)
-        for gain in (math.nan, math.inf):
+        for gain in (math.nan, math.inf, 4000.0, -4000.0):
             with pytest.raises(ValueError, match="max_gain_dbi"):
                 ReflectorSpec(gain, 10.0)
 
@@ -359,11 +366,11 @@ class TestChannelPowerSample:
 
     def test_mean_matches_deterministic_gain(self):
         spec = ChannelSpec(pl_db=90.0, tx_gain=2.0, rx_gain=1.5, k_db=9.0)
-        draws = _channel_draw(spec, RngStream(31).generator(), 300_000)
+        draws = _channel_draw(spec, RngStream(31).generator(), np.empty((2, 300_000)))
         expected = 2.0 * 1.5 * 10.0 ** (-9.0)
         assert float(draws.mean()) == pytest.approx(expected, rel=0.01)
 
     def test_infinite_k_deterministic(self):
         spec = ChannelSpec(pl_db=80.0, tx_gain=1.0, rx_gain=1.0, k_db=np.inf)
-        draws = _channel_draw(spec, RngStream(32).generator(), 100)
+        draws = _channel_draw(spec, RngStream(32).generator(), np.empty((2, 100)))
         assert_allclose(draws, 1e-8, rtol=1e-12)

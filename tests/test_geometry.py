@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from avlinksim.geometry import (
+    MAX_GRID_TIERS,
     GridSpec,
     NodeKind,
     NodePose,
@@ -41,7 +42,8 @@ class TestHexGrid:
         sites = hex_grid(GridSpec())
         assert len(sites) == 37  # 1 + 6 + 12 + 18
 
-    @pytest.mark.parametrize("tiers,count", [(0, 1), (1, 7), (2, 19), (3, 37)])
+    @pytest.mark.parametrize("tiers,count", [(0, 1), (1, 7), (2, 19), (3, 37),
+                                             (MAX_GRID_TIERS, 1261)])
     def test_ring_counts(self, tiers, count):
         assert len(hex_grid(GridSpec(tiers=tiers))) == count
 
@@ -79,6 +81,9 @@ class TestHexGrid:
             GridSpec(isd_m=0.0)
         with pytest.raises(ValueError):
             GridSpec(tiers=-1)
+        # every topology scans every site, 3t^2 + 3t + 1 of them
+        with pytest.raises(ValueError, match="tiers"):
+            GridSpec(tiers=MAX_GRID_TIERS + 1)
 
 
 # ============================================================

@@ -18,11 +18,9 @@ from scipy.optimize import brentq
 from avlinksim import link
 from avlinksim.link import (
     ChannelSpec,
-    Interferer,
-    InterfererSet,
+    LinkSetup,
     LinkStats,
     RadioParams,
-    _Q_CUTOFF,
     _Q_ONE,
     _TAIL_REL,
     _fbl_terms,
@@ -32,7 +30,7 @@ from avlinksim.link import (
     fbl_rate,
     sinr_sample,
 )
-from avlinksim.mathfun import RngStream, gaussian_q, gaussian_q_inv
+from avlinksim.mathfun import _Q_FLUSH, RngStream, gaussian_q, gaussian_q_inv
 
 
 def _radio(bandwidth_hz=0.4e6, tx_power_w=1.0, nf_db=0.0):
@@ -67,23 +65,39 @@ class TestContainers:
         spec = ChannelSpec(pl_db=100.0, tx_gain=2.0, rx_gain=3.0, k_db=10.0)
         assert_allclose(spec.mean_gain, 6e-10, rtol=1e-13)
 
-    def test_interferer_set_validation(self):
-        with pytest.raises(ValueError):
-            InterfererSet(p_interf=1.5)
-        with pytest.raises(ValueError):
-            InterfererSet(p_interf=0.5, mode="sometimes")
+    def test_levels_bounded(self):
+        # 10^400 overflows a double: the model classes take the config's
+        # [-300, 300] dB interval, and a Rice factor may also be infinite
+        for db in (300.0, -300.0):
+            RadioParams(1e6, 1.0, 1e-20, db)
+            ChannelSpec(pl_db=0.0, tx_gain=1.0, rx_gain=1.0, k_db=db)
+        for db in (math.inf, -math.inf):
+            ChannelSpec(pl_db=0.0, tx_gain=1.0, rx_gain=1.0, k_db=db)
+        for db in (4000.0, -4000.0, math.nan):
+            with pytest.raises(ValueError, match="noise_figure_db"):
+                RadioParams(1e6, 1.0, 1e-20, db)
+            with pytest.raises(ValueError, match="k_db"):
+                ChannelSpec(pl_db=0.0, tx_gain=1.0, rx_gain=1.0, k_db=db)
 
-    def test_no_interference_constant(self):
-        # the default set is the interference-free link
-        assert InterfererSet().members == ()
-        assert InterfererSet().p_interf == 0.0
+    def test_link_setup_validation(self):
+        desired, radio = _unit_gamma_setup()
+        with pytest.raises(ValueError):
+            LinkSetup(desired, radio, p_interf=1.5)
+        with pytest.raises(ValueError):
+            LinkSetup(desired, radio, p_interf=0.5, mode="sometimes")
+
+    def test_no_interference_default(self):
+        # the default setup is the interference-free link
+        desired, radio = _unit_gamma_setup()
+        assert LinkSetup(desired, radio).interferers == ()
+        assert LinkSetup(desired, radio).p_interf == 0.0
 
 
 # ============================================================
 # SINR sampling
 # ============================================================
 
-def _stacked_sinr(desired, interferers, radio, rng, n):
+def _stacked_sinr(setup, rng, n):
     """Expected-mode SINR by stacking every interferer's power, then summing:
     the formula sinr_sample evaluates as a running sum."""
     def draw(spec):
@@ -99,11 +113,12 @@ def _stacked_sinr(desired, interferers, radio, rng, n):
             return spec.mean_gain * power * 10.0 ** (-shadow_db / 10.0)
         return spec.mean_gain * power
 
-    signal = radio.tx_power_w * draw(desired)
-    powers = np.empty((len(interferers.members), n))
-    for i, member in enumerate(interferers.members):
-        powers[i] = member.tx_power_w * draw(member.channel)
-    interference = interferers.p_interf * powers.sum(axis=0)
+    radio = setup.radio
+    signal = radio.tx_power_w * draw(setup.desired)
+    powers = np.empty((len(setup.interferers), n))
+    for i, channel in enumerate(setup.interferers):
+        powers[i] = radio.tx_power_w * draw(channel)
+    interference = setup.p_interf * powers.sum(axis=0)
     return signal / (interference + radio.noise_power_w)
 
 
@@ -111,42 +126,37 @@ class TestSinrSample:
     def test_deterministic_unit_snr(self):
         desired, radio = _unit_gamma_setup()
         rng = RngStream(1).generator()
-        gamma = sinr_sample(desired, InterfererSet(), radio, rng, size=64)
+        gamma = sinr_sample(LinkSetup(desired, radio), rng, size=64)
         assert_allclose(gamma, 1.0, rtol=1e-12)
 
     def test_expected_mode_scales_interference(self):
         desired, radio = _unit_gamma_setup()
-        interferer = Interferer(
-            ChannelSpec(pl_db=0.0, tx_gain=1.0, rx_gain=1.0, k_db=np.inf),
-            tx_power_w=radio.noise_power_w,  # interference power = noise power
-        )
-        iset = InterfererSet((interferer,), p_interf=0.5, mode="expected")
+        # interference power = noise power, from a 1 W radio
+        interferer = ChannelSpec(pl_db=0.0, tx_gain=radio.noise_power_w, rx_gain=1.0,
+                                 k_db=np.inf)
+        setup = LinkSetup(desired, radio, (interferer,), p_interf=0.5, mode="expected")
         rng = RngStream(2).generator()
-        gamma = sinr_sample(desired, iset, radio, rng, size=16)
+        gamma = sinr_sample(setup, rng, size=16)
         # signal / (0.5 * noise + noise) = 2/3
         assert_allclose(gamma, 2.0 / 3.0, rtol=1e-12)
 
     def test_bernoulli_extremes(self):
         desired, radio = _unit_gamma_setup()
-        interferer = Interferer(
-            ChannelSpec(pl_db=0.0, tx_gain=1.0, rx_gain=1.0, k_db=np.inf),
-            tx_power_w=radio.noise_power_w,
-        )
-        always = InterfererSet((interferer,), p_interf=1.0, mode="bernoulli")
-        never = InterfererSet((interferer,), p_interf=0.0, mode="bernoulli")
+        interferer = ChannelSpec(pl_db=0.0, tx_gain=radio.noise_power_w, rx_gain=1.0,
+                                 k_db=np.inf)
+        always = LinkSetup(desired, radio, (interferer,), p_interf=1.0, mode="bernoulli")
+        never = LinkSetup(desired, radio, (interferer,), p_interf=0.0, mode="bernoulli")
         rng = RngStream(3).generator()
-        assert_allclose(sinr_sample(desired, always, radio, rng, size=8), 0.5, rtol=1e-12)
-        assert_allclose(sinr_sample(desired, never, radio, rng, size=8), 1.0, rtol=1e-12)
+        assert_allclose(sinr_sample(always, rng, size=8), 0.5, rtol=1e-12)
+        assert_allclose(sinr_sample(never, rng, size=8), 1.0, rtol=1e-12)
 
     def test_bernoulli_activity_rate(self):
         desired, radio = _unit_gamma_setup()
-        interferer = Interferer(
-            ChannelSpec(pl_db=0.0, tx_gain=1.0, rx_gain=1.0, k_db=np.inf),
-            tx_power_w=radio.noise_power_w,
-        )
-        iset = InterfererSet((interferer,), p_interf=0.3, mode="bernoulli")
+        interferer = ChannelSpec(pl_db=0.0, tx_gain=radio.noise_power_w, rx_gain=1.0,
+                                 k_db=np.inf)
+        setup = LinkSetup(desired, radio, (interferer,), p_interf=0.3, mode="bernoulli")
         rng = RngStream(4).generator()
-        gamma = sinr_sample(desired, iset, radio, rng, size=400_000)
+        gamma = sinr_sample(setup, rng, size=400_000)
         hit = float((gamma < 0.75).mean())  # interfered draws give 0.5
         assert hit == pytest.approx(0.3, abs=0.005)
 
@@ -156,24 +166,19 @@ class TestSinrSample:
         # pdf gives E[1/w] = 1.14091621968
         radio = RadioParams(1.0, 1.0, 1e-40, 0.0)  # noise negligible
         desired = ChannelSpec(pl_db=0.0, tx_gain=1.0, rx_gain=1.0, k_db=12.0)
-        interferer = Interferer(
-            ChannelSpec(pl_db=0.0, tx_gain=1.0, rx_gain=1.0, k_db=12.0),
-            tx_power_w=4.0,
-        )
-        iset = InterfererSet((interferer,), p_interf=1.0, mode="expected")
+        interferer = ChannelSpec(pl_db=0.0, tx_gain=4.0, rx_gain=1.0, k_db=12.0)
+        setup = LinkSetup(desired, radio, (interferer,), p_interf=1.0, mode="expected")
         rng = RngStream(5).generator()
-        gamma = sinr_sample(desired, iset, radio, rng, size=600_000)
+        gamma = sinr_sample(setup, rng, size=600_000)
         assert float(gamma.mean()) == pytest.approx(1.14091621968 / 4.0, rel=0.02)
 
     def test_interference_only_reduces_sinr(self):
         desired = ChannelSpec(pl_db=90.0, tx_gain=1.0, rx_gain=1.0, k_db=8.0)
         radio = _radio()
-        interferer = Interferer(
-            ChannelSpec(pl_db=95.0, tx_gain=1.0, rx_gain=1.0, k_db=8.0), 1.0
-        )
-        iset = InterfererSet((interferer,), p_interf=0.1, mode="expected")
-        clean = sinr_sample(desired, InterfererSet(), radio, RngStream(6).generator(), size=4096)
-        dirty = sinr_sample(desired, iset, radio, RngStream(6).generator(), size=4096)
+        interferer = ChannelSpec(pl_db=95.0, tx_gain=1.0, rx_gain=1.0, k_db=8.0)
+        setup = LinkSetup(desired, radio, (interferer,), p_interf=0.1, mode="expected")
+        clean = sinr_sample(LinkSetup(desired, radio), RngStream(6).generator(), size=4096)
+        dirty = sinr_sample(setup, RngStream(6).generator(), size=4096)
         assert np.all(dirty <= clean + 1e-18)
 
     def test_shadow_fading_widens_distribution(self):
@@ -182,31 +187,30 @@ class TestSinrSample:
         shadowed = ChannelSpec(
             pl_db=90.0, tx_gain=1.0, rx_gain=1.0, k_db=np.inf, sf_sigma_db=4.0
         )
-        a = sinr_sample(plain, InterfererSet(), radio, RngStream(7).generator(), size=20_000)
-        b = sinr_sample(shadowed, InterfererSet(), radio, RngStream(7).generator(), size=20_000)
+        a = sinr_sample(LinkSetup(plain, radio), RngStream(7).generator(), size=20_000)
+        b = sinr_sample(LinkSetup(shadowed, radio), RngStream(7).generator(), size=20_000)
         assert float(np.std(np.log10(a))) < 1e-12
         assert float(np.std(10.0 * np.log10(b))) == pytest.approx(4.0, rel=0.05)
 
     def test_matches_stack_and_sum_formula(self):
         # the running interferer sum must reproduce the stacked formula bit
         # for bit, so a sampler change cannot silently redraw
-        radio = _radio(tx_power_w=0.2, nf_db=9.0)
-        desired = ChannelSpec(pl_db=95.0, tx_gain=3.0, rx_gain=1.0, k_db=12.0,
+        # the desired 0.2 W and the interferers' 39.8 W are folded into
+        # their channels' transmit gains, with the radio at 1 W
+        radio = _radio(tx_power_w=1.0, nf_db=9.0)
+        desired = ChannelSpec(pl_db=95.0, tx_gain=3.0 * 0.2, rx_gain=1.0, k_db=12.0,
                               sf_sigma_db=4.0)
         rs = np.random.default_rng(11)
-        members = tuple(
-            Interferer(
-                ChannelSpec(pl_db=float(rs.uniform(95.0, 115.0)),
-                            tx_gain=float(rs.uniform(0.1, 2.0)), rx_gain=1.0,
-                            k_db=k_db, sf_sigma_db=sf),
-                39.8,
-            )
+        interferers = tuple(
+            ChannelSpec(pl_db=float(rs.uniform(95.0, 115.0)),
+                        tx_gain=float(rs.uniform(0.1, 2.0)) * 39.8, rx_gain=1.0,
+                        k_db=k_db, sf_sigma_db=sf)
             for k_db, sf in [(5.0, 6.0), (12.0, 0.0), (np.inf, 4.0),
                              (-np.inf, 0.0), (15.0, 6.0)] * 8
         )
-        iset = InterfererSet(members, p_interf=0.3, mode="expected")
-        got = sinr_sample(desired, iset, radio, RngStream(5, 9).generator(), size=4099)
-        want = _stacked_sinr(desired, iset, radio, RngStream(5, 9).generator(), 4099)
+        setup = LinkSetup(desired, radio, interferers, p_interf=0.3, mode="expected")
+        got = sinr_sample(setup, RngStream(5, 9).generator(), size=4099)
+        want = _stacked_sinr(setup, RngStream(5, 9).generator(), 4099)
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("mode", ["expected", "bernoulli"])
@@ -217,12 +221,11 @@ class TestSinrSample:
                            sf_sigma_db=4.0)
         peaks = []
         for count in (6, 90):
-            iset = InterfererSet((Interferer(spec, 1.0),) * count, p_interf=0.2,
-                                 mode=mode)
+            setup = LinkSetup(spec, radio, (spec,) * count, p_interf=0.2, mode=mode)
             rng = RngStream(1).generator()
             tracemalloc.start()
             try:
-                sinr_sample(spec, iset, radio, rng, size=n)
+                sinr_sample(setup, rng, size=n)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -344,7 +347,7 @@ def _batches(desired, radio, n_samples, stream, batch_size=1 << 15):
     """SINR draws in fixed batches, one child stream per batch index."""
     for ix, done in enumerate(range(0, n_samples, batch_size)):
         m = min(batch_size, n_samples - done)
-        yield sinr_sample(desired, InterfererSet(), radio, stream.child(ix).generator(), size=m)
+        yield sinr_sample(LinkSetup(desired, radio), stream.child(ix).generator(), size=m)
 
 
 def _reference(gamma, bandwidth_hz, packet_bits, rate_bps):
@@ -368,7 +371,7 @@ def _assert_matches_reference(stats, gamma, bandwidth_hz, packet_bits, rates):
 
 def _rician_draws(n, seed=12):
     desired = ChannelSpec(pl_db=135.0, tx_gain=1.0, rx_gain=1.0, k_db=6.0)
-    return sinr_sample(desired, InterfererSet(), _radio(), RngStream(seed).generator(), size=n)
+    return sinr_sample(LinkSetup(desired, _radio()), RngStream(seed).generator(), size=n)
 
 
 class TestAvgDecodingError:
@@ -486,7 +489,8 @@ class TestStreamingEstimator:
 
     def test_no_q_call_on_an_empty_window(self, monkeypatch):
         # at 5 and 1 kbps every argument lies past the cutoff: those rates
-        # have empty windows and must not reach gaussian_q at all
+        # have empty windows, and only their first elements reach gaussian_q,
+        # in the one call that bounds each batch sum from below
         sizes = []
 
         def counting_q(x, out=None):
@@ -499,7 +503,7 @@ class TestStreamingEstimator:
         assert sizes and min(sizes) > 0
         sizes.clear()
         decoding_error_stats([gamma], self.BW, 256.0, [5e3, 1e3])
-        assert sizes == []
+        assert sizes == [2]
 
     def test_sample_count_not_a_multiple_of_the_batch(self):
         desired = ChannelSpec(pl_db=135.0, tx_gain=1.0, rx_gain=1.0, k_db=6.0)
@@ -530,9 +534,9 @@ class TestStreamingEstimator:
 
     def test_q_is_exactly_zero_past_the_cutoff(self):
         # the estimator drops elements past the cutoff as exact zeros
-        xs = np.concatenate([np.linspace(_Q_CUTOFF, 60.0, 2001), [1e3, np.inf]])
+        xs = np.concatenate([np.linspace(_Q_FLUSH, 60.0, 2001), [1e3, np.inf]])
         assert np.all(gaussian_q(xs) == 0.0)
-        assert gaussian_q(_Q_CUTOFF) == 0.0
+        assert gaussian_q(_Q_FLUSH) == 0.0
         assert gaussian_q(37.5) > 0.0
 
 
@@ -583,7 +587,7 @@ def _cut_batches(draw):
     rate = draw(st.sampled_from(rates))
     side = st.sampled_from((-1e-9, 1e-9))
     placed = st.builds(lambda x, d: x + d * abs(x),
-                       st.sampled_from((_Q_ONE, 37.5, _Q_CUTOFF)), side)
+                       st.sampled_from((_Q_ONE, 37.5, _Q_FLUSH)), side)
     xs = draw(st.lists(st.one_of(st.floats(-30.0, 45.0), placed), max_size=24))
     xs.append(draw(st.floats(-8.0, 8.0)))     # a window element below any tail cut
     base = [_gamma_at(x, rate) for x in xs]
@@ -618,6 +622,22 @@ class TestSortedKernel:
             # a floor of about 1e-16 of the mean in the SE
             assert_allclose(got.std_error, stderr, rtol=1e-12, atol=1e-14 * mean)
 
+    def test_two_searches_per_batch(self, monkeypatch):
+        # the ones and the tail cut; the zero cutoff caps the tail cut's
+        # argument rather than taking a search of its own
+        count_below, calls = link._count_below, []
+
+        def counting(*args):
+            calls.append(args)
+            return count_below(*args)
+
+        monkeypatch.setattr(link, "_count_below", counting)
+        gamma = _rician_draws(6000, seed=14)
+        stats = decoding_error_stats(np.split(gamma, [2500]), _BW, _BITS, _RATES)
+        assert len(calls) == 4
+        for got, (mean, _) in zip(stats, _full_array_stats(gamma, _RATES)):
+            assert_allclose(got.eps_t_bar, mean, rtol=1e-12, atol=0.0)
+
     def test_packing_short_windows_changes_no_value(self, monkeypatch):
         # Q is elementwise, so evaluating the short windows of a batch in
         # one call must give bit-identical statistics
@@ -643,15 +663,14 @@ class TestSortedKernel:
         # (the batch is row 0) gives the statistics of its own rows, field
         # for field; 40 rates make both packed and long windows
         desired = ChannelSpec(pl_db=135.0, tx_gain=1.0, rx_gain=1.0, k_db=6.0)
-        interferers = InterfererSet(
-            (Interferer(ChannelSpec(pl_db=150.0, tx_gain=1.0, rx_gain=1.0, k_db=3.0), 1.0),),
-            p_interf=0.3)
+        setup = LinkSetup(desired, _radio(),
+                          (ChannelSpec(pl_db=150.0, tx_gain=1.0, rx_gain=1.0, k_db=3.0),),
+                          p_interf=0.3)
         rates = list(np.geomspace(10e3, 1e6, 40))
 
         def draws(work):
             for ix, m in enumerate((5000, 5000, 1234)):
-                yield sinr_sample(desired, interferers, _radio(),
-                                  RngStream(7).child(ix).generator(), size=m, work=work)
+                yield sinr_sample(setup, RngStream(7).child(ix).generator(), size=m, work=work)
 
         work = np.empty((link.SINR_WORK_ROWS, 5000))
         shared = decoding_error_stats(draws(work), _BW, _BITS, rates, work=work[1:])

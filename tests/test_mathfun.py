@@ -263,7 +263,7 @@ class TestShadowFading:
     def _shadow_db(sigma_db, seed, n):
         spec = ChannelSpec(pl_db=0.0, tx_gain=1.0, rx_gain=1.0, k_db=np.inf,
                            sf_sigma_db=sigma_db)
-        return -10.0 * np.log10(_channel_draw(spec, RngStream(seed).generator(), n))
+        return -10.0 * np.log10(_channel_draw(spec, RngStream(seed).generator(), np.empty((2, n))))
 
     def test_moments(self):
         draws = self._shadow_db(4.0, 6, 200_000)

@@ -123,6 +123,32 @@ class TestLoadConfig:
                   h2a: [12, 15]
             """))
 
+    @pytest.mark.parametrize("pair", ["[4000, 4000]", "[-4000, 12]"])
+    def test_rice_levels_bounded(self, tmp_path, pair):
+        # 10^400 passed the check and then overflowed in sample_rician_power
+        text = f"rice_k_db: {{g2a: {pair}, a2a: [12, 12], g2h: [5, 15], h2a: [12, 15]}}\n"
+        with pytest.raises(ConfigError, match=r"'rice_k_db.g2a': expected a \[k_min, k_max\] "
+                                              r"pair of levels in \[-300, 300\] dB"):
+            load_config(_write(tmp_path, text))
+        flat = load_config(_write(tmp_path, "rice_k_db: {g2a: [-300, 300], a2a: [12, 12], "
+                                            "g2h: [5, 15], h2a: [12, 15]}\n"))
+        assert flat.rice_k_db["g2a"] == (-300.0, 300.0)
+
+    @pytest.mark.parametrize("text, key", [
+        ("hap_aperture_radius_wavelengths: 1000000000.0\n", "hap_aperture_radius_wavelengths"),
+        ("isd_m: 1\ngrid_tiers: 200\n", "grid_tiers"),
+    ])
+    def test_work_bounded_by_the_config(self, tmp_path, text, key):
+        # the Bessel quadrature's nodes grow with the aperture, and every
+        # topology scans every one of the 3t^2 + 3t + 1 sites
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            load_config(_write(tmp_path, text))
+
+    def test_work_bounds_accepted(self, tmp_path):
+        cfg = load_config(_write(tmp_path, "hap_aperture_radius_wavelengths: 10000\n"
+                                           "grid_tiers: 20\n"))
+        assert (cfg.hap_aperture_radius_wavelengths, cfg.grid_tiers) == (1e4, 20)
+
     def test_clutter_table_length(self, tmp_path):
         with pytest.raises(ConfigError, match="'clutter_loss_db'"):
             load_config(_write(tmp_path, "clutter_loss_db: [1, 2, 3]\n"))
@@ -245,8 +271,7 @@ class TestLoadConfig:
         setup = instantiate(cfg, RngStream(cfg.master_seed)).links["g2a_dest"]
         assert setup.desired.sf_sigma_db == 100.0
         # the one batch of a link item on this stream, in a work item's buffer
-        gamma = sinr_sample(setup.desired, setup.interferers, setup.radio,
-                            RngStream(cfg.master_seed).child(0).generator(),
+        gamma = sinr_sample(setup, RngStream(cfg.master_seed).child(0).generator(),
                             size=cfg.n_samples, work=np.empty((SINR_WORK_ROWS, cfg.n_samples)))
         assert np.all(gamma >= 0.0)
 
@@ -351,9 +376,9 @@ class TestInstantiate:
 
     def test_interferer_counts(self):
         topo = instantiate(ScenarioConfig(), 7)
-        assert len(topo.links["g2a_dest"].interferers.members) == 6
-        assert len(topo.links["h2a"].interferers.members) == 36
-        assert topo.links["g2h"].interferers.members == ()
+        assert len(topo.links["g2a_dest"].interferers) == 6
+        assert len(topo.links["h2a"].interferers) == 36
+        assert topo.links["g2h"].interferers == ()
 
     def test_each_link_takes_its_kinds_rice_range(self, tmp_path):
         # flat ranges, one K per kind, so the elevation of a channel drops out
@@ -362,7 +387,7 @@ class TestInstantiate:
         kinds = {"g2a": 0.0, "a2a": -5.0, "g2h": 5.0, "h2a": 30.0}
         for name, setup in instantiate(cfg, 7).links.items():
             k_db = kinds[name.split("_")[0]]
-            channels = [setup.desired] + [m.channel for m in setup.interferers.members]
+            channels = [setup.desired, *setup.interferers]
             assert [c.k_db for c in channels] == [k_db] * len(channels), name
 
     def test_relays_sorted_by_distance(self):
@@ -376,8 +401,8 @@ class TestInstantiate:
         topo = instantiate(cfg, 7)
         # two background vehicles, both are relays; each relay's link sees
         # only the other vehicle as a potential interferer
-        assert len(topo.links["a2a_1"].interferers.members) == 1
-        assert len(topo.links["a2a_2"].interferers.members) == 1
+        assert len(topo.links["a2a_1"].interferers) == 1
+        assert len(topo.links["a2a_2"].interferers) == 1
 
     def test_radio_parameters(self):
         topo = instantiate(ScenarioConfig(), 7)
@@ -501,8 +526,7 @@ class TestGammaBatches:
             scenario._link_stats(config, [100e3], thread_buffers, setup, stream)
             assert [g.size for g in batches] == [512, 512, 276]
             for batch_ix, got in enumerate(batches):
-                fresh = sinr_sample(setup.desired, setup.interferers, setup.radio,
-                                    stream.child(batch_ix).generator(), size=got.size)
+                fresh = sinr_sample(setup, stream.child(batch_ix).generator(), size=got.size)
                 assert np.array_equal(got, fresh)
         assert all(work is buffers[0] for work in buffers)
 
