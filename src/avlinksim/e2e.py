@@ -8,9 +8,10 @@ Provides:
  - CANONICAL_COMBINATIONS / enumerate_combinations : canonical search order
 
 Loss probabilities compose as 1 - prod(1 - eps_i) over the chain elements;
-delays add along a chain and take the minimum across parallel paths. This
-module only composes: whether an outcome meets a QosTarget is decided once,
-on the topology averages, by the scenario drivers.
+delays add along a chain and take the minimum across parallel paths; the
+queues admit when every queue crossed does (QueueSpec.admits). This module
+only composes: whether an outcome meets a QosTarget is decided once, on the
+topology averages, by the scenario drivers.
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ class PathOutcome:
     error_terms: dict = field(default_factory=dict)       # chain loss terms
     eps_std_error: float = 0.0
     d_std_error: float = 0.0
+    queues_admit: bool = True       # every queue crossed admits (QueueSpec.admits)
 
 
 # ============================================================
@@ -116,9 +118,14 @@ def _product_stderr(factors) -> float:
 
 
 def _hop(name, delay_s, loss=None):
-    """An exact hop (backhaul, queue, propagation): a delay and, unless
-    None, a loss, neither with sampling error."""
-    return name, delay_s, loss, 0.0, 0.0
+    """An exact hop (backhaul, propagation): a delay and, unless None, a
+    loss, neither with sampling error."""
+    return name, delay_s, loss, 0.0, 0.0, True
+
+
+def _queue(name, spec: QueueSpec):
+    """A node's queue: an exact hop that admits only if spec does."""
+    return name, spec.delay_bound_s, spec.violation_prob, 0.0, 0.0, spec.admits
 
 
 def _radio(name, stats: LinkStats, copies: int = 1):
@@ -132,16 +139,16 @@ def _radio(name, stats: LinkStats, copies: int = 1):
     else:
         d_var = (stats.d_t_bar * stats.std_error / (1.0 - stats.eps_t_bar)) ** 2
     return (name, stats.d_t_bar, partial * stats.eps_t_bar,
-            copies * partial * stats.std_error, d_var)
+            copies * partial * stats.std_error, d_var, True)
 
 
 def _chain(label, hops) -> PathOutcome:
     """Compose a chain of hops (name, delay, loss or None, loss SE, delay
-    variance): delays and their variances add, the losses compose by
-    chain_loss, and the loss SE is that of the product of the survivals
-    1 - loss. Totals run over the hop list, so hops that share a name
-    each count."""
-    lossy = [(loss, se) for _, _, loss, se, _ in hops if loss is not None]
+    variance, admits): delays and their variances add, the losses compose
+    by chain_loss, the loss SE is that of the product of the survivals
+    1 - loss, and the queues admit when every hop does. Totals run over
+    the hop list, so hops that share a name each count."""
+    lossy = [(loss, se) for _, _, loss, se, *_ in hops if loss is not None]
     return PathOutcome(
         label=label,
         eps_e2e=chain_loss(loss for loss, _ in lossy),
@@ -149,7 +156,8 @@ def _chain(label, hops) -> PathOutcome:
         delay_breakdown={name: delay for name, delay, *_ in hops},
         error_terms={name: loss for name, _, loss, *_ in hops if loss is not None},
         eps_std_error=_product_stderr([(1.0 - loss, se) for loss, se in lossy]),
-        d_std_error=math.sqrt(_total(var for *_, var in hops)),
+        d_std_error=math.sqrt(_total(var for *_, var, _ in hops)),
+        queues_admit=all(admits for *_, admits in hops),
     )
 
 
@@ -172,7 +180,7 @@ def da2g_path(
         raise ValueError("at least one radio branch is required")
     return _chain(label, [
         _hop("backhaul", backhaul.delay_s, backhaul.eps),
-        _hop("queue_gbs", gbs_queue.delay_bound_s, gbs_queue.violation_prob),
+        _queue("queue_gbs", gbs_queue),
         _radio("radio_da2g", g2a, branches),
     ])
 
@@ -188,9 +196,9 @@ def a2a_path(
     """Relayed path: backhaul -> base station -> relay vehicle -> destination."""
     return _chain(label, [
         _hop("backhaul", backhaul.delay_s, backhaul.eps),
-        _hop("queue_gbs", gbs_queue.delay_bound_s, gbs_queue.violation_prob),
+        _queue("queue_gbs", gbs_queue),
         _radio("radio_g2a", g2a),
-        _hop("queue_relay", relay_queue.delay_bound_s, relay_queue.violation_prob),
+        _queue("queue_relay", relay_queue),
         _radio("radio_a2a", a2a),
     ])
 
@@ -213,10 +221,10 @@ def hap_path(
         raise ValueError("hop distances must be positive")
     return _chain(label, [
         _hop("backhaul", backhaul.delay_s, backhaul.eps),
-        _hop("queue_gs", gs_queue.delay_bound_s, gs_queue.violation_prob),
+        _queue("queue_gs", gs_queue),
         _radio("radio_g2h", g2h),
         _hop("prop_g2h", d_g2h_m / SPEED_OF_LIGHT_M_S),
-        _hop("queue_hap", hap_queue.delay_bound_s, hap_queue.violation_prob),
+        _queue("queue_hap", hap_queue),
         _radio("radio_h2a", h2a),
         _hop("prop_h2a", d_h2a_m / SPEED_OF_LIGHT_M_S),
     ])
@@ -228,7 +236,7 @@ def hap_path(
 
 def combine_paths(paths, label: str) -> PathOutcome:
     """Parallel cloned paths, each an independent estimate: losses
-    multiply, delay is the fastest path's."""
+    multiply, delay is the fastest path's, queues admit if all paths' do."""
     paths = list(paths)
     if not paths:
         raise ValueError("at least one path is required")
@@ -241,6 +249,7 @@ def combine_paths(paths, label: str) -> PathOutcome:
         error_terms={p.label: p.eps_e2e for p in paths},
         eps_std_error=_product_stderr([(p.eps_e2e, p.eps_std_error) for p in paths]),
         d_std_error=best.d_std_error,
+        queues_admit=all(p.queues_admit for p in paths),
     )
 
 

@@ -87,6 +87,17 @@ class ChannelSpec:
     sf_sigma_db: float = 0.0  # per-draw lognormal shadow sigma
 
     def __post_init__(self):
+        try:    # NaN gives NaN, which is not finite either
+            finite = math.isfinite(10.0 ** (-float(self.pl_db) / 10.0))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"pl_db must be a number whose linear gain 10^(-pl_db/10) "
+                             f"is a finite double, got {self.pl_db!r}")
+        for name in ("tx_gain", "rx_gain"):
+            if not 0.0 <= getattr(self, name) < math.inf:    # NaN compares False
+                raise ValueError(f"{name} must be finite and non-negative, "
+                                 f"got {getattr(self, name)!r}")
         if not 0.0 <= self.sf_sigma_db <= SF_SIGMA_MAX_DB:
             raise ValueError(f"sf_sigma_db must lie in [0, {SF_SIGMA_MAX_DB:g}] dB")
         if not (abs(self.k_db) <= LEVEL_MAX_DB or abs(self.k_db) == math.inf):
@@ -116,6 +127,7 @@ class LinkSetup:
     mode: str = "expected"
 
     def __post_init__(self):
+        object.__setattr__(self, "interferers", tuple(self.interferers))    # hashable
         if not 0.0 <= self.p_interf <= 1.0:
             raise ValueError("p_interf must lie in [0, 1]")
         if self.mode not in ("expected", "bernoulli"):

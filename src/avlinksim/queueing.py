@@ -1,9 +1,8 @@
 """Queueing at transmitting nodes: effective-bandwidth delay guarantees.
 
 Provides:
- - QueueSpec            : arrival rate, delay bound, violation probability
+ - QueueSpec            : a node's traffic target and service rate; admits is its gate
  - effective_bandwidth  : service rate needed to honor the (D, eps) target
- - queue_feasible       : gate of a provisioned service rate against it
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["QueueSpec", "effective_bandwidth", "queue_feasible"]
+__all__ = ["QueueSpec", "effective_bandwidth"]
 
 
 @dataclass(frozen=True)
@@ -19,6 +18,7 @@ class QueueSpec:
     arrival_rate_pps: float     # mean packet arrival rate [1/s]
     delay_bound_s: float        # queueing-delay bound
     violation_prob: float       # allowed P[delay > bound]
+    service_rate_pps: float | None = None   # provisioned service rate; None: not provisioned
 
     def __post_init__(self):
         if not self.arrival_rate_pps > 0.0:
@@ -27,6 +27,14 @@ class QueueSpec:
             raise ValueError("delay_bound_s must be positive")
         if not 0.0 < self.violation_prob < 1.0:
             raise ValueError("violation_prob must lie in (0, 1)")
+        if self.service_rate_pps is not None and not self.service_rate_pps >= 0.0:
+            raise ValueError("service_rate_pps must be non-negative")
+
+    @property
+    def admits(self) -> bool:
+        """True if the queue is not provisioned or its service rate meets
+        the effective bandwidth of its target."""
+        return self.service_rate_pps is None or self.service_rate_pps >= effective_bandwidth(self)
 
 
 def effective_bandwidth(spec: QueueSpec) -> float:
@@ -37,10 +45,3 @@ def effective_bandwidth(spec: QueueSpec) -> float:
         log_inv_eps / (spec.arrival_rate_pps * spec.delay_bound_s) + 1.0
     )
     return log_inv_eps / denom
-
-
-def queue_feasible(service_rate_pps: float, spec: QueueSpec) -> bool:
-    """True if the provisioned service rate meets the queueing target."""
-    if service_rate_pps < 0.0:
-        raise ValueError("service_rate_pps must be non-negative")
-    return service_rate_pps >= effective_bandwidth(spec)

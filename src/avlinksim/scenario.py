@@ -37,6 +37,7 @@ from .link import (
     LEVEL_MAX_DB,
     ChannelSpec,
     LinkSetup,
+    LinkStats,
     RadioParams,
     SF_SIGMA_MAX_DB,
     SINR_WORK_ROWS,
@@ -44,7 +45,7 @@ from .link import (
     sinr_sample,
 )
 from .mathfun import RngStream
-from .queueing import QueueSpec, effective_bandwidth, queue_feasible
+from .queueing import QueueSpec, effective_bandwidth
 
 __all__ = [
     "ConfigError",
@@ -103,6 +104,11 @@ _PROB_OPEN = _number("a probability in (0, 1)", lambda v: 0 < v < 1)
 # dBm/Hz], within the bound its model class enforces
 _LEVEL = _number(f"a level in [-{LEVEL_MAX_DB:g}, {LEVEL_MAX_DB:g}] dB",
                  lambda v: abs(v) <= LEVEL_MAX_DB)
+# a carrier frequency [GHz]: the term 20 log10(fc_ghz) of every path loss is a
+# level too, so it takes the levels' bound, fc_ghz in [1e-15, 1e15]
+_FC_MAX_GHZ = 10.0 ** (LEVEL_MAX_DB / 20.0)
+_FREQUENCY = _number(f"a frequency in [{1 / _FC_MAX_GHZ:g}, {_FC_MAX_GHZ:g}] GHz",
+                     lambda v: 1 / _FC_MAX_GHZ <= v <= _FC_MAX_GHZ)
 # a horizontal distance: p_los loops once per building the ray crosses
 _DISTANCE = _number(f"a distance in (0, {ch.MAX_DISTANCE_M:g}] m",
                     lambda v: 0 < v <= ch.MAX_DISTANCE_M)
@@ -151,7 +157,7 @@ class ScenarioConfig:
                                                     lambda v: v in ("expected", "bernoulli")))
     interferer_count: int = _key(6, _COUNT)
     # radio
-    fc_ghz: float = _key(2.0, _POS)
+    fc_ghz: float = _key(2.0, _FREQUENCY)
     noise_density_dbm_hz: float = _key(-174.0, _LEVEL)
     bandwidth_ga_hz: float = _key(0.4e6, _POS)
     bandwidth_aa_hz: float = _key(0.4e6, _POS)
@@ -254,9 +260,10 @@ class ScenarioConfig:
         return e2e.BackhaulSpec(self.backhaul_delay_ms * 1e-3, self.eps_b)
 
     def queue(self, node: str) -> QueueSpec:
-        """Arrival side of one node type's queue (_QUEUE_KEYS)."""
-        return QueueSpec(getattr(self, _QUEUE_KEYS[node][0]),
-                         self.queue_delay_bound_ms * 1e-3, self.eps_q)
+        """One node type's queue, from its keys (_QUEUE_KEYS)."""
+        arrival, service = _QUEUE_KEYS[node]
+        return QueueSpec(getattr(self, arrival), self.queue_delay_bound_ms * 1e-3,
+                         self.eps_q, getattr(self, service))
 
     def noise_density_w_hz(self) -> float:
         return _dbm_to_w(self.noise_density_dbm_hz)
@@ -392,7 +399,7 @@ def _link(desired, interferers, tx_power_w, bandwidth_hz,
     order, send at tx_power_w like the desired one."""
     radio = RadioParams(bandwidth_hz, tx_power_w, config.noise_density_w_hz(),
                         config.noise_figure_av_db)
-    return LinkSetup(desired, radio, tuple(interferers), config.p_interf,
+    return LinkSetup(desired, radio, interferers, config.p_interf,
                      config.interference_mode)
 
 
@@ -526,27 +533,8 @@ def instantiate(config: ScenarioConfig, stream, r_ga_m: float | None = None) -> 
 _NS_SWEEP_TOPO, _NS_SWEEP_SAMP, _NS_REGION_TOPO, _NS_REGION_SAMP = 0, 1, 2, 3
 
 
-def _queue_gates(config: ScenarioConfig) -> dict:
-    """{node type: queue gate}; a node without a service rate passes. The
-    ground station takes the base station's keys (_QUEUE_KEYS), so its gate
-    always equals "gbs"'s."""
-    gates = {}
-    for node, (_, service_key) in _QUEUE_KEYS.items():
-        service = getattr(config, service_key)
-        gates[node] = True if service is None else queue_feasible(service, config.queue(node))
-    return gates
-
-
-def _label_gate(label: str, gates: dict) -> bool:
-    """Queue gate of a path or combination label: every node type it
-    traverses must pass. All but the single HAP path cross the base
-    station; A2A adds the relay AV, HAP the ground station and platform."""
-    ok = label == "HAP" or gates["gbs"]
-    if "A2A" in label:
-        ok = ok and gates["av"]
-    if "HAP" in label:
-        ok = ok and gates["gs"] and gates["hap"]
-    return ok
+# a link that never delivers: the stats of a relay that instantiate could not place
+_NEVER = LinkStats(1.0, math.inf, 0, 0.0)
 
 
 def _topology_rows(topology: Topology, stats: dict, config: ScenarioConfig) -> dict:
@@ -554,19 +542,18 @@ def _topology_rows(topology: Topology, stats: dict, config: ScenarioConfig) -> d
     {link name: LinkStats}: the single paths DA2G, A2A (the first relay)
     and HAP, then every combination beyond the direct path. Every topology
     has the same labels: a relay that instantiate could not place (no
-    vehicle left 1 m or more from the destination) is a path that never
-    delivers, with error 1 and infinite delay, so a combination that adds
-    it equals the one without it. Feasibility is decided on the averages
-    across topologies (_mean_outcomes)."""
+    vehicle left 1 m or more from the destination) has no links, so its
+    path runs over links that never deliver (_NEVER), with error 1 and
+    infinite delay, and a combination that adds it equals the one without
+    it. Feasibility is decided on the averages (_mean_outcomes)."""
     backhaul = config.backhaul()
     da2g = e2e.da2g_path(backhaul, config.queue("gbs"), stats["g2a_dest"],
                          config.diversity_branches)
     a2a_paths = [
         e2e.a2a_path(
-            backhaul, config.queue("gbs"), stats[f"g2a_relay_{m}"],
-            config.queue("av"), stats[f"a2a_{m}"], label=f"A2A-{m}",
-        ) if m <= len(topology.relays) else
-        e2e.PathOutcome(f"A2A-{m}", 1.0, math.inf, d_std_error=math.inf)
+            backhaul, config.queue("gbs"), stats.get(f"g2a_relay_{m}", _NEVER),
+            config.queue("av"), stats.get(f"a2a_{m}", _NEVER), label=f"A2A-{m}",
+        )
         for m in range(1, config.a2a_relay_count + 1)
     ]
     hap = e2e.hap_path(
@@ -604,28 +591,29 @@ def _link_stats(config: ScenarioConfig, rates_bps, buffers: threading.local,
 
 def _add_rows(sums: dict, rows: dict) -> None:
     """Add one topology's {label: PathOutcome} at one rate into that rate's
-    running sums, {label: [ε, ε SE², delay, delay SE²]}. An infinite delay
-    SE keeps its sum infinite. Topologies are added in order, one float
-    addition each, so the sums do not depend on the Python version."""
+    running sums, {label: [ε, ε SE², delay, delay SE², all queues admit]}.
+    An infinite delay SE keeps its sum infinite. Topologies are added in
+    order, one float addition each, so the sums do not depend on the Python
+    version."""
     for label, o in rows.items():
-        s = sums.setdefault(label, [0.0, 0.0, 0.0, 0.0])
+        s = sums.setdefault(label, [0.0, 0.0, 0.0, 0.0, True])
         s[0] += o.eps_e2e
         s[1] += o.eps_std_error ** 2
         s[2] += o.d_e2e
         s[3] += o.d_std_error ** 2
+        s[4] = s[4] and o.queues_admit
 
 
-def _mean_outcomes(sums: dict, t: int, rate_bps: float, qos: e2e.QosTarget,
-                   gates: dict) -> dict:
+def _mean_outcomes(sums: dict, t: int, rate_bps: float, qos: e2e.QosTarget) -> dict:
     """{label: SweepRow} at one rate, from the running sums (_add_rows) of
     t topologies. This is the one feasibility decision: the averages must
-    meet the target and the label's queue gate must pass."""
+    meet the target and every queue the label's paths cross must admit."""
     merged = {}
-    for label, (eps, eps_var, delay, delay_var) in sums.items():
+    for label, (eps, eps_var, delay, delay_var, admit) in sums.items():
         eps, delay = eps / t, delay / t
         merged[label] = SweepRow(rate_bps, label, eps, math.sqrt(eps_var) / t,
                                  delay, math.sqrt(delay_var) / t,
-                                 qos.admits(eps, delay) and _label_gate(label, gates))
+                                 qos.admits(eps, delay) and admit)
     return merged
 
 
@@ -660,7 +648,7 @@ def _group_means(config: ScenarioConfig, groups, n_topo: int, rates_bps,
 
     link_stats = functools.partial(_link_stats, config, rates_bps, threading.local())
     stats = _parallel_map(link_stats, items(), threads)
-    qos, gates = config.qos(), _queue_gates(config)
+    qos = config.qos()
     means = []
     for _ in groups:
         sums = [{} for _ in rates_bps]
@@ -669,7 +657,7 @@ def _group_means(config: ScenarioConfig, groups, n_topo: int, rates_bps,
             links = dict(zip(topology.links, itertools.chain([first], stats)))
             for rate_sums, at_rate in zip(sums, zip(*links.values())):
                 _add_rows(rate_sums, _topology_rows(topology, dict(zip(links, at_rate)), config))
-        means.append([_mean_outcomes(rate_sums, n_topo, rate, qos, gates)
+        means.append([_mean_outcomes(rate_sums, n_topo, rate, qos)
                       for rate_sums, rate in zip(sums, rates_bps)])
     return means
 
@@ -708,7 +696,7 @@ def run_rate_sweep(config: ScenarioConfig, threads: int = 1) -> SweepResult:
     diagnostics = {
         "effective_bandwidth_pps": {node: effective_bandwidth(config.queue(node))
                                     for node in _QUEUE_KEYS},
-        "queue_gates": _queue_gates(config),
+        "queue_gates": {node: config.queue(node).admits for node in _QUEUE_KEYS},
         "topologies": config.sweep_topologies,
         "n_samples": config.n_samples,
     }

@@ -130,6 +130,7 @@ class TestValidate:
     @pytest.mark.parametrize("text", [
         "tx_power_av_dbm: 4000\n",             # overflowed to an OverflowError
         "noise_density_dbm_hz: -4000\n",       # rounded to 0 W/Hz
+        "fc_ghz: 1.0e-300\n",                  # a -6000 dB path loss overflowed
         "n_samples: 200\nn_samples: 300\n",     # loaded as 300 with no message
     ])
     def test_config_that_crashed_or_misloaded_is_a_finding(self, runner, tmp_path, text):

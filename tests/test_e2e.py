@@ -243,6 +243,48 @@ class TestCombinePaths:
 
 
 # ============================================================
+# Queue gates compose along the path
+# ============================================================
+
+class TestQueuesAdmit:
+    """A path admits when every queue it crosses does (QueueSpec.admits),
+    and a combination when every path does; the gate changes no number."""
+
+    # the effective bandwidth of QUEUE's target is 13 424 packets/s
+    FAILING = QueueSpec(1000.0, 0.3e-3, 1e-7, service_rate_pps=10_000.0)
+    PASSING = QueueSpec(1000.0, 0.3e-3, 1e-7, service_rate_pps=20_000.0)
+
+    def _hap(self, gs_queue, hap_queue):
+        return hap_path(BACKHAUL, gs_queue, _stats(1e-4), 2e4, hap_queue, _stats(1e-4), 1.97e4)
+
+    def test_unprovisioned_queues_admit(self):
+        assert da2g_path(BACKHAUL, QUEUE, _stats(1e-3)).queues_admit is True
+        assert self._hap(QUEUE, QUEUE).queues_admit is True
+
+    def test_platform_path_does_not_cross_base_station(self):
+        da2g = da2g_path(BACKHAUL, self.FAILING, _stats(1e-4))
+        hap = self._hap(self.PASSING, self.PASSING)
+        assert da2g.queues_admit is False
+        assert hap.queues_admit is True
+        assert combine_paths([da2g, hap], label="DA2G + HAP").queues_admit is False
+        assert combine_paths([hap], label="HAP").queues_admit is True
+
+    @pytest.mark.parametrize("gs_queue, hap_queue", [(FAILING, PASSING), (PASSING, FAILING)])
+    def test_platform_path_crosses_both_of_its_queues(self, gs_queue, hap_queue):
+        assert self._hap(gs_queue, hap_queue).queues_admit is False
+
+    def test_relayed_path_crosses_the_relay_queue(self):
+        def a2a(relay_queue):
+            return a2a_path(BACKHAUL, self.PASSING, _stats(1e-3), relay_queue, _stats(1e-3))
+        assert a2a(self.PASSING).queues_admit is True
+        assert a2a(self.FAILING).queues_admit is False
+
+    def test_gate_changes_no_number(self):
+        passing = _outcome(da2g_path(BACKHAUL, self.PASSING, _stats(1e-3, se=1e-4)))
+        assert _outcome(da2g_path(BACKHAUL, self.FAILING, _stats(1e-3, se=1e-4))) == passing
+
+
+# ============================================================
 # Composition reads values, not identities or names
 # ============================================================
 

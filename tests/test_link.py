@@ -79,12 +79,44 @@ class TestContainers:
             with pytest.raises(ValueError, match="k_db"):
                 ChannelSpec(pl_db=0.0, tx_gain=1.0, rx_gain=1.0, k_db=db)
 
+    def test_channel_must_be_drawable(self):
+        # a NaN path loss, or one whose linear gain overflows, and a negative,
+        # NaN or infinite antenna gain would draw NaN, negative or infinite
+        # SINRs; each is rejected by its field's name
+        for pl_db in (math.nan, -4000.0, np.float64(-4000.0), -math.inf):
+            with pytest.raises(ValueError, match="pl_db"):
+                ChannelSpec(pl_db=pl_db, tx_gain=1.0, rx_gain=1.0, k_db=10.0)
+        for name in ("tx_gain", "rx_gain"):
+            for gain in (-1.0, math.nan, math.inf):
+                with pytest.raises(ValueError, match=name):
+                    ChannelSpec(**{"pl_db": 90.0, "tx_gain": 1.0, "rx_gain": 1.0,
+                                   "k_db": 10.0, name: gain})
+
+    def test_drawable_extremes_are_kept(self):
+        # a zero gain (the array directly under a site), a loss far below
+        # -300 dB whose gain is still finite, and an infinite loss
+        radio = _radio()
+        for spec in (ChannelSpec(pl_db=90.0, tx_gain=0.0, rx_gain=1.0, k_db=10.0),
+                     ChannelSpec(pl_db=-1000.0, tx_gain=1.0, rx_gain=1.0, k_db=10.0),
+                     ChannelSpec(pl_db=math.inf, tx_gain=1.0, rx_gain=1.0, k_db=10.0)):
+            gamma = sinr_sample(LinkSetup(spec, radio), np.random.default_rng(1), 4)
+            assert np.all(gamma >= 0.0) and not np.any(np.isnan(gamma))
+
     def test_link_setup_validation(self):
         desired, radio = _unit_gamma_setup()
         with pytest.raises(ValueError):
             LinkSetup(desired, radio, p_interf=1.5)
         with pytest.raises(ValueError):
             LinkSetup(desired, radio, p_interf=0.5, mode="sometimes")
+
+    def test_interferers_are_a_tuple(self):
+        # a list of interferers makes the same, hashable, setup
+        desired, radio = _unit_gamma_setup()
+        listed = LinkSetup(desired, radio, [desired, desired], 0.1)
+        stated = LinkSetup(desired, radio, (desired, desired), 0.1)
+        assert listed.interferers == (desired, desired)
+        assert listed == stated
+        assert hash(listed) == hash(stated)
 
     def test_no_interference_default(self):
         # the default setup is the interference-free link

@@ -4,13 +4,15 @@ The frozen constant was produced with a 50-digit mpmath evaluation of the
 same expression; the runtime cross-check below recomputes it at 40 digits.
 """
 
+import dataclasses
+
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from avlinksim.queueing import QueueSpec, effective_bandwidth, queue_feasible
+from avlinksim.queueing import QueueSpec, effective_bandwidth
 
 
 def _mp_effective_bandwidth(arrival_pps, delay_bound_s, violation_prob):
@@ -78,18 +80,29 @@ class TestEffectiveBandwidth:
 # Admission rule
 # ============================================================
 
-class TestQueueFeasible:
-    def test_boundary(self):
-        spec = QueueSpec(1000.0, 0.3e-3, 1e-7)
-        ebw = effective_bandwidth(spec)
-        assert queue_feasible(ebw, spec) is True
-        assert queue_feasible(ebw - 1.0, spec) is False
-        assert queue_feasible(2.0 * ebw, spec) is True
+class TestAdmits:
+    SPEC = QueueSpec(1000.0, 0.3e-3, 1e-7)
 
-    def test_negative_rate_rejected(self):
-        spec = QueueSpec(1000.0, 0.3e-3, 1e-7)
-        with pytest.raises(ValueError):
-            queue_feasible(-1.0, spec)
+    def _served_at(self, rate):
+        return dataclasses.replace(self.SPEC, service_rate_pps=rate)
+
+    def test_boundary(self):
+        ebw = effective_bandwidth(self.SPEC)
+        assert self._served_at(ebw).admits is True
+        assert self._served_at(ebw - 1.0).admits is False
+        assert self._served_at(2.0 * ebw).admits is True
+
+    def test_unprovisioned_queue_admits(self):
+        assert self.SPEC.service_rate_pps is None
+        assert self.SPEC.admits is True
+
+    def test_service_rate_does_not_change_the_bandwidth(self):
+        assert effective_bandwidth(self._served_at(1.0)) == effective_bandwidth(self.SPEC)
+
+    @pytest.mark.parametrize("rate", [-1.0, float("nan")])
+    def test_negative_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="service_rate_pps"):
+            self._served_at(rate)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

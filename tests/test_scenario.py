@@ -16,7 +16,7 @@ import pytest
 from avlinksim import e2e
 from avlinksim import geometry as geo
 from avlinksim import scenario
-from avlinksim.link import SINR_WORK_ROWS, sinr_sample
+from avlinksim.link import SINR_WORK_ROWS, LinkStats, sinr_sample
 from avlinksim.mathfun import _Q_BLOCK, RngStream
 from avlinksim.scenario import (
     CANONICAL_COMBINATIONS,
@@ -304,6 +304,21 @@ class TestLoadConfig:
         noise_keys = {"noise_figure_av_db", "noise_figure_hap_db", "noise_density_dbm_hz"}
         config = dataclasses.replace(FAST, sweep_topologies=1, **{
             key: float(noise if key in noise_keys else signal) for key in self.LEVEL_KEYS})
+        for row in run_rate_sweep(config).rows:
+            assert 0.0 <= row.eps_e2e <= 1.0 and row.delay_s > 0.0, row
+
+    @pytest.mark.parametrize("value", ["1.0e-300", "1.0e-20", "1.0e-16", "1.0e+16"])
+    def test_frequency_beyond_the_level_bound_rejected(self, tmp_path, value):
+        # 20 log10(fc_ghz) enters every path loss: at 1e-300 GHz a -6000 dB
+        # loss overflowed the link's gain in the middle of the run
+        with pytest.raises(ConfigError, match=r"'fc_ghz': expected a frequency in "
+                                              r"\[1e-15, 1e\+15\] GHz"):
+            load_config(_write(tmp_path, f"fc_ghz: {value}\n"))
+
+    @pytest.mark.parametrize("fc_ghz", [1e-15, 1e15])
+    def test_extreme_frequencies_run(self, tmp_path, fc_ghz):
+        assert load_config(_write(tmp_path, f"fc_ghz: {fc_ghz:.1e}\n")).fc_ghz == fc_ghz
+        config = dataclasses.replace(FAST, sweep_topologies=1, fc_ghz=fc_ghz)
         for row in run_rate_sweep(config).rows:
             assert 0.0 <= row.eps_e2e <= 1.0 and row.delay_s > 0.0, row
 
@@ -604,6 +619,21 @@ class TestRelayShortage:
             assert (three.eps_e2e, three.d_e2e, three.eps_std_error, three.d_std_error) \
                 == (two.eps_e2e, two.d_e2e, two.eps_std_error, two.d_std_error)
 
+    def test_absent_relay_path_is_the_placeholder(self):
+        # the first relay's links left out: its path is the one that never
+        # delivers, with the fields of the PathOutcome the drivers once built
+        # by hand for it
+        config = self.SHORT
+        topology = instantiate(config, RngStream(config.master_seed).child(
+            scenario._NS_SWEEP_TOPO, 23))
+        stats = {name: LinkStats(1e-3, 1e-3, 500, 1e-4) for name in topology.links
+                 if name not in ("g2a_relay_1", "a2a_1")}
+        absent = scenario._topology_rows(topology, stats, config)["A2A"]
+        placeholder = e2e.PathOutcome("A2A-1", 1.0, math.inf, d_std_error=math.inf)
+        for name in ("label", "eps_e2e", "d_e2e", "eps_std_error", "d_std_error",
+                     "queues_admit"):
+            assert getattr(absent, name) == getattr(placeholder, name), name
+
 
 class TestDiversityBranches:
     """At diversity_branches K every branch carries a clone over the same
@@ -649,15 +679,15 @@ class TestTopologyAverages:
     def test_infinite_mean_delay_has_an_infinite_se(self):
         # averaged with a topology whose path delivers, one whose path
         # never does gives an infinite mean delay, and so an infinite SE
-        qos, gates = ScenarioConfig().qos(), dict.fromkeys(("gbs", "av", "gs", "hap"), True)
         sums = {}
         scenario._add_rows(sums, {"A2A": e2e.PathOutcome(
-            "A2A", 1e-3, 2e-3, eps_std_error=1e-4, d_std_error=1e-5)})
+            "A2A", 1e-3, 2e-3, eps_std_error=1e-4, d_std_error=1e-5, queues_admit=True)})
         scenario._add_rows(sums, {"A2A": e2e.PathOutcome(
-            "A2A", 1.0, math.inf, d_std_error=math.inf)})
-        row = scenario._mean_outcomes(sums, 2, 2e6, qos, gates)["A2A"]
+            "A2A", 1.0, math.inf, d_std_error=math.inf, queues_admit=True)})
+        row = scenario._mean_outcomes(sums, 2, 2e6, ScenarioConfig().qos())["A2A"]
         assert (row.delay_s, row.delay_std_error) == (math.inf, math.inf)
         assert row.eps_std_error == pytest.approx(5e-5)
+        assert row.feasible is False
 
 
 class TestQueueGates:
@@ -692,24 +722,19 @@ class TestQueueGates:
             else:
                 assert row.feasible == open_by[(row.rate_bps, row.label)].feasible
 
-    def test_gate_survives_topology_average(self):
-        # each topology fails the platform gate and one threshold, but the
-        # averages (7.55e-6, 6.5 ms) meet both thresholds
+    @pytest.mark.parametrize("admits, feasible", [
+        ((True, True), True), ((False, False), False), ((True, False), False),
+    ])
+    def test_gate_survives_topology_average(self, admits, feasible):
+        # each topology fails one threshold, but the averages (7.55e-6,
+        # 6.5 ms) meet both: the row is feasible only if every topology's
+        # queues admit
         label = "DA2G + HAP"
         sums = {}
-        for outcome in (e2e.PathOutcome(label, 1.5e-5, 1e-3), e2e.PathOutcome(label, 1e-7, 12e-3)):
-            scenario._add_rows(sums, {label: outcome})
-        qos = FAST.qos()
-        gates = {"gbs": True, "av": True, "gs": True, "hap": False}
-        assert not scenario._mean_outcomes(sums, 2, 100e3, qos, gates)[label].feasible
-        open_gates = dict.fromkeys(gates, True)
-        assert scenario._mean_outcomes(sums, 2, 100e3, qos, open_gates)[label].feasible
-
-    def test_platform_path_does_not_cross_base_station(self):
-        gates = {"gbs": False, "av": True, "gs": True, "hap": True}
-        assert scenario._label_gate("HAP", gates)
-        assert not scenario._label_gate("DA2G + HAP", gates)
-        assert not scenario._label_gate("A2A", gates)
+        for (eps, delay), admit in zip(((1.5e-5, 1e-3), (1e-7, 12e-3)), admits):
+            scenario._add_rows(sums, {label: e2e.PathOutcome(label, eps, delay,
+                                                             queues_admit=admit)})
+        assert scenario._mean_outcomes(sums, 2, 100e3, FAST.qos())[label].feasible is feasible
 
 
 class TestFeasibilityDecision:
