@@ -23,6 +23,7 @@ from .mathfun import bessel_j1
 
 __all__ = [
     "Q2_MAX_PER_KM2",
+    "MIN_LENGTH_M",
     "MAX_DISTANCE_M",
     "MAX_APERTURE_WAVELENGTHS",
     "Environment",
@@ -44,11 +45,12 @@ __all__ = [
 
 
 # p_los loops once per building the ray crosses, so both the building
-# density [1/km^2] (one building per m^2) and the horizontal distance [m]
-# that a config or link-budget may ask of it are bounded; 1e6 m is far
-# beyond any modelled link
+# density [1/km^2] (one building per m^2) and every length [m] that a config
+# or link-budget may ask of it are bounded. 1e6 m is far beyond any modelled
+# link, and from 1 mm to 1e6 m every path loss a topology forms, and p_los's
+# ray_h^2 / (2 q3_m^2), stay finite doubles
 Q2_MAX_PER_KM2 = 1e6
-MAX_DISTANCE_M = 1e6
+MIN_LENGTH_M, MAX_DISTANCE_M = 1e-3, 1e6
 # hap_gain's Bessel quadrature takes one node per unit of its largest
 # argument 2 pi a sin(offset), so the reflector radius a [wavelengths] is
 # bounded too (1e4 keeps a 36-beam link's gains within milliseconds)
@@ -73,8 +75,8 @@ class Environment:
             raise ValueError("q1 is a fraction of land and must lie in (0, 1]")
         if not 0.0 < self.q2 <= Q2_MAX_PER_KM2:
             raise ValueError(f"q2 must lie in (0, {Q2_MAX_PER_KM2:g}] buildings per km^2")
-        if not self.q3_m > 0.0:
-            raise ValueError("q3_m must be positive")
+        if not MIN_LENGTH_M <= self.q3_m <= MAX_DISTANCE_M:   # NaN compares False
+            raise ValueError(f"q3_m must lie in [{MIN_LENGTH_M:g}, {MAX_DISTANCE_M:g}] m")
         if not all(0.0 <= s <= SF_SIGMA_MAX_DB
                    for s in (self.sf_sigma_los_db, self.sf_sigma_nlos_db)):
             raise ValueError(f"shadow-fading sigmas must lie in [0, {SF_SIGMA_MAX_DB:g}] dB")

@@ -253,13 +253,13 @@ def _mean_snr(setup: scenario.LinkSetup) -> float:
     return _db(signal / radio.noise_power_w)
 
 
-def _pose(kind: geometry.NodeKind, x: float, altitude: float) -> geometry.NodePose:
-    return geometry.NodePose(0, kind, x, 0.0, altitude)
+def _pose(x: float, altitude: float) -> geometry.NodePose:
+    return geometry.NodePose(0, x, 0.0, altitude)
 
 
 def _budget_g2a(config: scenario.ScenarioConfig, distance_m: float) -> None:
-    site = _pose(geometry.NodeKind.GROUND_BS, 0.0, config.gbs_height_m)
-    av = _pose(geometry.NodeKind.AERIAL_VEHICLE, distance_m, config.av_altitude_m)
+    site = _pose(0.0, config.gbs_height_m)
+    av = _pose(distance_m, config.av_altitude_m)
     setup = scenario._g2a_link(site, av, [], config)
     d3 = geometry.distance_3d(site, av)
     _echo_budget("g2a link budget", [
@@ -278,8 +278,8 @@ def _budget_g2a(config: scenario.ScenarioConfig, distance_m: float) -> None:
 
 
 def _budget_a2a(config: scenario.ScenarioConfig, distance_m: float) -> None:
-    relay = _pose(geometry.NodeKind.AERIAL_VEHICLE, 0.0, config.av_altitude_m)
-    av = _pose(geometry.NodeKind.AERIAL_VEHICLE, distance_m, config.av_altitude_m)
+    relay = _pose(0.0, config.av_altitude_m)
+    av = _pose(distance_m, config.av_altitude_m)
     setup = scenario._a2a_link(relay, av, [], config)
     _echo_budget("a2a link budget", [
         ("d_3d_m", geometry.distance_3d(relay, av)),
@@ -291,9 +291,9 @@ def _budget_a2a(config: scenario.ScenarioConfig, distance_m: float) -> None:
 
 
 def _budget_hap(config: scenario.ScenarioConfig, offset_m: float) -> None:
-    hap = _pose(geometry.NodeKind.HAP, 0.0, config.hap_altitude_m)
-    av = _pose(geometry.NodeKind.AERIAL_VEHICLE, offset_m, config.av_altitude_m)
-    site = _pose(geometry.NodeKind.GROUND_BS, 0.0, config.gbs_height_m)
+    hap = _pose(0.0, config.hap_altitude_m)
+    av = _pose(offset_m, config.av_altitude_m)
+    site = _pose(0.0, config.gbs_height_m)
     setup = scenario._h2a_link(hap, av, [site], site, config)
     d3 = geometry.distance_3d(hap, av)
     _echo_budget("hap link budget", [
@@ -312,34 +312,24 @@ def _budget_hap(config: scenario.ScenarioConfig, offset_m: float) -> None:
 @click.argument("kind", type=click.Choice(["g2a", "a2a", "hap"]))
 @click.option("--distance-m", type=float, default=None,
               help="g2a: horizontal site-to-vehicle distance; a2a: vehicle "
-                   "separation (required); hap: nadir offset (default 0). "
-                   f"At most {channel.MAX_DISTANCE_M:g} m.")
+                   f"separation (required, at least {channel.MIN_LENGTH_M:g} m); hap: "
+                   f"nadir offset (default 0). At most {channel.MAX_DISTANCE_M:g} m.")
 @click.option("--config", "config_path", type=str, default=None)
 def link_budget(kind, distance_m, config_path) -> None:
     """Deterministic budget breakdown for a single link type."""
-    if distance_m is not None and not abs(distance_m) <= channel.MAX_DISTANCE_M:
-        raise click.UsageError(f"--distance-m must be finite and at most "
-                               f"{channel.MAX_DISTANCE_M:g} m, got {distance_m}")
+    low = channel.MIN_LENGTH_M if kind == "a2a" else 0.0    # an offset may be 0
+    if distance_m is not None and not low <= distance_m <= channel.MAX_DISTANCE_M:
+        raise click.UsageError(f"--distance-m must be finite and lie in [{low:g}, "
+                               f"{channel.MAX_DISTANCE_M:g}] m for {kind}, got {distance_m}")
+    if kind == "a2a" and distance_m is None:
+        raise click.UsageError("a2a requires --distance-m")
     try:
         config = _load(config_path, None)
     except scenario.ConfigError as exc:
         _fail_config(exc)
-    if kind == "g2a":
-        distance = config.r_ga_m if distance_m is None else distance_m
-        if distance < 0:
-            raise click.UsageError("--distance-m must be non-negative for g2a")
-        _budget_g2a(config, distance)
-    elif kind == "a2a":
-        if distance_m is None:
-            raise click.UsageError("a2a requires --distance-m")
-        if distance_m <= 0:
-            raise click.UsageError("--distance-m must be positive for a2a")
-        _budget_a2a(config, distance_m)
-    else:
-        offset = 0.0 if distance_m is None else distance_m
-        if offset < 0:
-            raise click.UsageError("--distance-m must be non-negative for hap")
-        _budget_hap(config, offset)
+    if distance_m is None:
+        distance_m = config.r_ga_m if kind == "g2a" else 0.0
+    {"g2a": _budget_g2a, "a2a": _budget_a2a, "hap": _budget_hap}[kind](config, distance_m)
 
 
 # ============================================================

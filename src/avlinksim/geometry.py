@@ -1,7 +1,7 @@
 """Scenario geometry: hexagonal ground-station layout and node placement.
 
 Provides:
- - NodePose / NodeKind / GridSpec  : node and layout descriptions
+ - NodePose / GridSpec            : node and layout descriptions
  - hex_grid                        : tiered hexagonal site layout
  - place_avs_uniform               : uniform placement over the cell union
  - distance_2d / distance_3d
@@ -11,7 +11,6 @@ Provides:
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -19,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "MAX_GRID_TIERS",
-    "NodeKind",
     "NodePose",
     "GridSpec",
     "hex_grid",
@@ -40,17 +38,9 @@ __all__ = [
 MAX_GRID_TIERS = 20
 
 
-class NodeKind(str, enum.Enum):
-    GROUND_BS = "ground_bs"
-    AERIAL_VEHICLE = "aerial_vehicle"
-    HAP = "hap"
-    GROUND_STATION = "ground_station"
-
-
 @dataclass(frozen=True)
 class NodePose:
     id: int
-    kind: NodeKind
     x: float          # [m]
     y: float          # [m]
     altitude: float   # [m] above ground
@@ -99,7 +89,7 @@ def hex_grid(spec: GridSpec) -> list[NodePose]:
             sites.append((ring, az, x, y))
     sites.sort()
     return [
-        NodePose(i, NodeKind.GROUND_BS, x, y, spec.bs_height_m)
+        NodePose(i, x, y, spec.bs_height_m)
         for i, (_, _, x, y) in enumerate(sites)
     ]
 
@@ -135,7 +125,7 @@ def place_avs_uniform(
             y = site.y + rng.uniform(-circum, circum)
             if cell_contains(site.x, site.y, spec.isd_m, x, y):
                 break
-        nodes.append(NodePose(id_start + i, NodeKind.AERIAL_VEHICLE, x, y, altitude_m))
+        nodes.append(NodePose(id_start + i, x, y, altitude_m))
     return nodes
 
 

@@ -109,9 +109,9 @@ _LEVEL = _number(f"a level in [-{LEVEL_MAX_DB:g}, {LEVEL_MAX_DB:g}] dB",
 _FC_MAX_GHZ = 10.0 ** (LEVEL_MAX_DB / 20.0)
 _FREQUENCY = _number(f"a frequency in [{1 / _FC_MAX_GHZ:g}, {_FC_MAX_GHZ:g}] GHz",
                      lambda v: 1 / _FC_MAX_GHZ <= v <= _FC_MAX_GHZ)
-# a horizontal distance: p_los loops once per building the ray crosses
-_DISTANCE = _number(f"a distance in (0, {ch.MAX_DISTANCE_M:g}] m",
-                    lambda v: 0 < v <= ch.MAX_DISTANCE_M)
+# a length: the interval in which path losses and p_los stay finite
+_LENGTH = _number(f"a length in [{ch.MIN_LENGTH_M:g}, {ch.MAX_DISTANCE_M:g}] m",
+                  lambda v: ch.MIN_LENGTH_M <= v <= ch.MAX_DISTANCE_M)
 _SIGMA = _number(f"a shadow sigma in [0, {SF_SIGMA_MAX_DB:g}] dB",  # ChannelSpec
                  lambda v: 0 <= v <= SF_SIGMA_MAX_DB)
 _SERVICE = _Rule("a positive number or null", lambda v: v is None or _POS.ok(v),
@@ -179,21 +179,21 @@ class ScenarioConfig:
         f"a radius in (0, {ch.MAX_APERTURE_WAVELENGTHS:g}] wavelengths",
         lambda v: 0 < v <= ch.MAX_APERTURE_WAVELENGTHS))
     # geometry
-    isd_m: float = _key(500.0, _POS)
+    isd_m: float = _key(500.0, _LENGTH)
     grid_tiers: int = _key(3, _number(  # GridSpec
         f"a tier count in [0, {geo.MAX_GRID_TIERS}]", lambda v: 0 <= v <= geo.MAX_GRID_TIERS, int))
-    gbs_height_m: float = _key(25.0, _POS)
-    av_altitude_m: float = _key(300.0, _POS)
-    hap_altitude_m: float = _key(20000.0, _POS)
-    hap_gs_offset_m: float = _key(5000.0, _POS)
+    gbs_height_m: float = _key(25.0, _LENGTH)
+    av_altitude_m: float = _key(300.0, _LENGTH)
+    hap_altitude_m: float = _key(20000.0, _LENGTH)
+    hap_gs_offset_m: float = _key(5000.0, _LENGTH)
     av_count: int = _key(10, _COUNT)
-    r_ga_m: float = _key(150.0, _DISTANCE)
+    r_ga_m: float = _key(150.0, _LENGTH)
     # propagation environment (ITU-R P.1410: built-up ratio, density, height scale)
     q1: float = _key(0.3, _number("a fraction in (0, 1]", lambda v: 0 < v <= 1))
     q2_per_km2: float = _key(500.0, _number(  # at most one building per m^2
         f"a building density in (0, {ch.Q2_MAX_PER_KM2:g}] per km^2",
         lambda v: 0 < v <= ch.Q2_MAX_PER_KM2))
-    q3_m: float = _key(20.0, _POS)
+    q3_m: float = _key(20.0, _LENGTH)
     sf_sigma_los_db: float = _key(4.0, _SIGMA)
     sf_sigma_nlos_db: float = _key(6.0, _SIGMA)
     g2a_shadow_fading: bool = _key(False, _Rule("a boolean", lambda v: isinstance(v, bool)))
@@ -455,7 +455,7 @@ def _h2a_link(hap, victim, sites, serving_site, config) -> LinkSetup:
                            rx_gain=_dbi_to_lin(config.av_antenna_gain_dbi), k_db=k_db)
 
     # each other cell's beam aims at the vehicle altitude above its site
-    aims = [geo.NodePose(s.id, geo.NodeKind.AERIAL_VEHICLE, s.x, s.y, config.av_altitude_m)
+    aims = [geo.NodePose(s.id, s.x, s.y, config.av_altitude_m)
             for s in sites if s.id != serving_site.id]
     return _link(beam(0.0), [beam(geo.angle_between_deg(hap, aim, victim)) for aim in aims],
                  _dbm_to_w(config.tx_power_hap_dbm), config.bandwidth_ha_hz, config)
@@ -490,13 +490,13 @@ def instantiate(config: ScenarioConfig, stream, r_ga_m: float | None = None) -> 
     sites = geo.hex_grid(config.grid())
     serving = sites[0]
     r_ga = config.r_ga_m if r_ga_m is None else float(r_ga_m)
-    destination = geo.NodePose(0, geo.NodeKind.AERIAL_VEHICLE, r_ga, 0.0, config.av_altitude_m)
+    destination = geo.NodePose(0, r_ga, 0.0, config.av_altitude_m)
     background = geo.place_avs_uniform(
         config.grid(), config.av_count - 1, config.av_altitude_m,
         stream.generator(), id_start=1,
     )
-    hap = geo.NodePose(0, geo.NodeKind.HAP, 0.0, 0.0, config.hap_altitude_m)
-    gs = geo.NodePose(0, geo.NodeKind.GROUND_STATION, config.hap_gs_offset_m, 0.0, 0.0)
+    hap = geo.NodePose(0, 0.0, 0.0, config.hap_altitude_m)
+    gs = geo.NodePose(0, config.hap_gs_offset_m, 0.0, 0.0)
 
     # relay candidates: nearest background vehicles, at least 1 m away
     candidates = [b for b in background if geo.distance_3d(b, destination) >= 1.0]

@@ -13,6 +13,8 @@ from numpy.testing import assert_allclose
 
 from avlinksim.channel import (
     MAX_APERTURE_WAVELENGTHS,
+    MAX_DISTANCE_M,
+    MIN_LENGTH_M,
     Q2_MAX_PER_KM2,
     Environment,
     ReflectorSpec,
@@ -202,6 +204,15 @@ class TestClutterAndG2h:
                 Environment(q2=q2)
         with pytest.raises(ValueError):
             Environment(clutter_loss_table_db=(0.0,) * 8 + (-1.0,))
+
+    def test_height_scale_is_a_length(self):
+        # q3_m = 1e-300 divided by zero in p_los, and 1e300 overflowed
+        for q3_m in (MIN_LENGTH_M, MAX_DISTANCE_M):
+            assert 0.0 <= p_los(150.0, 25.0, 300.0, Environment(q3_m=q3_m)) <= 1.0
+        for q3_m in (1e-300, math.nextafter(MIN_LENGTH_M, 0.0),
+                     math.nextafter(MAX_DISTANCE_M, math.inf), 1e300, math.nan):
+            with pytest.raises(ValueError, match=r"q3_m must lie in \[0.001, 1e\+06\] m"):
+                Environment(q3_m=q3_m)
 
     @pytest.mark.parametrize("field", ["sf_sigma_los_db", "sf_sigma_nlos_db"])
     def test_shadow_sigma_bounded(self, field):

@@ -143,6 +143,26 @@ class TestValidate:
         assert res.exit_code == 2
         assert res.stderr.startswith("config error: ")
 
+    @pytest.mark.parametrize("text, key", [
+        # a -6563 dB g2a path loss failed in ChannelSpec
+        ("gbs_height_m: 1.0e-300\nav_altitude_m: 2.0e-300\nr_ga_m: 1.0e-300\n",
+         "gbs_height_m"),
+        ("q3_m: 1.0e-300\n", "q3_m"),                  # ZeroDivisionError in p_los
+        ("q3_m: 1.0e+300\n", "q3_m"),                  # OverflowError in p_los
+        ("av_altitude_m: 1.0e+300\nhap_altitude_m: 2.0e+300\n", "av_altitude_m"),
+    ])
+    def test_length_outside_the_interval_is_a_config_error(self, runner, tmp_path, text, key):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text, encoding="utf-8")
+        res = runner.invoke(main, ["validate", "--config", str(bad)])
+        assert res.exit_code == 1
+        assert (f"FAIL - config file: config key '{key}': expected a length in "
+                f"[0.001, 1e+06] m") in res.stdout
+        for command in ("sweep", "region"):
+            res = runner.invoke(main, [command, "--config", str(bad), "--quiet"])
+            assert res.exit_code == 2, command
+            assert res.stderr.startswith(f"config error: config key '{key}'"), command
+
     def test_far_destination_is_a_config_error_not_a_hang(self, tmp_path):
         # p_los loops once per building: at 1e9 m the sweep ran for minutes
         far = tmp_path / "far.yaml"
@@ -397,9 +417,21 @@ class TestLinkBudget:
         res = runner.invoke(main, ["link-budget", kind, "--distance-m", "1e300"])
         assert time.monotonic() - started < 5.0
         assert res.exit_code == 2
-        assert "at most 1e+06 m" in res.output
+        assert f"1e+06] m for {kind}, got 1e+300" in res.output
         res = runner.invoke(main, ["link-budget", kind, "--distance-m", "1e6"])
         assert res.exit_code == 0
+
+    @pytest.mark.parametrize("kind, low", [("g2a", "0"), ("a2a", "0.001"), ("hap", "0")])
+    def test_distance_below_the_bound_is_a_usage_error(self, runner, kind, low):
+        # a2a at 1e-300 m formed a -5962 dB free-space loss and failed in
+        # ChannelSpec; the g2a and hap offsets may be 0
+        res = runner.invoke(main, ["link-budget", kind, "--distance-m", low])
+        assert res.exit_code == 0
+        for value in ("-1e-300", "1e-300" if kind == "a2a" else "-1"):
+            res = runner.invoke(main, ["link-budget", kind, "--distance-m", value])
+            assert res.exit_code == 2, value
+            assert f"--distance-m must be finite and lie in [{low}, 1e+06] m for {kind}" \
+                in res.output, value
 
     def test_building_density_beyond_the_bound_is_a_config_error(self, runner, tmp_path):
         # 5.5e8 buildings on the ray would keep p_los looping for minutes

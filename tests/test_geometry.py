@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from avlinksim.geometry import (
     MAX_GRID_TIERS,
     GridSpec,
-    NodeKind,
     NodePose,
     angle_between_deg,
     cell_contains,
@@ -30,7 +29,7 @@ def _in_footprint(spec, x, y):
 
 
 def _av(x, y, alt=300.0, id=0):
-    return NodePose(id, NodeKind.AERIAL_VEHICLE, x, y, alt)
+    return NodePose(id, x, y, alt)
 
 
 # ============================================================
@@ -52,10 +51,9 @@ class TestHexGrid:
         assert sites[0].id == 0
         assert sites[0].x == 0.0 and sites[0].y == 0.0
 
-    def test_heights_and_kind(self):
+    def test_heights(self):
         sites = hex_grid(GridSpec(bs_height_m=25.0))
         assert all(s.altitude == 25.0 for s in sites)
-        assert all(s.kind is NodeKind.GROUND_BS for s in sites)
 
     def test_nearest_neighbor_spacing_is_isd(self):
         sites = hex_grid(GridSpec(isd_m=500.0))
@@ -128,7 +126,6 @@ class TestPlacement:
         assert len(avs) == 9
         assert [a.id for a in avs] == list(range(1, 10))
         assert all(a.altitude == 300.0 for a in avs)
-        assert all(a.kind is NodeKind.AERIAL_VEHICLE for a in avs)
 
     def test_all_inside_footprint(self):
         spec = GridSpec()
@@ -162,24 +159,24 @@ class TestPlacement:
 
 class TestDistancesAngles:
     def test_frozen_3d_distance(self):
-        bs = NodePose(0, NodeKind.GROUND_BS, 0.0, 0.0, 25.0)
+        bs = NodePose(0, 0.0, 0.0, 25.0)
         av = _av(150.0, 0.0)
         assert_allclose(distance_3d(bs, av), 313.24910215354169471, rtol=1e-14)
         assert_allclose(distance_2d(bs, av), 150.0, rtol=1e-15)
 
     def test_frozen_elevation(self):
-        bs = NodePose(0, NodeKind.GROUND_BS, 0.0, 0.0, 25.0)
+        bs = NodePose(0, 0.0, 0.0, 25.0)
         av = _av(150.0, 0.0)
         assert_allclose(elevation_angle_deg(bs, av), 61.389540334034783042, rtol=1e-14)
 
     def test_gs_to_hap_frozen(self):
-        gs = NodePose(0, NodeKind.GROUND_STATION, 5000.0, 0.0, 0.0)
-        hap = NodePose(0, NodeKind.HAP, 0.0, 0.0, 20000.0)
+        gs = NodePose(0, 5000.0, 0.0, 0.0)
+        hap = NodePose(0, 0.0, 0.0, 20000.0)
         assert_allclose(distance_3d(gs, hap), 20615.528128088302749, rtol=1e-14)
         assert_allclose(elevation_angle_deg(gs, hap), 75.963756532073521417, rtol=1e-14)
 
     def test_elevation_zenith_complementary(self):
-        a = NodePose(0, NodeKind.GROUND_BS, 10.0, -20.0, 25.0)
+        a = NodePose(0, 10.0, -20.0, 25.0)
         b = _av(400.0, 300.0)
         assert_allclose(
             elevation_angle_deg(a, b) + zenith_angle_deg(a, b), 90.0, rtol=1e-15
@@ -187,18 +184,18 @@ class TestDistancesAngles:
 
     def test_elevation_sign(self):
         a = _av(0.0, 0.0, alt=300.0)
-        b = NodePose(1, NodeKind.GROUND_BS, 100.0, 0.0, 25.0)
+        b = NodePose(1, 100.0, 0.0, 25.0)
         assert elevation_angle_deg(a, b) < 0.0
         assert elevation_angle_deg(b, a) > 0.0
 
     def test_straight_up(self):
-        a = NodePose(0, NodeKind.GROUND_STATION, 0.0, 0.0, 0.0)
-        b = NodePose(0, NodeKind.HAP, 0.0, 0.0, 20000.0)
+        a = NodePose(0, 0.0, 0.0, 0.0)
+        b = NodePose(0, 0.0, 0.0, 20000.0)
         assert elevation_angle_deg(a, b) == 90.0
         assert zenith_angle_deg(a, b) == 0.0
 
     def test_angle_between(self):
-        apex = NodePose(0, NodeKind.HAP, 0.0, 0.0, 20000.0)
+        apex = NodePose(0, 0.0, 0.0, 20000.0)
         below = _av(0.0, 0.0)
         side = _av(20000.0 - 300.0, 0.0, alt=20000.0)
         assert_allclose(angle_between_deg(apex, below, side), 90.0, rtol=1e-12)
@@ -217,7 +214,7 @@ class TestDistancesAngles:
 
     def test_small_beam_offset(self):
         # ring-1 beam aim point seen from the platform: about 1.4 degrees
-        hap = NodePose(0, NodeKind.HAP, 0.0, 0.0, 20000.0)
+        hap = NodePose(0, 0.0, 0.0, 20000.0)
         dest = _av(150.0, 0.0)
         aim = _av(500.0, 0.0)
         got = angle_between_deg(hap, aim, dest)

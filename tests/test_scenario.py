@@ -16,6 +16,7 @@ import pytest
 from avlinksim import e2e
 from avlinksim import geometry as geo
 from avlinksim import scenario
+from avlinksim.channel import MAX_DISTANCE_M, MIN_LENGTH_M
 from avlinksim.link import SINR_WORK_ROWS, LinkStats, sinr_sample
 from avlinksim.mathfun import _Q_BLOCK, RngStream
 from avlinksim.scenario import (
@@ -48,6 +49,23 @@ FAST_LABELS = (
     "DA2G + 1-A2A", "DA2G + 2-A2A",
     "DA2G + HAP", "DA2G + 1-A2A + HAP", "DA2G + 2-A2A + HAP",
 )
+
+
+LENGTH_KEYS = ("isd_m", "gbs_height_m", "av_altitude_m", "hap_altitude_m",
+               "hap_gs_offset_m", "r_ga_m", "q3_m")
+# each end of each length key, one key at a time. Sites, vehicles and the
+# platform fly in that order, so the site height takes the low end with the
+# vehicles and the platform one and two doubles above it, and the platform
+# takes the high end with the vehicles and the sites one and two below it.
+LENGTH_ENDS = [
+    {"isd_m": MIN_LENGTH_M}, {"isd_m": MAX_DISTANCE_M, "grid_tiers": 1},
+    {"gbs_height_m": MIN_LENGTH_M, "av_altitude_m": math.nextafter(MIN_LENGTH_M, 1.0),
+     "hap_altitude_m": math.nextafter(math.nextafter(MIN_LENGTH_M, 1.0), 1.0)},
+    {"gbs_height_m": math.nextafter(math.nextafter(MAX_DISTANCE_M, 0.0), 0.0),
+     "av_altitude_m": math.nextafter(MAX_DISTANCE_M, 0.0), "hap_altitude_m": MAX_DISTANCE_M},
+    *({key: end} for key in ("hap_gs_offset_m", "r_ga_m", "q3_m")
+      for end in (MIN_LENGTH_M, MAX_DISTANCE_M)),
+]
 
 
 def _write(tmp_path, text):
@@ -214,7 +232,7 @@ class TestLoadConfig:
             load_config(_write(tmp_path, text))
 
     def test_integer_beyond_the_float_range_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="'isd_m': expected a positive number"):
+        with pytest.raises(ConfigError, match="'isd_m': expected a length"):
             load_config(_write(tmp_path, f"isd_m: {10 ** 400}\n"))
 
     @pytest.mark.parametrize("text", [
@@ -336,6 +354,26 @@ class TestLoadConfig:
         cfg = load_config(_write(tmp_path, "r_ga_m: 1000000\nregion_r_edges_m: [0, 1000000]\n"
                                            "isd_m: 250000\ngrid_tiers: 4\n"))
         assert (cfg.r_ga_m, cfg.region_r_edges_m[-1], cfg.isd_m * cfg.grid_tiers) == (1e6,) * 3
+
+    @pytest.mark.parametrize("key", LENGTH_KEYS)
+    def test_lengths_share_one_interval(self, key):
+        for value in (MIN_LENGTH_M, MAX_DISTANCE_M):
+            assert scenario._validate_field(key, value) == value
+        for value in (math.nextafter(MIN_LENGTH_M, 0.0), math.nextafter(MAX_DISTANCE_M, math.inf),
+                      0, 1e-300, 1e300):
+            with pytest.raises(ConfigError, match=f"config key '{key}': expected a length "
+                                                  r"in \[0.001, 1e\+06\] m"):
+                scenario._validate_field(key, value)
+
+    @pytest.mark.parametrize("ends", LENGTH_ENDS)
+    def test_lengths_at_the_ends_run(self, ends):
+        # within the interval every path loss and p_los stay finite
+        config = scenario._build_config({"n_samples": 200, "mc_batch_size": 200,
+                                         "sweep_rates_kbps": [100], "av_count": 4,
+                                         "a2a_relay_count": 1, **ends})
+        for row in run_rate_sweep(config).rows:
+            assert 0.0 <= row.eps_e2e <= 1.0 and math.isfinite(row.eps_std_error), row
+            assert row.delay_s > 0.0, row      # infinite where no path delivers
 
     @pytest.mark.parametrize("text, key, line", [
         ("n_samples: 200\nn_samples: 300\n", "n_samples", 2),
