@@ -192,8 +192,8 @@ class UlaSpec:
     def __post_init__(self):
         if self.n_elements < 1:
             raise ValueError("n_elements must be at least 1")
-        if not math.isfinite(self.downtilt_deg):
-            raise ValueError("downtilt_deg must be finite")
+        if not 0.0 <= self.downtilt_deg <= 180.0:              # NaN compares False
+            raise ValueError("downtilt_deg must lie in [0, 180] degrees")
         if not abs(self.element_gain_max_dbi) <= LEVEL_MAX_DB:   # NaN compares False
             raise ValueError(f"element_gain_max_dbi must be finite and lie in "
                              f"[-{LEVEL_MAX_DB:g}, {LEVEL_MAX_DB:g}] dB")

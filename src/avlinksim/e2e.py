@@ -133,7 +133,7 @@ def _radio(name, stats: LinkStats, copies: int = 1):
     that stats' eps SE induces in it. The hop sends `copies` clones over
     links that stats' one estimate describes, so its loss is eps^copies,
     with SE copies eps^(copies - 1) se."""
-    partial = math.prod((stats.eps_t_bar,) * (copies - 1))   # eps^(copies - 1)
+    partial = stats.eps_t_bar ** (copies - 1)
     if not math.isfinite(stats.d_t_bar) or stats.eps_t_bar >= 1.0:
         d_var = math.inf
     else:

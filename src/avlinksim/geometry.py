@@ -102,28 +102,29 @@ def cell_contains(center_x: float, center_y: float, isd_m: float, x: float, y: f
 
 
 def place_avs_uniform(
-    spec: GridSpec,
+    sites: list[NodePose],
+    isd_m: float,
     count: int,
     altitude_m: float,
     rng: np.random.Generator,
     id_start: int = 0,
 ) -> list[NodePose]:
-    """Place count vehicles uniformly over the union of grid cells.
+    """Place count vehicles uniformly over the union of the cells of sites,
+    hexagons of inter-site distance isd_m.
 
     Cells have equal area, so a uniform cell pick followed by rejection
     sampling inside that cell is exactly uniform over the union.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    sites = hex_grid(spec)
-    circum = spec.isd_m / math.sqrt(3.0)  # hexagon corner radius
+    circum = isd_m / math.sqrt(3.0)  # hexagon corner radius
     nodes = []
     for i in range(count):
         site = sites[int(rng.integers(0, len(sites)))]
         while True:
-            x = site.x + rng.uniform(-0.5 * spec.isd_m, 0.5 * spec.isd_m)
+            x = site.x + rng.uniform(-0.5 * isd_m, 0.5 * isd_m)
             y = site.y + rng.uniform(-circum, circum)
-            if cell_contains(site.x, site.y, spec.isd_m, x, y):
+            if cell_contains(site.x, site.y, isd_m, x, y):
                 break
         nodes.append(NodePose(id_start + i, x, y, altitude_m))
     return nodes

@@ -41,7 +41,8 @@ def effective_bandwidth(spec: QueueSpec) -> float:
     """Minimum service rate [packets/s] meeting the delay-violation target
     for Poisson arrivals at the given rate."""
     log_inv_eps = -math.log(spec.violation_prob)
-    denom = spec.delay_bound_s * math.log(
-        log_inv_eps / (spec.arrival_rate_pps * spec.delay_bound_s) + 1.0
-    )
-    return log_inv_eps / denom
+    denom = spec.delay_bound_s * math.log1p(
+        log_inv_eps / (spec.arrival_rate_pps * spec.delay_bound_s))
+    # denom is 0 only where the log's argument rounds to 0 (as when arrival
+    # rate x delay bound overflows); the bandwidth's limit there is the arrival rate
+    return log_inv_eps / denom if denom > 0.0 else spec.arrival_rate_pps

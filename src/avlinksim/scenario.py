@@ -172,7 +172,8 @@ class ScenarioConfig:
     av_antenna_gain_dbi: float = _key(0.0, _LEVEL)
     gs_antenna_gain_dbi: float = _key(0.0, _LEVEL)
     ula_elements: int = _key(8, _COUNT)
-    ula_downtilt_deg: float = _key(102.0, _POS)
+    ula_downtilt_deg: float = _key(102.0, _number(  # UlaSpec: a boresight zenith angle
+        "a zenith angle in [0, 180] degrees", lambda v: 0 <= v <= 180))
     ula_element_gain_dbi: float = _key(8.0, _LEVEL)
     hap_max_gain_dbi: float = _key(32.0, _LEVEL)
     hap_aperture_radius_wavelengths: float = _key(10.0, _number(  # ReflectorSpec
@@ -352,13 +353,7 @@ def config_hash(config: ScenarioConfig) -> str:
 
 @dataclass(frozen=True)
 class Topology:
-    sites: tuple
-    destination: geo.NodePose
-    background_avs: tuple
-    relays: tuple
-    hap: geo.NodePose
-    ground_station: geo.NodePose
-    serving_site: geo.NodePose
+    """What composition reads of one topology realization."""
     links: dict            # name -> LinkSetup, insertion order is canonical
     d_g2h_m: float
     d_h2a_m: float
@@ -477,52 +472,43 @@ def _g2h_link(gs, hap, config) -> LinkSetup:
                                           config.noise_density_w_hz(), config.noise_figure_hap_db))
 
 
-def instantiate(config: ScenarioConfig, stream, r_ga_m: float | None = None) -> Topology:
-    """Build one topology realization.
+def _place_background(config: ScenarioConfig, sites, stream: RngStream) -> list:
+    """A topology's one random step: the av_count - 1 background vehicles,
+    uniform over the cells of sites. It reads no column, so one stream
+    places the same vehicles at every destination distance."""
+    return geo.place_avs_uniform(sites, config.isd_m, config.av_count - 1,
+                                 config.av_altitude_m, stream.generator(), id_start=1)
 
-    The destination vehicle sits at (r_ga, 0) served by the center site (the
-    reference layout pins the serving site at the origin); the remaining
-    vehicles fall uniformly over the cell union, and the nearest ones act as
-    relay candidates.
+
+def _build_links(config: ScenarioConfig, sites, background, r_ga_m: float) -> Topology:
+    """A topology's deterministic step: its links, in canonical order.
+
+    The destination vehicle sits at (r_ga_m, 0) served by the center site
+    (the reference layout pins the serving site at the origin), and the
+    background vehicles nearest to it, at least 1 m away, act as relays.
     """
-    if isinstance(stream, int):
-        stream = RngStream(stream)
-    sites = geo.hex_grid(config.grid())
     serving = sites[0]
-    r_ga = config.r_ga_m if r_ga_m is None else float(r_ga_m)
-    destination = geo.NodePose(0, r_ga, 0.0, config.av_altitude_m)
-    background = geo.place_avs_uniform(
-        config.grid(), config.av_count - 1, config.av_altitude_m,
-        stream.generator(), id_start=1,
-    )
+    destination = geo.NodePose(0, r_ga_m, 0.0, config.av_altitude_m)
     hap = geo.NodePose(0, 0.0, 0.0, config.hap_altitude_m)
     gs = geo.NodePose(0, config.hap_gs_offset_m, 0.0, 0.0)
-
-    # relay candidates: nearest background vehicles, at least 1 m away
     candidates = [b for b in background if geo.distance_3d(b, destination) >= 1.0]
     candidates.sort(key=lambda b: (geo.distance_3d(b, destination), b.id))
-    relays = tuple(candidates[: config.a2a_relay_count])
 
     links: dict[str, LinkSetup] = {}
     links["g2a_dest"] = _g2a_link(serving, destination, sites, config)
-    for m, relay in enumerate(relays, start=1):
+    for m, relay in enumerate(candidates[:config.a2a_relay_count], start=1):
         links[f"g2a_relay_{m}"] = _g2a_link(geo.serving_bs(relay, sites), relay, sites, config)
         links[f"a2a_{m}"] = _a2a_link(relay, destination, background, config)
     links["g2h"] = _g2h_link(gs, hap, config)
     links["h2a"] = _h2a_link(hap, destination, sites, serving, config)
+    return Topology(links, geo.distance_3d(gs, hap), geo.distance_3d(hap, destination))
 
-    return Topology(
-        sites=tuple(sites),
-        destination=destination,
-        background_avs=tuple(background),
-        relays=relays,
-        hap=hap,
-        ground_station=gs,
-        serving_site=serving,
-        links=links,
-        d_g2h_m=geo.distance_3d(gs, hap),
-        d_h2a_m=geo.distance_3d(hap, destination),
-    )
+
+def instantiate(config: ScenarioConfig, stream: RngStream, r_ga_m: float) -> Topology:
+    """One topology realization: the background placed from stream, then
+    the links of the destination at r_ga_m."""
+    sites = geo.hex_grid(config.grid())
+    return _build_links(config, sites, _place_background(config, sites, stream), r_ga_m)
 
 
 # ============================================================

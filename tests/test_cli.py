@@ -14,6 +14,7 @@ from click.testing import CliRunner
 import avlinksim
 from avlinksim import scenario
 from avlinksim.cli import main
+from avlinksim.mathfun import RngStream
 
 # tiny but structurally complete run: one rate, one relay, one topology
 FAST_YAML = """\
@@ -132,6 +133,7 @@ class TestValidate:
         "noise_density_dbm_hz: -4000\n",       # rounded to 0 W/Hz
         "fc_ghz: 1.0e-300\n",                  # a -6000 dB path loss overflowed
         "n_samples: 200\nn_samples: 300\n",     # loaded as 300 with no message
+        "ula_downtilt_deg: 1.0e+300\n",        # a boresight 1e300 degrees from zenith ran
     ])
     def test_config_that_crashed_or_misloaded_is_a_finding(self, runner, tmp_path, text):
         bad = tmp_path / "bad.yaml"
@@ -162,6 +164,26 @@ class TestValidate:
             res = runner.invoke(main, [command, "--config", str(bad), "--quiet"])
             assert res.exit_code == 2, command
             assert res.stderr.startswith(f"config error: config key '{key}'"), command
+
+    @pytest.mark.parametrize("text", [
+        # arrival_rate * delay_bound overflowed, and the effective bandwidth
+        # divided by log(0 + 1.0) = 0: ZeroDivisionError
+        "arrival_rate_gbs_pps: 1.0e+21\nqueue_delay_bound_ms: 1.0e+308\n",
+        # the branch loss multiplied a tuple of 10^15 - 1 floats: MemoryError
+        "diversity_branches: 1000000000000000\n",
+    ])
+    def test_config_that_crashed_the_sweep_runs(self, runner, tmp_path, text):
+        path = tmp_path / "extreme.yaml"
+        path.write_text(textwrap.dedent(FAST_YAML) + text, encoding="utf-8")
+        res = runner.invoke(main, ["validate", "--config", str(path)])
+        assert res.exit_code == 0
+        res = runner.invoke(main, ["sweep", "--config", str(path), "--format", "json"])
+        assert res.exit_code == 0
+        payload = json.loads(res.stdout)
+        assert len(payload["rows"]) == SWEEP_LABELS
+        # a non-finite float is written as null
+        assert all(value is not None for row in payload["rows"] for value in row.values())
+        assert None not in payload["diagnostics"]["effective_bandwidth_pps"].values()
 
     def test_far_destination_is_a_config_error_not_a_hang(self, tmp_path):
         # p_los loops once per building: at 1e9 m the sweep ran for minutes
@@ -387,7 +409,7 @@ class TestLinkBudget:
         # at the configured destination distance the budget shows the same
         # channel the Monte Carlo draws from
         config = scenario.ScenarioConfig()
-        links = scenario.instantiate(config, 1).links
+        links = scenario.instantiate(config, RngStream(1), config.r_ga_m).links
         r_ga = repr(config.r_ga_m)
         for args, link, keys in (
             (["g2a"], "g2a_dest", ("pl_avg_db", "rice_k_db")),

@@ -121,6 +121,15 @@ class TestDa2gPath:
                             branches * eps ** (branches - 1) * se * self.EXACT_HOPS,
                             rtol=1e-12)
 
+    def test_many_branches_form_the_power_directly(self):
+        # eps^(K - 1) was the product of a tuple of K - 1 floats: at
+        # K = 10^15 that tuple raised MemoryError
+        out = da2g_path(BACKHAUL, QUEUE, _stats(1e-2, se=1e-3), 10 ** 15)
+        assert out.error_terms["radio_da2g"] == 0.0
+        assert out.eps_std_error == 0.0
+        certain = da2g_path(BACKHAUL, QUEUE, _stats(1.0, se=1e-3), 10 ** 15)
+        assert certain.error_terms["radio_da2g"] == 1.0
+
     def test_equal_but_separate_estimates_stay_independent(self):
         # two direct paths over equal-valued links are two estimates: their
         # product's SE adds the two first-order terms in quadrature

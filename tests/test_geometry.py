@@ -122,7 +122,7 @@ class TestCellMembership:
 class TestPlacement:
     def test_count_ids_altitude(self):
         rng = RngStream(5).generator()
-        avs = place_avs_uniform(GridSpec(), 9, 300.0, rng, id_start=1)
+        avs = place_avs_uniform(hex_grid(GridSpec()), 500.0, 9, 300.0, rng, id_start=1)
         assert len(avs) == 9
         assert [a.id for a in avs] == list(range(1, 10))
         assert all(a.altitude == 300.0 for a in avs)
@@ -130,25 +130,33 @@ class TestPlacement:
     def test_all_inside_footprint(self):
         spec = GridSpec()
         rng = RngStream(6).generator()
-        avs = place_avs_uniform(spec, 200, 300.0, rng)
+        avs = place_avs_uniform(hex_grid(spec), spec.isd_m, 200, 300.0, rng)
         assert all(_in_footprint(spec, a.x, a.y) for a in avs)
 
+    def test_places_over_the_given_sites(self):
+        # the sites it is given, not a grid of its own: one cell off the origin
+        site = NodePose(4, 1000.0, -250.0, 25.0)
+        avs = place_avs_uniform([site], 500.0, 50, 300.0, RngStream(6).generator())
+        assert all(cell_contains(site.x, site.y, 500.0, a.x, a.y) for a in avs)
+
     def test_deterministic_for_stream(self):
-        a = place_avs_uniform(GridSpec(), 5, 300.0, RngStream(7).generator())
-        b = place_avs_uniform(GridSpec(), 5, 300.0, RngStream(7).generator())
+        sites = hex_grid(GridSpec())
+        a = place_avs_uniform(sites, 500.0, 5, 300.0, RngStream(7).generator())
+        b = place_avs_uniform(sites, 500.0, 5, 300.0, RngStream(7).generator())
         assert a == b
 
     def test_seed_changes_layout(self):
-        a = place_avs_uniform(GridSpec(), 5, 300.0, RngStream(7).generator())
-        b = place_avs_uniform(GridSpec(), 5, 300.0, RngStream(8).generator())
+        sites = hex_grid(GridSpec())
+        a = place_avs_uniform(sites, 500.0, 5, 300.0, RngStream(7).generator())
+        b = place_avs_uniform(sites, 500.0, 5, 300.0, RngStream(8).generator())
         assert a != b
 
     def test_spread_covers_cells(self):
         # with many draws the picks should land in many distinct cells
         spec = GridSpec()
         rng = RngStream(9).generator()
-        avs = place_avs_uniform(spec, 400, 300.0, rng)
         sites = hex_grid(spec)
+        avs = place_avs_uniform(sites, spec.isd_m, 400, 300.0, rng)
         used = {serving_bs(a, sites).id for a in avs}
         assert len(used) > 25
 

@@ -46,6 +46,20 @@ class TestEffectiveBandwidth:
             got = effective_bandwidth(QueueSpec(lam, d, eps))
             assert_allclose(got, oracle, rtol=1e-12)
 
+    def test_defaults_bit_for_bit(self):
+        # the diagnostics of the default config, as log(x + 1.0) gave them
+        for lam, ebw in ((1000.0, 13423.836634389203), (100.0, 8543.878737988704),
+                         (10000.0, 29009.890855955713)):
+            assert effective_bandwidth(QueueSpec(lam, 0.3e-3, 1e-7)) == ebw
+
+    def test_heavy_load_tends_to_arrival_rate(self):
+        # theta / (lambda D) below half an ULP of 1 made log(x + 1.0) = 0 and
+        # the bandwidth a ZeroDivisionError; log1p keeps x
+        got = effective_bandwidth(QueueSpec(1e21, 1.0, 1e-7))
+        assert_allclose(got, float(_mp_effective_bandwidth(1e21, 1.0, 1e-7)), rtol=1e-12)
+        # lambda D beyond the float range leaves x = 0: the limit, lambda
+        assert effective_bandwidth(QueueSpec(1e21, 1e305, 1e-7)) == 1e21
+
     def test_exceeds_arrival_rate(self):
         for lam in (1.0, 50.0, 1e3, 1e6):
             assert effective_bandwidth(QueueSpec(lam, 1e-3, 1e-6)) > lam

@@ -4,6 +4,7 @@ and the operating-region search."""
 import builtins
 import concurrent.futures
 import dataclasses
+import inspect
 import math
 import sys
 import textwrap
@@ -167,6 +168,16 @@ class TestLoadConfig:
                                            "grid_tiers: 20\n"))
         assert (cfg.hap_aperture_radius_wavelengths, cfg.grid_tiers) == (1e4, 20)
 
+    @pytest.mark.parametrize("value", ["-1", "180.5", "1.0e+300", ".nan"])
+    def test_downtilt_is_a_zenith_angle(self, tmp_path, value):
+        # a downtilt of 1e300 degrees loaded and ran
+        with pytest.raises(ConfigError, match=r"'ula_downtilt_deg': expected a zenith angle "
+                                              r"in \[0, 180\] degrees"):
+            load_config(_write(tmp_path, f"ula_downtilt_deg: {value}\n"))
+        for edge in (0.0, 180.0):
+            cfg = load_config(_write(tmp_path, f"ula_downtilt_deg: {edge}\n"))
+            assert cfg.ula().downtilt_deg == edge
+
     def test_clutter_table_length(self, tmp_path):
         with pytest.raises(ConfigError, match="'clutter_loss_db'"):
             load_config(_write(tmp_path, "clutter_loss_db: [1, 2, 3]\n"))
@@ -254,8 +265,9 @@ class TestLoadConfig:
             build()
         for node in ("gbs", "av", "hap", "gs"):
             cfg.queue(node)
-        topo = instantiate(cfg, RngStream(cfg.master_seed))
-        assert len(topo.sites) == 3 * cfg.grid_tiers * (cfg.grid_tiers + 1) + 1
+        topo = instantiate(cfg, RngStream(cfg.master_seed), cfg.r_ga_m)
+        # every site but the serving one sends an h2a side-lobe beam
+        assert len(topo.links["h2a"].interferers) == 3 * cfg.grid_tiers * (cfg.grid_tiers + 1)
 
     @pytest.mark.parametrize("key, value, build", [
         ("q3_m", math.nan, ScenarioConfig.environment),
@@ -265,9 +277,9 @@ class TestLoadConfig:
         ("queue_delay_bound_ms", math.nan, lambda c: c.queue("gbs")),
         ("backhaul_delay_ms", math.nan, ScenarioConfig.backhaul),
         ("delay_threshold_ms", math.nan, ScenarioConfig.qos),
-        ("bandwidth_gh_hz", math.nan, lambda c: instantiate(c, RngStream(1))),
-        ("tx_power_gs_dbm", math.nan, lambda c: instantiate(c, RngStream(1))),
-        ("noise_density_dbm_hz", math.nan, lambda c: instantiate(c, RngStream(1))),
+        ("bandwidth_gh_hz", math.nan, lambda c: instantiate(c, RngStream(1), c.r_ga_m)),
+        ("tx_power_gs_dbm", math.nan, lambda c: instantiate(c, RngStream(1), c.r_ga_m)),
+        ("noise_density_dbm_hz", math.nan, lambda c: instantiate(c, RngStream(1), c.r_ga_m)),
     ])
     def test_nan_fails_the_rule_and_the_model(self, key, value, build):
         # NaN compares False, so every check must be written to fail on it
@@ -286,7 +298,7 @@ class TestLoadConfig:
         # SINR is never inf / inf
         cfg = load_config(_write(tmp_path, "g2a_shadow_fading: true\nsf_sigma_los_db: 100\n"
                                            "n_samples: 4096\nmc_batch_size: 4096\n"))
-        setup = instantiate(cfg, RngStream(cfg.master_seed)).links["g2a_dest"]
+        setup = instantiate(cfg, RngStream(cfg.master_seed), cfg.r_ga_m).links["g2a_dest"]
         assert setup.desired.sf_sigma_db == 100.0
         # the one batch of a link item on this stream, in a work item's buffer
         gamma = sinr_sample(setup, RngStream(cfg.master_seed).child(0).generator(),
@@ -408,27 +420,43 @@ class TestConfigHash:
 # Topology instantiation
 # ============================================================
 
+def _placed(config, stream):
+    """The grid and the background vehicles that the placement step puts
+    on it from stream."""
+    sites = geo.hex_grid(config.grid())
+    return sites, scenario._place_background(config, sites, stream)
+
+
+def _destination(config, r_ga_m):
+    return geo.NodePose(0, r_ga_m, 0.0, config.av_altitude_m)
+
+
 class TestInstantiate:
     def test_reference_layout(self):
-        topo = instantiate(ScenarioConfig(), 7)
-        assert len(topo.sites) == 37
-        assert topo.serving_site.id == 0
-        assert (topo.destination.x, topo.destination.y) == (150.0, 0.0)
-        assert topo.destination.altitude == 300.0
-        assert topo.destination.id == 0
-        assert len(topo.background_avs) == 9
-        assert [b.id for b in topo.background_avs] == list(range(1, 10))
-        assert len(topo.relays) == 3
+        config = ScenarioConfig()
+        sites, background = _placed(config, RngStream(7))
+        assert len(sites) == 37
+        assert [b.id for b in background] == list(range(1, 10))
+        assert all(b.altitude == 300.0 for b in background)
+        # the destination at (150, 0) m and 300 m up, served by the center site
+        topo = instantiate(config, RngStream(7), config.r_ga_m)
+        assert topo.links["g2a_dest"] == scenario._g2a_link(
+            sites[0], _destination(config, 150.0), sites, config)
+        assert sum(name.startswith("a2a_") for name in topo.links) == 3
+
+    def test_topology_is_what_composition_reads(self):
+        assert [f.name for f in dataclasses.fields(scenario.Topology)] == [
+            "links", "d_g2h_m", "d_h2a_m"]
 
     def test_link_catalog_order(self):
-        topo = instantiate(ScenarioConfig(), 7)
+        topo = instantiate(ScenarioConfig(), RngStream(7), 150.0)
         assert list(topo.links) == [
             "g2a_dest", "g2a_relay_1", "a2a_1", "g2a_relay_2", "a2a_2",
             "g2a_relay_3", "a2a_3", "g2h", "h2a",
         ]
 
     def test_interferer_counts(self):
-        topo = instantiate(ScenarioConfig(), 7)
+        topo = instantiate(ScenarioConfig(), RngStream(7), 150.0)
         assert len(topo.links["g2a_dest"].interferers) == 6
         assert len(topo.links["h2a"].interferers) == 36
         assert topo.links["g2h"].interferers == ()
@@ -438,27 +466,34 @@ class TestInstantiate:
         cfg = load_config(_write(tmp_path, "rice_k_db: {g2a: [0, 0], a2a: [-5, -5], "
                                            "g2h: [5, 5], h2a: [30, 30]}\n"))
         kinds = {"g2a": 0.0, "a2a": -5.0, "g2h": 5.0, "h2a": 30.0}
-        for name, setup in instantiate(cfg, 7).links.items():
+        for name, setup in instantiate(cfg, RngStream(7), cfg.r_ga_m).links.items():
             k_db = kinds[name.split("_")[0]]
             channels = [setup.desired, *setup.interferers]
             assert [c.k_db for c in channels] == [k_db] * len(channels), name
 
-    def test_relays_sorted_by_distance(self):
-        topo = instantiate(ScenarioConfig(), 7)
-        dists = [geo.distance_3d(r, topo.destination) for r in topo.relays]
-        assert dists == sorted(dists)
-        assert all(d >= 1.0 for d in dists)
+    def test_relays_are_the_nearest_background_vehicles(self):
+        config = ScenarioConfig()
+        sites, background = _placed(config, RngStream(7))
+        destination = _destination(config, config.r_ga_m)
+        relays = sorted(background, key=lambda b: geo.distance_3d(b, destination))[:3]
+        assert geo.distance_3d(relays[0], destination) >= 1.0
+        links = instantiate(config, RngStream(7), config.r_ga_m).links
+        for m, relay in enumerate(relays, start=1):
+            assert links[f"g2a_relay_{m}"] == scenario._g2a_link(
+                geo.serving_bs(relay, sites), relay, sites, config)
+            assert links[f"a2a_{m}"] == scenario._a2a_link(relay, destination, background,
+                                                           config)
 
     def test_relay_excluded_from_own_interferers(self):
         cfg = dataclasses.replace(ScenarioConfig(), av_count=3, a2a_relay_count=2)
-        topo = instantiate(cfg, 7)
+        topo = instantiate(cfg, RngStream(7), cfg.r_ga_m)
         # two background vehicles, both are relays; each relay's link sees
         # only the other vehicle as a potential interferer
         assert len(topo.links["a2a_1"].interferers) == 1
         assert len(topo.links["a2a_2"].interferers) == 1
 
     def test_radio_parameters(self):
-        topo = instantiate(ScenarioConfig(), 7)
+        topo = instantiate(ScenarioConfig(), RngStream(7), 150.0)
         assert topo.links["g2a_dest"].radio.bandwidth_hz == 0.4e6
         assert topo.links["g2h"].radio.bandwidth_hz == 0.5e6
         assert topo.links["g2a_dest"].radio.tx_power_w == pytest.approx(
@@ -469,24 +504,74 @@ class TestInstantiate:
         )
 
     def test_feeder_distances(self):
-        topo = instantiate(ScenarioConfig(), 7)
+        topo = instantiate(ScenarioConfig(), RngStream(7), 150.0)
         assert topo.d_g2h_m == pytest.approx(20615.528128088302749, rel=1e-14)
-        assert topo.d_h2a_m == geo.distance_3d(topo.hap, topo.destination)
+        assert topo.d_h2a_m == math.hypot(150.0, 0.0, 20000.0 - 300.0)
 
     def test_deterministic_per_stream(self):
-        a = instantiate(ScenarioConfig(), RngStream(7))
-        b = instantiate(ScenarioConfig(), RngStream(7))
-        assert a.background_avs == b.background_avs
-        assert a.relays == b.relays
+        config = ScenarioConfig()
+        assert _placed(config, RngStream(7)) == _placed(config, RngStream(7))
+        assert instantiate(config, RngStream(7), 150.0) == instantiate(
+            config, RngStream(7), 150.0)
 
     def test_seed_changes_layout(self):
-        a = instantiate(ScenarioConfig(), RngStream(7))
-        b = instantiate(ScenarioConfig(), RngStream(8))
-        assert a.background_avs != b.background_avs
+        config = ScenarioConfig()
+        assert _placed(config, RngStream(7))[1] != _placed(config, RngStream(8))[1]
 
     def test_distance_override(self):
-        topo = instantiate(ScenarioConfig(), 7, r_ga_m=60.0)
-        assert (topo.destination.x, topo.destination.y) == (60.0, 0.0)
+        config = ScenarioConfig()
+        sites = geo.hex_grid(config.grid())
+        topo = instantiate(config, RngStream(7), 60.0)
+        assert topo.d_h2a_m == math.hypot(60.0, 0.0, 20000.0 - 300.0)
+        assert topo.links["g2a_dest"] == scenario._g2a_link(
+            sites[0], _destination(config, 60.0), sites, config)
+
+
+class TestTopologySteps:
+    """A topology is built in two steps: the placement step, its one
+    random step, which reads no column, and the deterministic link step."""
+
+    def test_placement_reads_no_column(self):
+        assert list(inspect.signature(scenario._place_background).parameters) == [
+            "config", "sites", "stream"]
+        config = ScenarioConfig()
+        placed = _placed(config, RngStream(7))
+        for r_ga_m in (MIN_LENGTH_M, 10.0, 250.0, MAX_DISTANCE_M):
+            assert _placed(dataclasses.replace(config, r_ga_m=r_ga_m), RngStream(7)) == placed
+
+    @pytest.mark.parametrize("seed, r_ga_m", [(7, 0.0), (7, 60.0), (7, 150.0), (8, 250.0)])
+    def test_link_step_reproduces_instantiate(self, seed, r_ga_m):
+        config = ScenarioConfig()
+        sites, background = _placed(config, RngStream(seed))
+        assert scenario._build_links(config, sites, background, r_ga_m) == instantiate(
+            config, RngStream(seed), r_ga_m)
+
+    def test_placement_is_the_one_draw(self, monkeypatch):
+        # instantiate opens its stream once, for the placement step
+        opened = []
+        generator = RngStream.generator
+
+        def counting(stream):
+            opened.append(stream)
+            return generator(stream)
+
+        monkeypatch.setattr(RngStream, "generator", counting)
+        instantiate(ScenarioConfig(), RngStream(7), 150.0)
+        assert opened == [RngStream(7)]
+
+    def test_grid_built_once_per_topology(self, monkeypatch):
+        built = []
+        hex_grid = geo.hex_grid
+
+        def counting(spec):
+            built.append(spec)
+            return hex_grid(spec)
+
+        monkeypatch.setattr(geo, "hex_grid", counting)
+        instantiate(ScenarioConfig(), RngStream(7), 150.0)
+        assert len(built) == 1
+        run_rate_sweep(FAST)
+        assert len(built) == 1 + FAST.sweep_topologies
 
 
 # ============================================================
@@ -561,7 +646,8 @@ class TestGammaBatches:
         # stream bit for bit
         config = dataclasses.replace(FAST, n_samples=1300, interference_mode=mode)
         topology = instantiate(
-            config, RngStream(config.master_seed).child(scenario._NS_SWEEP_TOPO, 0))
+            config, RngStream(config.master_seed).child(scenario._NS_SWEEP_TOPO, 0),
+            config.r_ga_m)
         samples = RngStream(config.master_seed).child(scenario._NS_SWEEP_SAMP, 0)
         batches, buffers = [], []
 
@@ -593,7 +679,7 @@ class TestLinkItemMemory:
     @staticmethod
     def _traced_peak(config, rates):
         root = RngStream(config.master_seed)
-        topology = instantiate(config, root.child(scenario._NS_SWEEP_TOPO, 0))
+        topology = instantiate(config, root.child(scenario._NS_SWEEP_TOPO, 0), config.r_ga_m)
         stream = root.child(scenario._NS_SWEEP_SAMP, 0).child(0)
         tracemalloc.start()
         try:
@@ -627,7 +713,9 @@ class TestRelayShortage:
 
     def _relay_counts(self, config):
         root = RngStream(config.master_seed)
-        return [len(instantiate(config, root.child(scenario._NS_SWEEP_TOPO, t)).relays)
+        # each relay brings a g2a and an a2a link
+        return [sum(name.startswith("a2a_") for name in instantiate(
+                    config, root.child(scenario._NS_SWEEP_TOPO, t), config.r_ga_m).links)
                 for t in range(config.sweep_topologies)]
 
     def test_every_topology_gives_every_label(self):
@@ -645,7 +733,7 @@ class TestRelayShortage:
     def test_absent_relay_never_delivers(self):
         config = self.SHORT
         root = RngStream(config.master_seed)
-        topology = instantiate(config, root.child(scenario._NS_SWEEP_TOPO, 23))
+        topology = instantiate(config, root.child(scenario._NS_SWEEP_TOPO, 23), config.r_ga_m)
         samples = root.child(scenario._NS_SWEEP_SAMP, 23)
         buffers = threading.local()
         stats = {name: scenario._link_stats(config, [100e3], buffers, setup,
@@ -663,7 +751,7 @@ class TestRelayShortage:
         # by hand for it
         config = self.SHORT
         topology = instantiate(config, RngStream(config.master_seed).child(
-            scenario._NS_SWEEP_TOPO, 23))
+            scenario._NS_SWEEP_TOPO, 23), config.r_ga_m)
         stats = {name: LinkStats(1e-3, 1e-3, 500, 1e-4) for name in topology.links
                  if name not in ("g2a_relay_1", "a2a_1")}
         absent = scenario._topology_rows(topology, stats, config)["A2A"]
@@ -684,7 +772,7 @@ class TestDiversityBranches:
     def test_radio_loss_is_the_branch_error_squared(self):
         config = self.CONFIG
         root = RngStream(config.master_seed)
-        topology = instantiate(config, root.child(scenario._NS_SWEEP_TOPO, 0))
+        topology = instantiate(config, root.child(scenario._NS_SWEEP_TOPO, 0), config.r_ga_m)
         samples = root.child(scenario._NS_SWEEP_SAMP, 0)
         rates = [rate_kbps * 1e3 for rate_kbps in config.sweep_rates_kbps]
         buffers = threading.local()
@@ -960,7 +1048,8 @@ class TestWorkItems:
     def test_sweep_submits_one_item_per_link(self, pool):
         config = dataclasses.replace(FAST, sweep_topologies=1)
         topology = instantiate(
-            config, RngStream(config.master_seed).child(scenario._NS_SWEEP_TOPO, 0))
+            config, RngStream(config.master_seed).child(scenario._NS_SWEEP_TOPO, 0),
+            config.r_ga_m)
         result = run_rate_sweep(config, threads=2)
         assert pool.requested == [2]
         assert len(pool.submitted) == len(topology.links)
