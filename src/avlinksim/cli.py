@@ -311,16 +311,17 @@ def _budget_hap(config: scenario.ScenarioConfig, offset_m: float) -> None:
 @main.command("link-budget")
 @click.argument("kind", type=click.Choice(["g2a", "a2a", "hap"]))
 @click.option("--distance-m", type=float, default=None,
-              help="g2a: horizontal site-to-vehicle distance; a2a: vehicle "
-                   f"separation (required, at least {channel.MIN_LENGTH_M:g} m); hap: "
-                   f"nadir offset (default 0). At most {channel.MAX_DISTANCE_M:g} m.")
+              help=f"g2a: horizontal site-to-vehicle distance, {scenario._DISTANCE}; a2a: "
+                   f"vehicle separation (required), {scenario._LENGTH}; hap: nadir offset "
+                   f"(default 0), {scenario._DISTANCE}.")
 @click.option("--config", "config_path", type=str, default=None)
 def link_budget(kind, distance_m, config_path) -> None:
     """Deterministic budget breakdown for a single link type."""
-    low = channel.MIN_LENGTH_M if kind == "a2a" else 0.0    # an offset may be 0
-    if distance_m is not None and not low <= distance_m <= channel.MAX_DISTANCE_M:
-        raise click.UsageError(f"--distance-m must be finite and lie in [{low:g}, "
-                               f"{channel.MAX_DISTANCE_M:g}] m for {kind}, got {distance_m}")
+    # the config's intervals: a vehicle separation is a length, an offset may be 0
+    within = scenario._LENGTH if kind == "a2a" else scenario._DISTANCE
+    if distance_m is not None and distance_m not in within:
+        raise click.UsageError(f"--distance-m must be finite and {within} for {kind}, "
+                               f"got {distance_m}")
     if kind == "a2a" and distance_m is None:
         raise click.UsageError("a2a requires --distance-m")
     try:

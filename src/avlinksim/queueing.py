@@ -8,6 +8,7 @@ Provides:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = ["QueueSpec", "effective_bandwidth"]
@@ -41,8 +42,16 @@ def effective_bandwidth(spec: QueueSpec) -> float:
     """Minimum service rate [packets/s] meeting the delay-violation target
     for Poisson arrivals at the given rate."""
     log_inv_eps = -math.log(spec.violation_prob)
-    denom = spec.delay_bound_s * math.log1p(
-        log_inv_eps / (spec.arrival_rate_pps * spec.delay_bound_s))
+    load = spec.arrival_rate_pps * spec.delay_bound_s
+    if load >= sys.float_info.min and log_inv_eps / load < math.inf:
+        log_term = math.log1p(log_inv_eps / load)
+    else:
+        # a load below the normal doubles (it loses bits, or rounds to 0) or
+        # one that makes the ratio overflow puts the log's argument above
+        # 1e16, where log1p(x) is log(x): that is finite in log space
+        log_term = (math.log(log_inv_eps) - math.log(spec.arrival_rate_pps)
+                    - math.log(spec.delay_bound_s))
+    denom = spec.delay_bound_s * log_term
     # denom is 0 only where the log's argument rounds to 0 (as when arrival
     # rate x delay bound overflows); the bandwidth's limit there is the arrival rate
     return log_inv_eps / denom if denom > 0.0 else spec.arrival_rate_pps

@@ -73,10 +73,36 @@ class ConfigError(ValueError):
 # Configuration
 # ============================================================
 
+class _Interval(NamedTuple):
+    """The numbers of kind (ints only, if int) from low to high, each end closed or open."""
+    what: str                       # how an error names them, "{}" standing for the bounds
+    low: float
+    high: float
+    ends: str = "[]"
+    kind: type = float
+
+    def __contains__(self, v) -> bool:
+        # an int beyond the float range counts as infinite, so float() cannot fail
+        return (isinstance(v, (self.kind, int)) and not isinstance(v, bool)
+                and abs(v) <= sys.float_info.max
+                and (self.low <= v if self.ends[0] == "[" else self.low < v)
+                and (v <= self.high if self.ends[1] == "]" else v < self.high))
+
+    def __str__(self) -> str:
+        low, high = (b if isinstance(b, int) else f"{b:g}" for b in (self.low, self.high))
+        return self.what.format(f"{self.ends[0]}{low}, {high}{self.ends[1]}")
+
+    def apply(self, key: str, value):
+        if value not in self:
+            raise ConfigError(f"config key '{key}': expected {self}, got {value!r}")
+        return self.kind(value)
+
+
 class _Rule(NamedTuple):
     want: str                       # the accepted values, as the error names them
     ok: Callable[[object], bool]
     coerce: Callable = lambda v: v
+    interval: _Interval | None = None   # of each number of a list or table, or of a number or null
 
     def apply(self, key: str, value):
         if not self.ok(value):
@@ -84,45 +110,50 @@ class _Rule(NamedTuple):
         return self.coerce(value)
 
 
-def _number(want: str, ok=lambda v: True, kind=float) -> _Rule:
-    # an int beyond the float range counts as infinite, so float() cannot fail
-    return _Rule(want, lambda v: isinstance(v, (kind, int)) and not isinstance(v, bool)
-                 and abs(v) <= sys.float_info.max and ok(v), kind)
-
-
-def _floats(want: str, ok) -> _Rule:
-    return _Rule(want, lambda v: isinstance(v, (list, tuple)) and all(map(_ANY.ok, v))
-                 and ok(v), lambda v: tuple(map(float, v)))
+def _floats(shape: str, ok, within: _Interval) -> _Rule:
+    return _Rule(f"{shape}, each {within}", lambda v: isinstance(v, (list, tuple))
+                 and all(x in within for x in v) and ok(v), lambda v: tuple(map(float, v)), within)
 
 
 # A probability takes the interval that its model class enforces, so a
 # config that loads always builds the model.
-_ANY, _POS = _number("a number"), _number("a positive number", lambda v: v > 0)
-_COUNT = _number("a positive integer", lambda v: v > 0, int)
-_PROB_OPEN = _number("a probability in (0, 1)", lambda v: 0 < v < 1)
+_POS = _Interval("a number in {}", 0, math.inf, "()")
+_COUNT = _Interval("an integer in {}", 1, math.inf, "[)", kind=int)
+_PROB_OPEN = _Interval("a probability in {}", 0, 1, "()")
 # a power, gain, noise figure, noise density or Rice factor [dBm, dBi, dB,
 # dBm/Hz], within the bound its model class enforces
-_LEVEL = _number(f"a level in [-{LEVEL_MAX_DB:g}, {LEVEL_MAX_DB:g}] dB",
-                 lambda v: abs(v) <= LEVEL_MAX_DB)
+_LEVEL = _Interval("a level in {} dB", -LEVEL_MAX_DB, LEVEL_MAX_DB)
 # a carrier frequency [GHz]: the term 20 log10(fc_ghz) of every path loss is a
 # level too, so it takes the levels' bound, fc_ghz in [1e-15, 1e15]
 _FC_MAX_GHZ = 10.0 ** (LEVEL_MAX_DB / 20.0)
-_FREQUENCY = _number(f"a frequency in [{1 / _FC_MAX_GHZ:g}, {_FC_MAX_GHZ:g}] GHz",
-                     lambda v: 1 / _FC_MAX_GHZ <= v <= _FC_MAX_GHZ)
+_FREQUENCY = _Interval("a frequency in {} GHz", 1 / _FC_MAX_GHZ, _FC_MAX_GHZ)
 # a length: the interval in which path losses and p_los stay finite
-_LENGTH = _number(f"a length in [{ch.MIN_LENGTH_M:g}, {ch.MAX_DISTANCE_M:g}] m",
-                  lambda v: ch.MIN_LENGTH_M <= v <= ch.MAX_DISTANCE_M)
-_SIGMA = _number(f"a shadow sigma in [0, {SF_SIGMA_MAX_DB:g}] dB",  # ChannelSpec
-                 lambda v: 0 <= v <= SF_SIGMA_MAX_DB)
-_SERVICE = _Rule("a positive number or null", lambda v: v is None or _POS.ok(v),
-                 lambda v: None if v is None else float(v))
-_RATES = _floats("a non-empty list of positive rates [kbps]", lambda v: min(v, default=0) > 0)
-_RICE = _floats(f"a [k_min, k_max] pair of levels in [-{LEVEL_MAX_DB:g}, {LEVEL_MAX_DB:g}] dB "
-                "with k_min <= k_max",
-                lambda v: len(v) == 2 and all(map(_LEVEL.ok, v)) and v[0] <= v[1])
+_LENGTH = _Interval("a length in {} m", ch.MIN_LENGTH_M, ch.MAX_DISTANCE_M)
+_SIGMA = _Interval("a shadow sigma in {} dB", 0, SF_SIGMA_MAX_DB)  # ChannelSpec
+_SERVICE = _Rule(f"{_POS} or null", lambda v: v is None or v in _POS,
+                 lambda v: None if v is None else float(v), _POS)
+# a rate [kbps]: its value in bit/s, 1e3 times as large, stays a finite double
+_RATES = _floats("a non-empty list", bool, _Interval("a rate in {} kbps", 0, 1e300, "(]"))
+_RICE = _floats("a [k_min, k_max] pair with k_min <= k_max",
+                lambda v: len(v) == 2 and v[0] <= v[1], _LEVEL)
+# a distance from the serving site, which may be 0
+_DISTANCE = _Interval("a distance in {} m", 0, ch.MAX_DISTANCE_M)
+# a duration [ms]: its value in seconds, times 1e-3, stays a positive normal double
+_DURATION = _Interval("a duration in {} ms", 1e-300, math.inf, "[)")
+
+# Counts that size a run's work or memory:
+# - a worker thread's (SINR_WORK_ROWS, min(mc_batch_size, n_samples)) float64
+#   buffer (_link_stats) takes at most 1 GiB;
+_MAX_BATCH_BYTES = 1 << 30
+# - instantiate places av_count - 1 vehicles and ranks them all as each a2a
+#   link's interferers, linear in the count: 0.34 s per topology at 1e4;
+_MAX_AV_COUNT = 10_000
+# - the FBL and delay formulas take packet_bits as a double, and every size
+#   up to 2^53 bits is an exact one.
+_MAX_PACKET_BITS = 2 ** 53
 
 
-def _key(default, rule: _Rule):
+def _key(default, rule: _Rule | _Interval):
     """A config field: its default, and the rule every loaded value passes."""
     if isinstance(default, dict):
         return field(default_factory=lambda: dict(default), metadata={"rule": rule})
@@ -145,14 +176,14 @@ class ScenarioConfig:
 
     # QoS targets (QosTarget)
     eps_th: float = _key(1e-5, _PROB_OPEN)
-    delay_threshold_ms: float = _key(10.0, _POS)
+    delay_threshold_ms: float = _key(10.0, _DURATION)
     # traffic
-    packet_bits: int = _key(256, _COUNT)
+    packet_bits: int = _key(256, _Interval("a size in {} bits", 1, _MAX_PACKET_BITS, kind=int))
     # backhaul (BackhaulSpec)
-    eps_b: float = _key(1e-6, _number("a probability in [0, 1)", lambda v: 0 <= v < 1))
-    backhaul_delay_ms: float = _key(1.0, _POS)
+    eps_b: float = _key(1e-6, _Interval("a probability in {}", 0, 1, "[)"))
+    backhaul_delay_ms: float = _key(1.0, _DURATION)
     # interference model (LinkSetup)
-    p_interf: float = _key(0.01, _number("a probability in [0, 1]", lambda v: 0 <= v <= 1))
+    p_interf: float = _key(0.01, _Interval("a probability in {}", 0, 1))
     interference_mode: str = _key("expected", _Rule("'expected' or 'bernoulli'",
                                                     lambda v: v in ("expected", "bernoulli")))
     interferer_count: int = _key(6, _COUNT)
@@ -171,66 +202,65 @@ class ScenarioConfig:
     noise_figure_hap_db: float = _key(5.0, _LEVEL)
     av_antenna_gain_dbi: float = _key(0.0, _LEVEL)
     gs_antenna_gain_dbi: float = _key(0.0, _LEVEL)
-    ula_elements: int = _key(8, _COUNT)
-    ula_downtilt_deg: float = _key(102.0, _number(  # UlaSpec: a boresight zenith angle
-        "a zenith angle in [0, 180] degrees", lambda v: 0 <= v <= 180))
+    # the array's peak power gain, its element count, is a level too
+    ula_elements: int = _key(8, _Interval(
+        "an element count in {}", 1, 10 ** round(LEVEL_MAX_DB / 10), kind=int))
+    ula_downtilt_deg: float = _key(102.0, _Interval(  # UlaSpec: a boresight zenith angle
+        "a zenith angle in {} degrees", 0, 180))
     ula_element_gain_dbi: float = _key(8.0, _LEVEL)
     hap_max_gain_dbi: float = _key(32.0, _LEVEL)
-    hap_aperture_radius_wavelengths: float = _key(10.0, _number(  # ReflectorSpec
-        f"a radius in (0, {ch.MAX_APERTURE_WAVELENGTHS:g}] wavelengths",
-        lambda v: 0 < v <= ch.MAX_APERTURE_WAVELENGTHS))
+    hap_aperture_radius_wavelengths: float = _key(10.0, _Interval(  # ReflectorSpec
+        "a radius in {} wavelengths", 0, ch.MAX_APERTURE_WAVELENGTHS, "(]"))
     # geometry
     isd_m: float = _key(500.0, _LENGTH)
-    grid_tiers: int = _key(3, _number(  # GridSpec
-        f"a tier count in [0, {geo.MAX_GRID_TIERS}]", lambda v: 0 <= v <= geo.MAX_GRID_TIERS, int))
+    grid_tiers: int = _key(3, _Interval(  # GridSpec
+        "a tier count in {}", 0, geo.MAX_GRID_TIERS, kind=int))
     gbs_height_m: float = _key(25.0, _LENGTH)
     av_altitude_m: float = _key(300.0, _LENGTH)
     hap_altitude_m: float = _key(20000.0, _LENGTH)
     hap_gs_offset_m: float = _key(5000.0, _LENGTH)
-    av_count: int = _key(10, _COUNT)
+    # the destination and at least one relay candidate
+    av_count: int = _key(10, _Interval("a vehicle count in {}", 2, _MAX_AV_COUNT, kind=int))
     r_ga_m: float = _key(150.0, _LENGTH)
     # propagation environment (ITU-R P.1410: built-up ratio, density, height scale)
-    q1: float = _key(0.3, _number("a fraction in (0, 1]", lambda v: 0 < v <= 1))
-    q2_per_km2: float = _key(500.0, _number(  # at most one building per m^2
-        f"a building density in (0, {ch.Q2_MAX_PER_KM2:g}] per km^2",
-        lambda v: 0 < v <= ch.Q2_MAX_PER_KM2))
+    q1: float = _key(0.3, _Interval("a fraction in {}", 0, 1, "(]"))
+    q2_per_km2: float = _key(500.0, _Interval(  # at most one building per m^2
+        "a building density in {} per km^2", 0, ch.Q2_MAX_PER_KM2, "(]"))
     q3_m: float = _key(20.0, _LENGTH)
     sf_sigma_los_db: float = _key(4.0, _SIGMA)
     sf_sigma_nlos_db: float = _key(6.0, _SIGMA)
     g2a_shadow_fading: bool = _key(False, _Rule("a boolean", lambda v: isinstance(v, bool)))
     pl_mixture: str = _key("db", _Rule("'db' or 'linear'", lambda v: v in ("db", "linear")))
     clutter_loss_db: tuple = _key((0.0,) * 9, _floats(
-        "a list of 9 non-negative numbers", lambda v: len(v) == 9 and min(v) >= 0))
+        "a list of 9", lambda v: len(v) == 9, _Interval("a loss in {} dB", 0, math.inf, "[)")))
     # [k_min, k_max] dB per link kind, linear in the 10-degree elevation bin
     rice_k_db: dict = _key(
         {"g2a": (5.0, 12.0), "a2a": (12.0, 12.0), "g2h": (5.0, 15.0), "h2a": (12.0, 15.0)},
         _Rule("a mapping with keys g2a, a2a, g2h, h2a", lambda v: isinstance(v, dict)
               and set(v) == {"g2a", "a2a", "g2h", "h2a"},
-              lambda v: {k: _RICE.apply(f"rice_k_db.{k}", p) for k, p in v.items()}))
+              lambda v: {k: _RICE.apply(f"rice_k_db.{k}", p) for k, p in v.items()}, _LEVEL))
     # queueing
     arrival_rate_gbs_pps: float = _key(1000.0, _POS)
     arrival_rate_av_pps: float = _key(100.0, _POS)
     arrival_rate_hap_pps: float = _key(10000.0, _POS)
-    queue_delay_bound_ms: float = _key(0.3, _POS)
+    queue_delay_bound_ms: float = _key(0.3, _DURATION)
     eps_q: float = _key(1e-7, _PROB_OPEN)  # QueueSpec
     service_rate_gbs_pps: float | None = _key(None, _SERVICE)
     service_rate_av_pps: float | None = _key(None, _SERVICE)
     service_rate_hap_pps: float | None = _key(None, _SERVICE)
     # Monte Carlo and grids
-    master_seed: int = _key(1, _number("a 64-bit unsigned integer",
-                                       lambda v: 0 <= v < 2 ** 64, int))
+    master_seed: int = _key(1, _Interval("a seed in {}", 0, 2 ** 64, "[)", kind=int))
     n_samples: int = _key(100_000, _COUNT)
     mc_batch_size: int = _key(1 << 15, _COUNT)
     diversity_branches: int = _key(1, _COUNT)
-    a2a_relay_count: int = _key(3, _COUNT)
+    a2a_relay_count: int = _key(3, _Interval("a count in {}", 1, e2e.MAX_A2A_PATHS, kind=int))
     sweep_topologies: int = _key(1, _COUNT)
     sweep_rates_kbps: tuple = _key((10.0, 20.0, 30.0, 50.0, 70.0, 100.0, 140.0, 200.0, 280.0,
                                     400.0, 560.0, 800.0, 1000.0), _RATES)
     region_topologies: int = _key(20, _COUNT)
     region_r_edges_m: tuple = _key(tuple(float(v) for v in range(0, 261, 20)), _floats(
-        f"a strictly increasing list of at least 2 bin edges in [0, {ch.MAX_DISTANCE_M:g}] m",
-        lambda v: len(v) >= 2 and v[0] >= 0 and v[-1] <= ch.MAX_DISTANCE_M
-        and all(a < b for a, b in zip(v, v[1:]))))
+        "a strictly increasing list of at least 2 bin edges",
+        lambda v: len(v) >= 2 and all(a < b for a, b in zip(v, v[1:])), _DISTANCE))
     region_rates_kbps: tuple = _key(tuple(float(v) for v in range(100, 1001, 100)), _RATES)
 
     # -------- derived views --------
@@ -287,14 +317,15 @@ def _build_config(overrides: dict) -> ScenarioConfig:
         raise ConfigError("config key 'av_altitude_m': must exceed gbs_height_m")
     if cfg.hap_altitude_m <= cfg.av_altitude_m:
         raise ConfigError("config key 'hap_altitude_m': must exceed av_altitude_m")
-    if cfg.isd_m * cfg.grid_tiers > ch.MAX_DISTANCE_M:
-        raise ConfigError(f"config key 'grid_tiers': the grid's extent isd_m * grid_tiers "
-                          f"must be at most {ch.MAX_DISTANCE_M:g} m")
-    if cfg.a2a_relay_count > e2e.MAX_A2A_PATHS:
-        raise ConfigError(f"config key 'a2a_relay_count': at most {e2e.MAX_A2A_PATHS} "
-                          f"relayed paths, got {cfg.a2a_relay_count}")
+    if cfg.isd_m * cfg.grid_tiers not in _DISTANCE:
+        raise ConfigError("config key 'grid_tiers': the grid's extent isd_m * grid_tiers "
+                          f"must be {_DISTANCE}")
     if cfg.a2a_relay_count > cfg.av_count - 1:
         raise ConfigError("config key 'a2a_relay_count': needs av_count - 1 candidates")
+    if SINR_WORK_ROWS * 8 * min(cfg.mc_batch_size, cfg.n_samples) > _MAX_BATCH_BYTES:
+        raise ConfigError(f"config key 'mc_batch_size': a worker thread's batch buffer, "
+                          f"{SINR_WORK_ROWS} x 8 bytes x min(mc_batch_size, n_samples), "
+                          f"must be at most {_MAX_BATCH_BYTES} bytes")
     return cfg
 
 

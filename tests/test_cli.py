@@ -134,6 +134,18 @@ class TestValidate:
         "fc_ghz: 1.0e-300\n",                  # a -6000 dB path loss overflowed
         "n_samples: 200\nn_samples: 300\n",     # loaded as 300 with no message
         "ula_downtilt_deg: 1.0e+300\n",        # a boresight 1e300 degrees from zenith ran
+        # the ms -> s conversion rounded the bound to 0 s: ValueError in QueueSpec
+        "queue_delay_bound_ms: 1.0e-322\n",
+        "delay_threshold_ms: 1.0e-322\n",      # and in QosTarget
+        pytest.param(f"packet_bits: {10 ** 300}\n",     # OverflowError at a float ** 2
+                     id="packet_bits: 10 ** 300"),
+        # a 35.5 PiB batch buffer: MemoryError
+        "n_samples: 1000000000000000\nmc_batch_size: 1000000000000000\n",
+        "av_count: 1000000000\n",              # about nine hours per topology
+        # sin(N pi w) of an overflowing N pi w made the array gain NaN
+        pytest.param(f"ula_elements: {int(sys.float_info.max)}\n", id="ula_elements: max"),
+        # 1e3 times the rate overflowed to inf bit/s, and the row reported success
+        "sweep_rates_kbps: [1.7976931348623157e+308]\n",
     ])
     def test_config_that_crashed_or_misloaded_is_a_finding(self, runner, tmp_path, text):
         bad = tmp_path / "bad.yaml"
@@ -452,7 +464,8 @@ class TestLinkBudget:
         for value in ("-1e-300", "1e-300" if kind == "a2a" else "-1"):
             res = runner.invoke(main, ["link-budget", kind, "--distance-m", value])
             assert res.exit_code == 2, value
-            assert f"--distance-m must be finite and lie in [{low}, 1e+06] m for {kind}" \
+            what = "a length" if kind == "a2a" else "a distance"
+            assert f"--distance-m must be finite and {what} in [{low}, 1e+06] m for {kind}" \
                 in res.output, value
 
     def test_building_density_beyond_the_bound_is_a_config_error(self, runner, tmp_path):

@@ -60,6 +60,18 @@ class TestEffectiveBandwidth:
         # lambda D beyond the float range leaves x = 0: the limit, lambda
         assert effective_bandwidth(QueueSpec(1e21, 1e305, 1e-7)) == 1e21
 
+    @pytest.mark.parametrize("lam, d, eps", [
+        (5e-324, 0.3e-3, 1e-7),         # lambda D rounds to 0: about 71 pps
+        (1e-300, 1e-300, 1e-7),         # theta / (lambda D) overflows: about 1.2e298 pps
+        (1e-300, 1e-303, 1e-7),
+        (1e-300, 1e-20, 1.0 - 2.0 ** -53),  # lambda D is subnormal, 11 bits of it exact
+    ])
+    def test_vanishing_load_in_log_space(self, lam, d, eps):
+        # lambda D rounding to 0 divided theta by it (a ZeroDivisionError);
+        # the log of theta / (lambda D) is finite where that ratio overflows
+        got = effective_bandwidth(QueueSpec(lam, d, eps))
+        assert_allclose(got, float(_mp_effective_bandwidth(lam, d, eps)), rtol=1e-12)
+
     def test_exceeds_arrival_rate(self):
         for lam in (1.0, 50.0, 1e3, 1e6):
             assert effective_bandwidth(QueueSpec(lam, 1e-3, 1e-6)) > lam

@@ -13,6 +13,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avlinksim import e2e
 from avlinksim import geometry as geo
@@ -111,10 +113,6 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="'p_interf'"):
             load_config(_write(tmp_path, "p_interf: 1.5\n"))
 
-    def test_eps_th_must_be_strictly_inside(self, tmp_path):
-        with pytest.raises(ConfigError, match="'eps_th'"):
-            load_config(_write(tmp_path, "eps_th: 0.0\n"))
-
     def test_parse_error_carries_line(self, tmp_path):
         path = _write(tmp_path, "eps_th: 1.0e-5\nq1: [unclosed\n")
         with pytest.raises(ConfigError, match="line"):
@@ -147,7 +145,7 @@ class TestLoadConfig:
         # 10^400 passed the check and then overflowed in sample_rician_power
         text = f"rice_k_db: {{g2a: {pair}, a2a: [12, 12], g2h: [5, 15], h2a: [12, 15]}}\n"
         with pytest.raises(ConfigError, match=r"'rice_k_db.g2a': expected a \[k_min, k_max\] "
-                                              r"pair of levels in \[-300, 300\] dB"):
+                                              r"pair .*, each a level in \[-300, 300\] dB"):
             load_config(_write(tmp_path, text))
         flat = load_config(_write(tmp_path, "rice_k_db: {g2a: [-300, 300], a2a: [12, 12], "
                                             "g2h: [5, 15], h2a: [12, 15]}\n"))
@@ -162,11 +160,6 @@ class TestLoadConfig:
         # topology scans every one of the 3t^2 + 3t + 1 sites
         with pytest.raises(ConfigError, match=f"'{key}'"):
             load_config(_write(tmp_path, text))
-
-    def test_work_bounds_accepted(self, tmp_path):
-        cfg = load_config(_write(tmp_path, "hap_aperture_radius_wavelengths: 10000\n"
-                                           "grid_tiers: 20\n"))
-        assert (cfg.hap_aperture_radius_wavelengths, cfg.grid_tiers) == (1e4, 20)
 
     @pytest.mark.parametrize("value", ["-1", "180.5", "1.0e+300", ".nan"])
     def test_downtilt_is_a_zenith_angle(self, tmp_path, value):
@@ -204,20 +197,9 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=key):
             load_config(_write(tmp_path, text))
 
-    def test_relay_count_capped_at_three(self, tmp_path):
-        with pytest.raises(ConfigError, match="a2a_relay_count"):
-            load_config(_write(tmp_path, "a2a_relay_count: 4\n"))
-        assert load_config(_write(tmp_path, "a2a_relay_count: 3\n")).a2a_relay_count == 3
-
     def test_region_edges_must_increase(self, tmp_path):
         with pytest.raises(ConfigError, match="'region_r_edges_m'"):
             load_config(_write(tmp_path, "region_r_edges_m: [100, 100]\n"))
-
-    def test_seed_range(self, tmp_path):
-        with pytest.raises(ConfigError, match="'master_seed'"):
-            load_config(_write(tmp_path, "master_seed: -1\n"))
-        with pytest.raises(ConfigError, match="'master_seed'"):
-            load_config(_write(tmp_path, f"master_seed: {2 ** 64}\n"))
 
     def test_interference_mode_choices(self, tmp_path):
         with pytest.raises(ConfigError, match="'interference_mode'"):
@@ -307,7 +289,22 @@ class TestLoadConfig:
 
     def test_every_field_declares_a_rule(self):
         for f in dataclasses.fields(ScenarioConfig):
-            assert isinstance(f.metadata.get("rule"), scenario._Rule), f.name
+            rule = f.metadata.get("rule")
+            assert isinstance(rule, (scenario._Rule, scenario._Interval)), f.name
+            # every key that takes numbers states them as an interval, which
+            # TestEveryInterval reads
+            if f.name not in ("interference_mode", "g2a_shadow_fading", "pl_mixture"):
+                assert isinstance(_interval(f.name), scenario._Interval), f.name
+
+    def test_batch_buffer_bounded(self):
+        # a worker thread's buffer is (SINR_WORK_ROWS, min(mc_batch_size,
+        # n_samples)) float64, so a batch above the draws costs only the draws
+        most = scenario._MAX_BATCH_BYTES // (SINR_WORK_ROWS * 8)
+        assert scenario._build_config({"mc_batch_size": 10 ** 8}).mc_batch_size == 10 ** 8
+        assert scenario._build_config({"n_samples": most, "mc_batch_size": most})
+        with pytest.raises(ConfigError, match="'mc_batch_size': a worker thread's batch "
+                                              f"buffer.*at most {1 << 30} bytes"):
+            scenario._build_config({"n_samples": most + 1, "mc_batch_size": most + 1})
 
     def test_building_density_bounded(self, tmp_path):
         # p_los loops once per building the ray crosses
@@ -344,13 +341,6 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=r"'fc_ghz': expected a frequency in "
                                               r"\[1e-15, 1e\+15\] GHz"):
             load_config(_write(tmp_path, f"fc_ghz: {value}\n"))
-
-    @pytest.mark.parametrize("fc_ghz", [1e-15, 1e15])
-    def test_extreme_frequencies_run(self, tmp_path, fc_ghz):
-        assert load_config(_write(tmp_path, f"fc_ghz: {fc_ghz:.1e}\n")).fc_ghz == fc_ghz
-        config = dataclasses.replace(FAST, sweep_topologies=1, fc_ghz=fc_ghz)
-        for row in run_rate_sweep(config).rows:
-            assert 0.0 <= row.eps_e2e <= 1.0 and row.delay_s > 0.0, row
 
     @pytest.mark.parametrize("text, key", [
         ("r_ga_m: 1000000000.0\n", "r_ga_m"),
@@ -400,6 +390,146 @@ class TestLoadConfig:
         cfg = ScenarioConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.eps_th = 1e-3
+
+
+# ============================================================
+# Every interval a config rule states
+# ============================================================
+
+def _interval(key):
+    """The interval of key's numbers: its rule, or a list, table or nullable
+    rule's interval of each number (None for the other rules)."""
+    rule = scenario._FIELDS[key].metadata["rule"]
+    return rule if isinstance(rule, scenario._Interval) else rule.interval
+
+
+def _accepts(key, value) -> bool:
+    try:
+        scenario._validate_field(key, value)
+    except ConfigError:
+        return False
+    return True
+
+
+DEFAULTS = ScenarioConfig()
+HEIGHTS = ("gbs_height_m", "av_altitude_m", "hap_altitude_m")
+INTERVAL_KEYS = [key for key in scenario._FIELDS if _interval(key)]
+# a tiny run: one rate, one topology, one region column
+TINY = {"n_samples": 200, "sweep_rates_kbps": [100.0], "region_topologies": 1,
+        "region_r_edges_m": [140.0, 160.0], "region_rates_kbps": [100.0]}
+# keys that set only how long a run takes: a value above the tiny run's is
+# checked by its rule alone, as the run would take as long as the value asks
+RUN_LENGTH = {"n_samples": 200, "sweep_topologies": 1, "region_topologies": 1}
+# the value of a list or table key that holds the number v
+HOLDING = {
+    "clutter_loss_db": lambda v: [v] * 9,
+    "rice_k_db": lambda v: dict.fromkeys(DEFAULTS.rice_k_db, [v, v]),
+    "region_r_edges_m": lambda v: [v, MAX_DISTANCE_M] if v < 1.0 else [0.0, v],
+    "sweep_rates_kbps": lambda v: [v],
+    "region_rates_kbps": lambda v: [v],
+}
+
+
+def _next(x, toward, kind):
+    """The next number of kind after x toward toward."""
+    return x + (1 if toward > x else -1) if kind is int else math.nextafter(x, toward)
+
+
+def _ends(interval):
+    """(number, accepted) at each end of interval: the end, and the next
+    numbers inside and outside it. Next to an infinite end the largest
+    finite number is inside, and the next one is outside (an int beyond the
+    float range counts as infinite)."""
+    kind = interval.kind
+    for end, closed, out in ((interval.low, interval.ends[0] == "[", -math.inf),
+                             (interval.high, interval.ends[1] == "]", math.inf)):
+        yield end, closed
+        if math.isinf(end):
+            end = kind(math.copysign(sys.float_info.max, end))
+            yield end, True
+        else:
+            yield _next(end, -out, kind), True
+        yield _next(end, out, kind), False
+
+
+def _inside(interval):
+    """Numbers drawn from inside interval."""
+    low, high = (None if math.isinf(b) else b for b in (interval.low, interval.high))
+    if interval.kind is int:
+        return st.integers(low + (interval.ends[0] == "("),
+                           int(sys.float_info.max) if high is None
+                           else high - (interval.ends[1] == ")"))
+    return st.floats(low, high, exclude_min=low is not None and interval.ends[0] == "(",
+                     exclude_max=high is not None and interval.ends[1] == ")",
+                     allow_nan=False, allow_infinity=False)
+
+
+def _tiny_run_keys(key, value) -> dict:
+    """TINY with key at value, and each key that a rule across keys ties to
+    it moved the least the rule asks: the heights keep their order, the grid
+    its extent, and the relays their candidates."""
+    keys = {**TINY, key: value}
+    if key in HEIGHTS:
+        at = HEIGHTS.index(key)
+        for lower in reversed(range(at)):
+            keys[HEIGHTS[lower]] = min(getattr(DEFAULTS, HEIGHTS[lower]),
+                                       math.nextafter(keys[HEIGHTS[lower + 1]], 0.0))
+        for upper in range(at + 1, len(HEIGHTS)):
+            keys[HEIGHTS[upper]] = max(getattr(DEFAULTS, HEIGHTS[upper]),
+                                       math.nextafter(keys[HEIGHTS[upper - 1]], math.inf))
+    if key == "isd_m":
+        keys["grid_tiers"] = min(DEFAULTS.grid_tiers, int(MAX_DISTANCE_M // value))
+    if key == "av_count":
+        keys["a2a_relay_count"] = min(DEFAULTS.a2a_relay_count, value - 1)
+    return keys
+
+
+def _check(key, number, accepted):
+    """A value of key that holds number: rejected by name, with the rule's
+    interval, or else a tiny run of it gives finite rows."""
+    value = HOLDING.get(key, lambda v: v)(number)
+    if not accepted:
+        with pytest.raises(ConfigError) as rejected:
+            scenario._build_config({key: value})
+        assert f"config key '{key}" in str(rejected.value), number
+        assert f"expected {_interval(key)}" in str(rejected.value) or \
+            f"each {_interval(key)}" in str(rejected.value), number
+        return
+    keys = _tiny_run_keys(key, value)
+    if not all(_accepts(k, v) for k, v in keys.items()):
+        # no config holds the value: the heights have no room to keep their order
+        with pytest.raises(ConfigError, match="must exceed|expected a length"):
+            scenario._build_config(keys)
+        return
+    config = scenario._build_config(keys)
+    if any(getattr(config, k) > size for k, size in RUN_LENGTH.items()):
+        return
+    if key.startswith("region_"):
+        labels = {cell.label for cell in run_operating_region(config).cells}
+        assert labels <= {*CANONICAL_COMBINATIONS, "none"}, number
+        return
+    for row in run_rate_sweep(config).rows:
+        assert 0.0 <= row.eps_e2e <= 1.0 and row.delay_s > 0.0, (number, row)
+        assert not math.isnan(row.eps_std_error + row.delay_std_error), (number, row)
+
+
+class TestEveryInterval:
+    """One key at a time, the others at their defaults: each end of its
+    rule's interval, the next numbers inside and outside it, and draws from
+    inside. A value the config accepts runs, and one it rejects is named."""
+
+    @pytest.mark.parametrize("key", INTERVAL_KEYS)
+    def test_accepted_values_run_and_others_are_named(self, key):
+        interval = _interval(key)
+        for number, accepted in _ends(interval):
+            _check(key, number, accepted)
+
+        @settings(max_examples=3, derandomize=True, deadline=None)
+        @given(_inside(interval))
+        def inside(number):
+            _check(key, number, True)
+
+        inside()
 
 
 class TestConfigHash:
