@@ -14,17 +14,18 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .link import LEVEL_MAX_DB, SF_SIGMA_MAX_DB
-from .mathfun import bessel_j1
+from .link import LEVEL, LEVEL_MAX_DB, SF_SIGMA
+from .mathfun import Interval, bessel_j1, check_fields, within
 
 __all__ = [
     "Q2_MAX_PER_KM2",
     "MIN_LENGTH_M",
     "MAX_DISTANCE_M",
+    "LENGTH",
     "MAX_APERTURE_WAVELENGTHS",
     "Environment",
     "UlaSpec",
@@ -51,6 +52,7 @@ __all__ = [
 # ray_h^2 / (2 q3_m^2), stay finite doubles
 Q2_MAX_PER_KM2 = 1e6
 MIN_LENGTH_M, MAX_DISTANCE_M = 1e-3, 1e6
+LENGTH = Interval("a length in {} m", MIN_LENGTH_M, MAX_DISTANCE_M)
 # hap_gain's Bessel quadrature takes one node per unit of its largest
 # argument 2 pi a sin(offset), so the reflector radius a [wavelengths] is
 # bounded too (1e4 keeps a 36-beam link's gains within milliseconds)
@@ -61,29 +63,21 @@ MAX_APERTURE_WAVELENGTHS = 1e4
 class Environment:
     """Urban propagation constants and shadow/clutter tables."""
 
-    q1: float = 0.3                 # built-up land fraction
-    q2: float = 500.0               # buildings per km^2
-    q3_m: float = 20.0              # Rayleigh height-scale [m]
-    sf_sigma_los_db: float = 4.0
-    sf_sigma_nlos_db: float = 6.0
+    q1: float = within(Interval("a fraction in {}", 0, 1, "(]"), 0.3)  # built-up land fraction
+    q2: float = within(Interval(                    # buildings per km^2
+        "a building density in {} per km^2", 0, Q2_MAX_PER_KM2, "(]"), 500.0)
+    q3_m: float = within(LENGTH, 20.0)              # Rayleigh height-scale [m]
+    sf_sigma_los_db: float = within(SF_SIGMA, 4.0)
+    sf_sigma_nlos_db: float = within(SF_SIGMA, 6.0)
     # additional loss per 10-degree elevation bin for the ground->platform
     # link; all-zero placeholder until a measured table is configured
-    clutter_loss_table_db: tuple = field(default_factory=lambda: (0.0,) * 9)
+    clutter_loss_table_db: tuple = within(Interval("a loss in {} dB", 0, math.inf, "[)"),
+                                          (0.0,) * 9, each=True)
 
     def __post_init__(self):
-        if not 0.0 < self.q1 <= 1.0:
-            raise ValueError("q1 is a fraction of land and must lie in (0, 1]")
-        if not 0.0 < self.q2 <= Q2_MAX_PER_KM2:
-            raise ValueError(f"q2 must lie in (0, {Q2_MAX_PER_KM2:g}] buildings per km^2")
-        if not MIN_LENGTH_M <= self.q3_m <= MAX_DISTANCE_M:   # NaN compares False
-            raise ValueError(f"q3_m must lie in [{MIN_LENGTH_M:g}, {MAX_DISTANCE_M:g}] m")
-        if not all(0.0 <= s <= SF_SIGMA_MAX_DB
-                   for s in (self.sf_sigma_los_db, self.sf_sigma_nlos_db)):
-            raise ValueError(f"shadow-fading sigmas must lie in [0, {SF_SIGMA_MAX_DB:g}] dB")
+        check_fields(self)
         if len(self.clutter_loss_table_db) != 9:
             raise ValueError("clutter_loss_table_db needs one entry per 10-degree bin (9)")
-        if not all(v >= 0.0 for v in self.clutter_loss_table_db):
-            raise ValueError("clutter losses must be non-negative")
 
 
 # ============================================================
@@ -185,34 +179,25 @@ def pl_g2h_db(d_m: float, fc_ghz: float, elevation_deg: float, env: Environment)
 class UlaSpec:
     """Vertical uniform linear array on a ground site, angles are zenith."""
 
-    n_elements: int = 8
-    downtilt_deg: float = 102.0          # boresight zenith angle
-    element_gain_max_dbi: float = 8.0
+    # the array's peak power gain, its element count, is a level too
+    n_elements: int = within(Interval(
+        "an element count in {}", 1, 10 ** round(LEVEL_MAX_DB / 10), kind=int), 8)
+    downtilt_deg: float = within(Interval(  # boresight zenith angle
+        "a zenith angle in {} degrees", 0, 180), 102.0)
+    element_gain_max_dbi: float = within(LEVEL, 8.0)
 
-    def __post_init__(self):
-        if self.n_elements < 1:
-            raise ValueError("n_elements must be at least 1")
-        if not 0.0 <= self.downtilt_deg <= 180.0:              # NaN compares False
-            raise ValueError("downtilt_deg must lie in [0, 180] degrees")
-        if not abs(self.element_gain_max_dbi) <= LEVEL_MAX_DB:   # NaN compares False
-            raise ValueError(f"element_gain_max_dbi must be finite and lie in "
-                             f"[-{LEVEL_MAX_DB:g}, {LEVEL_MAX_DB:g}] dB")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class ReflectorSpec:
     """Platform reflector antenna; angles are offsets from the beam axis."""
 
-    max_gain_dbi: float = 32.0
-    aperture_radius_wavelengths: float = 10.0
+    max_gain_dbi: float = within(LEVEL, 32.0)
+    aperture_radius_wavelengths: float = within(Interval(
+        "a radius in {} wavelengths", 0, MAX_APERTURE_WAVELENGTHS, "(]"), 10.0)
 
-    def __post_init__(self):
-        if not abs(self.max_gain_dbi) <= LEVEL_MAX_DB:           # NaN compares False
-            raise ValueError(f"max_gain_dbi must lie in [-{LEVEL_MAX_DB:g}, "
-                             f"{LEVEL_MAX_DB:g}] dB")
-        if not 0.0 < self.aperture_radius_wavelengths <= MAX_APERTURE_WAVELENGTHS:
-            raise ValueError(f"aperture_radius_wavelengths must lie in "
-                             f"(0, {MAX_APERTURE_WAVELENGTHS:g}]")
+    __post_init__ = check_fields
 
 
 def ula_element_gain(zenith_deg, spec: UlaSpec):

@@ -312,13 +312,13 @@ def _budget_hap(config: scenario.ScenarioConfig, offset_m: float) -> None:
 @click.argument("kind", type=click.Choice(["g2a", "a2a", "hap"]))
 @click.option("--distance-m", type=float, default=None,
               help=f"g2a: horizontal site-to-vehicle distance, {scenario._DISTANCE}; a2a: "
-                   f"vehicle separation (required), {scenario._LENGTH}; hap: nadir offset "
+                   f"vehicle separation (required), {channel.LENGTH}; hap: nadir offset "
                    f"(default 0), {scenario._DISTANCE}.")
 @click.option("--config", "config_path", type=str, default=None)
 def link_budget(kind, distance_m, config_path) -> None:
     """Deterministic budget breakdown for a single link type."""
     # the config's intervals: a vehicle separation is a length, an offset may be 0
-    within = scenario._LENGTH if kind == "a2a" else scenario._DISTANCE
+    within = channel.LENGTH if kind == "a2a" else scenario._DISTANCE
     if distance_m is not None and distance_m not in within:
         raise click.UsageError(f"--distance-m must be finite and {within} for {kind}, "
                                f"got {distance_m}")

@@ -20,7 +20,8 @@ import math
 from dataclasses import dataclass, field
 
 from .link import LinkStats
-from .queueing import QueueSpec
+from .mathfun import Interval, check_fields, within
+from .queueing import DURATION_S, OPEN_PROBABILITY, QueueSpec
 
 __all__ = [
     "SPEED_OF_LIGHT_M_S",
@@ -43,26 +44,18 @@ MAX_A2A_PATHS = 3       # longest relay ladder in the canonical combination orde
 
 @dataclass(frozen=True)
 class BackhaulSpec:
-    delay_s: float = 1e-3
-    eps: float = 1e-6
+    delay_s: float = within(DURATION_S, 1e-3)
+    eps: float = within(Interval("a probability in {}", 0, 1, "[)"), 1e-6)
 
-    def __post_init__(self):
-        if not self.delay_s >= 0.0:
-            raise ValueError("delay_s must be non-negative")
-        if not 0.0 <= self.eps < 1.0:
-            raise ValueError("eps must lie in [0, 1)")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class QosTarget:
-    eps_th: float       # end-to-end loss target
-    d_max_s: float      # end-to-end delay budget
+    eps_th: float = within(OPEN_PROBABILITY)   # end-to-end loss target
+    d_max_s: float = within(DURATION_S)        # end-to-end delay budget
 
-    def __post_init__(self):
-        if not 0.0 < self.eps_th < 1.0:
-            raise ValueError("eps_th must lie in (0, 1)")
-        if not self.d_max_s > 0.0:
-            raise ValueError("d_max_s must be positive")
+    __post_init__ = check_fields
 
     def admits(self, eps: float, delay_s: float) -> bool:
         """True when a loss and a delay both meet the target."""

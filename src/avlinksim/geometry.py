@@ -16,6 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import LENGTH
+from .mathfun import Interval, check_fields, within
+
 __all__ = [
     "MAX_GRID_TIERS",
     "NodePose",
@@ -48,15 +51,12 @@ class NodePose:
 
 @dataclass(frozen=True)
 class GridSpec:
-    isd_m: float = 500.0       # inter-site distance
-    tiers: int = 3             # rings around the center site
-    bs_height_m: float = 25.0
+    isd_m: float = within(LENGTH, 500.0)       # inter-site distance
+    tiers: int = within(Interval(              # rings around the center site
+        "a tier count in {}", 0, MAX_GRID_TIERS, kind=int), 3)
+    bs_height_m: float = within(LENGTH, 25.0)
 
-    def __post_init__(self):
-        if not self.isd_m > 0.0:
-            raise ValueError("isd_m must be positive")
-        if not 0 <= self.tiers <= MAX_GRID_TIERS:
-            raise ValueError(f"tiers must lie in [0, {MAX_GRID_TIERS}]")
+    __post_init__ = check_fields
 
 
 # unit vectors normal to the three hexagon edge pairs (flat sides face

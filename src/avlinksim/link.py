@@ -20,11 +20,13 @@ Provides:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mathfun import _Q_BLOCK, _Q_FLUSH, gaussian_q, gaussian_q_inv, sample_rician_power
+from .mathfun import (_Q_BLOCK, _Q_FLUSH, POSITIVE, Interval, check_fields, gaussian_q,
+                      gaussian_q_inv, sample_rician_power, within)
 
 __all__ = [
     "RadioParams",
@@ -32,7 +34,9 @@ __all__ = [
     "LinkSetup",
     "LinkStats",
     "LEVEL_MAX_DB",
+    "LEVEL",
     "SF_SIGMA_MAX_DB",
+    "SF_SIGMA",
     "sinr_sample",
     "fbl_rate",
     "fbl_error",
@@ -49,23 +53,24 @@ SF_SIGMA_MAX_DB = 100.0
 # Rice factor: within it the linear values, and a link budget's product of
 # them, stay normal doubles
 LEVEL_MAX_DB = 300.0
+LEVEL = Interval("a level in {} dB", -LEVEL_MAX_DB, LEVEL_MAX_DB)
+SF_SIGMA = Interval("a shadow sigma in {} dB", 0, SF_SIGMA_MAX_DB)
+_GAIN = Interval("a linear gain in {}", 0, math.inf, "[)")
+# the noise power divides every SINR draw
+_NOISE_POWER = Interval("a noise power (bandwidth x noise density x noise figure) in {} W",
+                        sys.float_info.min, sys.float_info.max)
 
 
 @dataclass(frozen=True)
 class RadioParams:
-    bandwidth_hz: float
-    tx_power_w: float
-    noise_density_w_hz: float     # thermal density before the noise figure
-    noise_figure_db: float = 0.0
+    bandwidth_hz: float = within(POSITIVE)
+    tx_power_w: float = within(POSITIVE)
+    noise_density_w_hz: float = within(POSITIVE)    # thermal density before the noise figure
+    noise_figure_db: float = within(LEVEL, 0.0)
 
     def __post_init__(self):
-        if not (self.bandwidth_hz > 0.0 and self.tx_power_w > 0.0):
-            raise ValueError("bandwidth_hz and tx_power_w must be positive")
-        if not self.noise_density_w_hz > 0.0:
-            raise ValueError("noise_density_w_hz must be positive")
-        if not abs(self.noise_figure_db) <= LEVEL_MAX_DB:    # NaN compares False
-            raise ValueError(f"noise_figure_db must lie in [-{LEVEL_MAX_DB:g}, "
-                             f"{LEVEL_MAX_DB:g}] dB")
+        check_fields(self)
+        _NOISE_POWER.check("noise_power_w", self.noise_power_w)
 
     @property
     def noise_power_w(self) -> float:
@@ -81,10 +86,10 @@ class ChannelSpec:
     """Statistical description of one fading channel."""
 
     pl_db: float              # deterministic path-loss part
-    tx_gain: float            # linear
-    rx_gain: float            # linear
+    tx_gain: float = within(_GAIN)
+    rx_gain: float = within(_GAIN)
     k_db: float               # Rice factor
-    sf_sigma_db: float = 0.0  # per-draw lognormal shadow sigma
+    sf_sigma_db: float = within(SF_SIGMA, 0.0)  # per-draw lognormal shadow sigma
 
     def __post_init__(self):
         try:    # NaN gives NaN, which is not finite either
@@ -94,15 +99,9 @@ class ChannelSpec:
         if not finite:
             raise ValueError(f"pl_db must be a number whose linear gain 10^(-pl_db/10) "
                              f"is a finite double, got {self.pl_db!r}")
-        for name in ("tx_gain", "rx_gain"):
-            if not 0.0 <= getattr(self, name) < math.inf:    # NaN compares False
-                raise ValueError(f"{name} must be finite and non-negative, "
-                                 f"got {getattr(self, name)!r}")
-        if not 0.0 <= self.sf_sigma_db <= SF_SIGMA_MAX_DB:
-            raise ValueError(f"sf_sigma_db must lie in [0, {SF_SIGMA_MAX_DB:g}] dB")
-        if not (abs(self.k_db) <= LEVEL_MAX_DB or abs(self.k_db) == math.inf):
-            raise ValueError(f"k_db must lie in [-{LEVEL_MAX_DB:g}, {LEVEL_MAX_DB:g}] dB "
-                             "or be infinite")
+        check_fields(self)
+        if not (self.k_db in LEVEL or self.k_db in (math.inf, -math.inf)):
+            raise ValueError(f"k_db: expected {LEVEL} or an infinite one, got {self.k_db!r}")
 
     @property
     def mean_gain(self) -> float:
@@ -123,13 +122,12 @@ class LinkSetup:
     desired: ChannelSpec
     radio: RadioParams
     interferers: tuple = ()
-    p_interf: float = 0.0
+    p_interf: float = within(Interval("a probability in {}", 0, 1), 0.0)
     mode: str = "expected"
 
     def __post_init__(self):
         object.__setattr__(self, "interferers", tuple(self.interferers))    # hashable
-        if not 0.0 <= self.p_interf <= 1.0:
-            raise ValueError("p_interf must lie in [0, 1]")
+        check_fields(self)
         if self.mode not in ("expected", "bernoulli"):
             raise ValueError("mode must be 'expected' or 'bernoulli'")
 

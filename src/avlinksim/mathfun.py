@@ -7,18 +7,24 @@ Provides:
  - bessel_j1                   : Bessel function of the reflector beam pattern
  - sample_rician_power         : unit-mean Rician power fades
  - RngStream                   : counter-based, splittable random streams
+ - Interval / within / check_fields : bounds, as a model field declares them
 
 Only numpy and the standard library are used.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
+import sys
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
+    "Interval",
+    "within",
+    "check_fields",
     "RngStream",
     "gaussian_q",
     "gaussian_q_inv",
@@ -28,6 +34,59 @@ __all__ = [
 
 _SQRT2 = float(np.sqrt(2.0))
 _MASK64 = (1 << 64) - 1
+
+
+# ============================================================
+# Intervals
+# ============================================================
+
+# the types of an interval's numbers, by kind: numpy's scalars count, a bool does not
+_NUMBERS = {int: (int, np.integer), float: (int, float, np.integer, np.floating)}
+
+
+class Interval(NamedTuple):
+    """The numbers of kind (ints only, if int) from low to high, each end closed or open."""
+    what: str                       # how an error names them, "{}" standing for the bounds
+    low: float
+    high: float
+    ends: str = "[]"
+    kind: type = float
+
+    def __contains__(self, v) -> bool:
+        # an int beyond the float range counts as infinite, so float() cannot fail
+        return (isinstance(v, _NUMBERS[self.kind]) and not isinstance(v, bool)
+                and abs(v) <= sys.float_info.max
+                and (self.low <= v if self.ends[0] == "[" else self.low < v)
+                and (v <= self.high if self.ends[1] == "]" else v < self.high))
+
+    def __str__(self) -> str:
+        low, high = (b if isinstance(b, int) else f"{b:g}" for b in (self.low, self.high))
+        return self.what.format(f"{self.ends[0]}{low}, {high}{self.ends[1]}")
+
+    def check(self, name: str, value, error=ValueError):
+        """value as kind, or else an error that names name and the interval."""
+        if value not in self:
+            raise error(f"{name}: expected {self}, got {value!r}")
+        return self.kind(value)
+
+
+POSITIVE = Interval("a number in {}", 0, math.inf, "()")
+
+
+def within(interval: Interval, default=dataclasses.MISSING, each: bool = False):
+    """A model field whose value, or each of whose values, lies in interval;
+    a default of None lets the value be None too. check_fields reads it."""
+    return dataclasses.field(default=default, metadata={"interval": interval, "each": each})
+
+
+def check_fields(model) -> None:
+    """A model class's __post_init__: raise ValueError naming the first field
+    outside the interval it declares (within)."""
+    for f in dataclasses.fields(model):
+        value = getattr(model, f.name)
+        if "interval" in f.metadata and not (value is None and f.default is None):
+            for v in value if f.metadata["each"] else (value,):
+                f.metadata["interval"].check(f.name, v)
 
 
 # ============================================================
@@ -42,7 +101,7 @@ def _mix64(z: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RngStream:
     """Replayable random stream keyed by (seed, stream_id).
 

@@ -11,25 +11,25 @@ import math
 import sys
 from dataclasses import dataclass
 
-__all__ = ["QueueSpec", "effective_bandwidth"]
+from .mathfun import POSITIVE, Interval, check_fields, within
+
+__all__ = ["DURATION_S", "OPEN_PROBABILITY", "QueueSpec", "effective_bandwidth"]
+
+# a duration [s] of a queue, a backhaul or a delay target: a positive normal
+# double, and so is its value in milliseconds
+DURATION_S = Interval("a duration in {} s", 1e-303, math.inf, "[)")
+OPEN_PROBABILITY = Interval("a probability in {}", 0, 1, "()")
 
 
 @dataclass(frozen=True)
 class QueueSpec:
-    arrival_rate_pps: float     # mean packet arrival rate [1/s]
-    delay_bound_s: float        # queueing-delay bound
-    violation_prob: float       # allowed P[delay > bound]
-    service_rate_pps: float | None = None   # provisioned service rate; None: not provisioned
+    arrival_rate_pps: float = within(POSITIVE)         # mean packet arrival rate [1/s]
+    delay_bound_s: float = within(DURATION_S)          # queueing-delay bound
+    violation_prob: float = within(OPEN_PROBABILITY)   # allowed P[delay > bound]
+    # provisioned service rate; None: not provisioned
+    service_rate_pps: float | None = within(POSITIVE, None)
 
-    def __post_init__(self):
-        if not self.arrival_rate_pps > 0.0:
-            raise ValueError("arrival_rate_pps must be positive")
-        if not self.delay_bound_s > 0.0:
-            raise ValueError("delay_bound_s must be positive")
-        if not 0.0 < self.violation_prob < 1.0:
-            raise ValueError("violation_prob must lie in (0, 1)")
-        if self.service_rate_pps is not None and not self.service_rate_pps >= 0.0:
-            raise ValueError("service_rate_pps must be non-negative")
+    __post_init__ = check_fields
 
     @property
     def admits(self) -> bool:

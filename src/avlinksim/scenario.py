@@ -21,7 +21,6 @@ import hashlib
 import itertools
 import json
 import math
-import sys
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -34,18 +33,19 @@ from . import e2e
 from . import geometry as geo
 from .e2e import CANONICAL_COMBINATIONS
 from .link import (
+    LEVEL,
     LEVEL_MAX_DB,
+    SF_SIGMA,
+    SINR_WORK_ROWS,
     ChannelSpec,
     LinkSetup,
     LinkStats,
     RadioParams,
-    SF_SIGMA_MAX_DB,
-    SINR_WORK_ROWS,
     decoding_error_stats,
     sinr_sample,
 )
-from .mathfun import RngStream
-from .queueing import QueueSpec, effective_bandwidth
+from .mathfun import POSITIVE, Interval, RngStream
+from .queueing import DURATION_S, OPEN_PROBABILITY, QueueSpec, effective_bandwidth
 
 __all__ = [
     "ConfigError",
@@ -73,73 +73,44 @@ class ConfigError(ValueError):
 # Configuration
 # ============================================================
 
-class _Interval(NamedTuple):
-    """The numbers of kind (ints only, if int) from low to high, each end closed or open."""
-    what: str                       # how an error names them, "{}" standing for the bounds
-    low: float
-    high: float
-    ends: str = "[]"
-    kind: type = float
-
-    def __contains__(self, v) -> bool:
-        # an int beyond the float range counts as infinite, so float() cannot fail
-        return (isinstance(v, (self.kind, int)) and not isinstance(v, bool)
-                and abs(v) <= sys.float_info.max
-                and (self.low <= v if self.ends[0] == "[" else self.low < v)
-                and (v <= self.high if self.ends[1] == "]" else v < self.high))
-
-    def __str__(self) -> str:
-        low, high = (b if isinstance(b, int) else f"{b:g}" for b in (self.low, self.high))
-        return self.what.format(f"{self.ends[0]}{low}, {high}{self.ends[1]}")
-
-    def apply(self, key: str, value):
-        if value not in self:
-            raise ConfigError(f"config key '{key}': expected {self}, got {value!r}")
-        return self.kind(value)
-
-
 class _Rule(NamedTuple):
     want: str                       # the accepted values, as the error names them
     ok: Callable[[object], bool]
     coerce: Callable = lambda v: v
-    interval: _Interval | None = None   # of each number of a list or table, or of a number or null
+    interval: Interval | None = None    # of each number of a list or table, or of a number or null
 
-    def apply(self, key: str, value):
+    def check(self, name: str, value, error=ConfigError):
         if not self.ok(value):
-            raise ConfigError(f"config key '{key}': expected {self.want}, got {value!r}")
+            raise error(f"{name}: expected {self.want}, got {value!r}")
         return self.coerce(value)
 
 
-def _floats(shape: str, ok, within: _Interval) -> _Rule:
-    return _Rule(f"{shape}, each {within}", lambda v: isinstance(v, (list, tuple))
-                 and all(x in within for x in v) and ok(v), lambda v: tuple(map(float, v)), within)
+def _floats(shape: str, ok, each: Interval) -> _Rule:
+    return _Rule(f"{shape}, each {each}", lambda v: isinstance(v, (list, tuple))
+                 and all(x in each for x in v) and ok(v), lambda v: tuple(map(float, v)), each)
 
 
-# A probability takes the interval that its model class enforces, so a
-# config that loads always builds the model.
-_POS = _Interval("a number in {}", 0, math.inf, "()")
-_COUNT = _Interval("an integer in {}", 1, math.inf, "[)", kind=int)
-_PROB_OPEN = _Interval("a probability in {}", 0, 1, "()")
-# a power, gain, noise figure, noise density or Rice factor [dBm, dBi, dB,
-# dBm/Hz], within the bound its model class enforces
-_LEVEL = _Interval("a level in {} dB", -LEVEL_MAX_DB, LEVEL_MAX_DB)
+# A key that feeds a model field in its unit takes the field's interval as its rule
+def _of(model, name: str) -> Interval:
+    return model.__dataclass_fields__[name].metadata["interval"]
+
+
+_COUNT = Interval("an integer in {}", 1, math.inf, "[)", kind=int)
 # a carrier frequency [GHz]: the term 20 log10(fc_ghz) of every path loss is a
 # level too, so it takes the levels' bound, fc_ghz in [1e-15, 1e15]
 _FC_MAX_GHZ = 10.0 ** (LEVEL_MAX_DB / 20.0)
-_FREQUENCY = _Interval("a frequency in {} GHz", 1 / _FC_MAX_GHZ, _FC_MAX_GHZ)
-# a length: the interval in which path losses and p_los stay finite
-_LENGTH = _Interval("a length in {} m", ch.MIN_LENGTH_M, ch.MAX_DISTANCE_M)
-_SIGMA = _Interval("a shadow sigma in {} dB", 0, SF_SIGMA_MAX_DB)  # ChannelSpec
-_SERVICE = _Rule(f"{_POS} or null", lambda v: v is None or v in _POS,
-                 lambda v: None if v is None else float(v), _POS)
-# a rate [kbps]: its value in bit/s, 1e3 times as large, stays a finite double
-_RATES = _floats("a non-empty list", bool, _Interval("a rate in {} kbps", 0, 1e300, "(]"))
+_FREQUENCY = Interval("a frequency in {} GHz", 1 / _FC_MAX_GHZ, _FC_MAX_GHZ)
+_SERVICE = _Rule(f"{POSITIVE} or null", lambda v: v is None or v in POSITIVE,
+                 lambda v: None if v is None else float(v), POSITIVE)
+# a rate [kbps]: its value in bit/s, 1e3 times as large, stays a finite double,
+# and so does the slot packet_bits / rate of every size up to _MAX_PACKET_BITS
+_RATES = _floats("a non-empty list", bool, Interval("a rate in {} kbps", 1e-290, 1e300))
 _RICE = _floats("a [k_min, k_max] pair with k_min <= k_max",
-                lambda v: len(v) == 2 and v[0] <= v[1], _LEVEL)
+                lambda v: len(v) == 2 and v[0] <= v[1], LEVEL)
 # a distance from the serving site, which may be 0
-_DISTANCE = _Interval("a distance in {} m", 0, ch.MAX_DISTANCE_M)
-# a duration [ms]: its value in seconds, times 1e-3, stays a positive normal double
-_DURATION = _Interval("a duration in {} ms", 1e-300, math.inf, "[)")
+_DISTANCE = Interval("a distance in {} m", 0, ch.MAX_DISTANCE_M)
+# a duration [ms]: the numbers whose value in seconds, times 1e-3, lies in DURATION_S
+_DURATION = DURATION_S._replace(what="a duration in {} ms", low=DURATION_S.low * 1e3)
 
 # Counts that size a run's work or memory:
 # - a worker thread's (SINR_WORK_ROWS, min(mc_batch_size, n_samples)) float64
@@ -153,13 +124,20 @@ _MAX_AV_COUNT = 10_000
 _MAX_PACKET_BITS = 2 ** 53
 
 
-def _key(default, rule: _Rule | _Interval):
+def _key(default, rule: _Rule | Interval):
     """A config field: its default, and the rule every loaded value passes."""
     if isinstance(default, dict):
         return field(default_factory=lambda: dict(default), metadata={"rule": rule})
     return field(default=default, metadata={"rule": rule})
 
 
+# link kind -> (bandwidth key, transmit power key, noise figure key) of its radio
+_RADIO_KEYS = {
+    "g2a": ("bandwidth_ga_hz", "tx_power_gbs_dbm", "noise_figure_av_db"),
+    "a2a": ("bandwidth_aa_hz", "tx_power_av_dbm", "noise_figure_av_db"),
+    "h2a": ("bandwidth_ha_hz", "tx_power_hap_dbm", "noise_figure_av_db"),
+    "g2h": ("bandwidth_gh_hz", "tx_power_gs_dbm", "noise_figure_hap_db"),
+}
 # node type -> (arrival key, service key) of its queue. The ground station
 # has no keys of its own: it takes the base station's.
 _QUEUE_KEYS = {
@@ -175,85 +153,81 @@ class ScenarioConfig:
     """Every scenario parameter, with its default and its load rule."""
 
     # QoS targets (QosTarget)
-    eps_th: float = _key(1e-5, _PROB_OPEN)
+    eps_th: float = _key(1e-5, OPEN_PROBABILITY)
     delay_threshold_ms: float = _key(10.0, _DURATION)
     # traffic
-    packet_bits: int = _key(256, _Interval("a size in {} bits", 1, _MAX_PACKET_BITS, kind=int))
+    packet_bits: int = _key(256, Interval("a size in {} bits", 1, _MAX_PACKET_BITS, kind=int))
     # backhaul (BackhaulSpec)
-    eps_b: float = _key(1e-6, _Interval("a probability in {}", 0, 1, "[)"))
+    eps_b: float = _key(1e-6, _of(e2e.BackhaulSpec, "eps"))
     backhaul_delay_ms: float = _key(1.0, _DURATION)
     # interference model (LinkSetup)
-    p_interf: float = _key(0.01, _Interval("a probability in {}", 0, 1))
+    p_interf: float = _key(0.01, _of(LinkSetup, "p_interf"))
     interference_mode: str = _key("expected", _Rule("'expected' or 'bernoulli'",
                                                     lambda v: v in ("expected", "bernoulli")))
     interferer_count: int = _key(6, _COUNT)
     # radio
     fc_ghz: float = _key(2.0, _FREQUENCY)
-    noise_density_dbm_hz: float = _key(-174.0, _LEVEL)
-    bandwidth_ga_hz: float = _key(0.4e6, _POS)
-    bandwidth_aa_hz: float = _key(0.4e6, _POS)
-    bandwidth_ha_hz: float = _key(0.4e6, _POS)
-    bandwidth_gh_hz: float = _key(0.5e6, _POS)
-    tx_power_av_dbm: float = _key(23.0, _LEVEL)
-    tx_power_gbs_dbm: float = _key(46.0, _LEVEL)
-    tx_power_hap_dbm: float = _key(46.0, _LEVEL)
-    tx_power_gs_dbm: float = _key(46.0, _LEVEL)
-    noise_figure_av_db: float = _key(9.0, _LEVEL)
-    noise_figure_hap_db: float = _key(5.0, _LEVEL)
-    av_antenna_gain_dbi: float = _key(0.0, _LEVEL)
-    gs_antenna_gain_dbi: float = _key(0.0, _LEVEL)
-    # the array's peak power gain, its element count, is a level too
-    ula_elements: int = _key(8, _Interval(
-        "an element count in {}", 1, 10 ** round(LEVEL_MAX_DB / 10), kind=int))
-    ula_downtilt_deg: float = _key(102.0, _Interval(  # UlaSpec: a boresight zenith angle
-        "a zenith angle in {} degrees", 0, 180))
-    ula_element_gain_dbi: float = _key(8.0, _LEVEL)
-    hap_max_gain_dbi: float = _key(32.0, _LEVEL)
-    hap_aperture_radius_wavelengths: float = _key(10.0, _Interval(  # ReflectorSpec
-        "a radius in {} wavelengths", 0, ch.MAX_APERTURE_WAVELENGTHS, "(]"))
+    noise_density_dbm_hz: float = _key(-174.0, LEVEL)
+    bandwidth_ga_hz: float = _key(0.4e6, POSITIVE)
+    bandwidth_aa_hz: float = _key(0.4e6, POSITIVE)
+    bandwidth_ha_hz: float = _key(0.4e6, POSITIVE)
+    bandwidth_gh_hz: float = _key(0.5e6, POSITIVE)
+    tx_power_av_dbm: float = _key(23.0, LEVEL)
+    tx_power_gbs_dbm: float = _key(46.0, LEVEL)
+    tx_power_hap_dbm: float = _key(46.0, LEVEL)
+    tx_power_gs_dbm: float = _key(46.0, LEVEL)
+    noise_figure_av_db: float = _key(9.0, LEVEL)
+    noise_figure_hap_db: float = _key(5.0, LEVEL)
+    av_antenna_gain_dbi: float = _key(0.0, LEVEL)
+    gs_antenna_gain_dbi: float = _key(0.0, LEVEL)
+    ula_elements: int = _key(8, _of(ch.UlaSpec, "n_elements"))
+    ula_downtilt_deg: float = _key(102.0, _of(ch.UlaSpec, "downtilt_deg"))
+    ula_element_gain_dbi: float = _key(8.0, LEVEL)
+    hap_max_gain_dbi: float = _key(32.0, LEVEL)
+    hap_aperture_radius_wavelengths: float = _key(
+        10.0, _of(ch.ReflectorSpec, "aperture_radius_wavelengths"))
     # geometry
-    isd_m: float = _key(500.0, _LENGTH)
-    grid_tiers: int = _key(3, _Interval(  # GridSpec
-        "a tier count in {}", 0, geo.MAX_GRID_TIERS, kind=int))
-    gbs_height_m: float = _key(25.0, _LENGTH)
-    av_altitude_m: float = _key(300.0, _LENGTH)
-    hap_altitude_m: float = _key(20000.0, _LENGTH)
-    hap_gs_offset_m: float = _key(5000.0, _LENGTH)
+    isd_m: float = _key(500.0, ch.LENGTH)
+    grid_tiers: int = _key(3, _of(geo.GridSpec, "tiers"))
+    gbs_height_m: float = _key(25.0, ch.LENGTH)
+    av_altitude_m: float = _key(300.0, ch.LENGTH)
+    hap_altitude_m: float = _key(20000.0, ch.LENGTH)
+    hap_gs_offset_m: float = _key(5000.0, ch.LENGTH)
     # the destination and at least one relay candidate
-    av_count: int = _key(10, _Interval("a vehicle count in {}", 2, _MAX_AV_COUNT, kind=int))
-    r_ga_m: float = _key(150.0, _LENGTH)
+    av_count: int = _key(10, Interval("a vehicle count in {}", 2, _MAX_AV_COUNT, kind=int))
+    r_ga_m: float = _key(150.0, ch.LENGTH)
     # propagation environment (ITU-R P.1410: built-up ratio, density, height scale)
-    q1: float = _key(0.3, _Interval("a fraction in {}", 0, 1, "(]"))
-    q2_per_km2: float = _key(500.0, _Interval(  # at most one building per m^2
-        "a building density in {} per km^2", 0, ch.Q2_MAX_PER_KM2, "(]"))
-    q3_m: float = _key(20.0, _LENGTH)
-    sf_sigma_los_db: float = _key(4.0, _SIGMA)
-    sf_sigma_nlos_db: float = _key(6.0, _SIGMA)
+    q1: float = _key(0.3, _of(ch.Environment, "q1"))
+    q2_per_km2: float = _key(500.0, _of(ch.Environment, "q2"))
+    q3_m: float = _key(20.0, ch.LENGTH)
+    sf_sigma_los_db: float = _key(4.0, SF_SIGMA)
+    sf_sigma_nlos_db: float = _key(6.0, SF_SIGMA)
     g2a_shadow_fading: bool = _key(False, _Rule("a boolean", lambda v: isinstance(v, bool)))
     pl_mixture: str = _key("db", _Rule("'db' or 'linear'", lambda v: v in ("db", "linear")))
     clutter_loss_db: tuple = _key((0.0,) * 9, _floats(
-        "a list of 9", lambda v: len(v) == 9, _Interval("a loss in {} dB", 0, math.inf, "[)")))
+        "a list of 9", lambda v: len(v) == 9, _of(ch.Environment, "clutter_loss_table_db")))
     # [k_min, k_max] dB per link kind, linear in the 10-degree elevation bin
     rice_k_db: dict = _key(
         {"g2a": (5.0, 12.0), "a2a": (12.0, 12.0), "g2h": (5.0, 15.0), "h2a": (12.0, 15.0)},
         _Rule("a mapping with keys g2a, a2a, g2h, h2a", lambda v: isinstance(v, dict)
               and set(v) == {"g2a", "a2a", "g2h", "h2a"},
-              lambda v: {k: _RICE.apply(f"rice_k_db.{k}", p) for k, p in v.items()}, _LEVEL))
+              lambda v: {k: _RICE.check(f"config key 'rice_k_db.{k}'", p) for k, p in v.items()},
+              LEVEL))
     # queueing
-    arrival_rate_gbs_pps: float = _key(1000.0, _POS)
-    arrival_rate_av_pps: float = _key(100.0, _POS)
-    arrival_rate_hap_pps: float = _key(10000.0, _POS)
+    arrival_rate_gbs_pps: float = _key(1000.0, POSITIVE)
+    arrival_rate_av_pps: float = _key(100.0, POSITIVE)
+    arrival_rate_hap_pps: float = _key(10000.0, POSITIVE)
     queue_delay_bound_ms: float = _key(0.3, _DURATION)
-    eps_q: float = _key(1e-7, _PROB_OPEN)  # QueueSpec
+    eps_q: float = _key(1e-7, OPEN_PROBABILITY)
     service_rate_gbs_pps: float | None = _key(None, _SERVICE)
     service_rate_av_pps: float | None = _key(None, _SERVICE)
     service_rate_hap_pps: float | None = _key(None, _SERVICE)
     # Monte Carlo and grids
-    master_seed: int = _key(1, _Interval("a seed in {}", 0, 2 ** 64, "[)", kind=int))
+    master_seed: int = _key(1, Interval("a seed in {}", 0, 2 ** 64, "[)", kind=int))
     n_samples: int = _key(100_000, _COUNT)
     mc_batch_size: int = _key(1 << 15, _COUNT)
     diversity_branches: int = _key(1, _COUNT)
-    a2a_relay_count: int = _key(3, _Interval("a count in {}", 1, e2e.MAX_A2A_PATHS, kind=int))
+    a2a_relay_count: int = _key(3, Interval("a count in {}", 1, e2e.MAX_A2A_PATHS, kind=int))
     sweep_topologies: int = _key(1, _COUNT)
     sweep_rates_kbps: tuple = _key((10.0, 20.0, 30.0, 50.0, 70.0, 100.0, 140.0, 200.0, 280.0,
                                     400.0, 560.0, 800.0, 1000.0), _RATES)
@@ -296,6 +270,11 @@ class ScenarioConfig:
         return QueueSpec(getattr(self, arrival), self.queue_delay_bound_ms * 1e-3,
                          self.eps_q, getattr(self, service))
 
+    def radio(self, kind: str) -> RadioParams:
+        """One link kind's radio, from its keys (_RADIO_KEYS)."""
+        bandwidth, power, figure = (getattr(self, key) for key in _RADIO_KEYS[kind])
+        return RadioParams(bandwidth, _dbm_to_w(power), self.noise_density_w_hz(), figure)
+
     def noise_density_w_hz(self) -> float:
         return _dbm_to_w(self.noise_density_dbm_hz)
 
@@ -307,7 +286,7 @@ def _validate_field(key: str, value):
     """Return the coerced value for one config field; raise ConfigError."""
     if key not in _FIELDS:
         raise ConfigError(f"unknown config key '{key}'")
-    return _FIELDS[key].metadata["rule"].apply(key, value)
+    return _FIELDS[key].metadata["rule"].check(f"config key '{key}'", value, ConfigError)
 
 
 def _build_config(overrides: dict) -> ScenarioConfig:
@@ -326,6 +305,11 @@ def _build_config(overrides: dict) -> ScenarioConfig:
         raise ConfigError(f"config key 'mc_batch_size': a worker thread's batch buffer, "
                           f"{SINR_WORK_ROWS} x 8 bytes x min(mc_batch_size, n_samples), "
                           f"must be at most {_MAX_BATCH_BYTES} bytes")
+    for kind, (bandwidth, _, _) in _RADIO_KEYS.items():
+        try:    # each key passed its rule, so only the radio's noise power can fail
+            cfg.radio(kind)
+        except ValueError as exc:
+            raise ConfigError(f"config key '{bandwidth}': {exc}") from None
     return cfg
 
 
@@ -419,33 +403,28 @@ def _g2a_channel(site, victim, config: ScenarioConfig, env) -> ChannelSpec:
     )
 
 
-def _link(desired, interferers, tx_power_w, bandwidth_hz,
-          config: ScenarioConfig) -> LinkSetup:
+def _link(desired, interferers, radio, config: ScenarioConfig) -> LinkSetup:
     """A link to an aerial vehicle whose interferer channels, in draw
-    order, send at tx_power_w like the desired one."""
-    radio = RadioParams(bandwidth_hz, tx_power_w, config.noise_density_w_hz(),
-                        config.noise_figure_av_db)
+    order, send at radio.tx_power_w like the desired one."""
     return LinkSetup(desired, radio, interferers, config.p_interf,
                      config.interference_mode)
 
 
-def _interfered_link(channel, tx, others, tx_power_w, bandwidth_hz,
-                     config: ScenarioConfig) -> LinkSetup:
+def _interfered_link(channel, tx, others, radio, config: ScenarioConfig) -> LinkSetup:
     """The link from tx, with channel(node) the channel from a node to the
     victim, and as interferers the interferer_count strongest of the others
     that are not tx by mean received power (ties resolve by node id). Every
-    node sends at tx_power_w."""
+    node sends at radio.tx_power_w."""
     ranked = sorted(((o.id, channel(o)) for o in others if o.id != tx.id),
-                    key=lambda item: (-item[1].mean_gain * tx_power_w, item[0]))
+                    key=lambda item: (-item[1].mean_gain * radio.tx_power_w, item[0]))
     return _link(channel(tx), [spec for _, spec in ranked[:config.interferer_count]],
-                 tx_power_w, bandwidth_hz, config)
+                 radio, config)
 
 
 def _g2a_link(site, victim, sites, config) -> LinkSetup:
     env = config.environment()
     return _interfered_link(lambda tx: _g2a_channel(tx, victim, config, env),
-                            site, sites, _dbm_to_w(config.tx_power_gbs_dbm),
-                            config.bandwidth_ga_hz, config)
+                            site, sites, config.radio("g2a"), config)
 
 
 def _a2a_channel(tx, victim, config) -> ChannelSpec:
@@ -463,8 +442,7 @@ def _a2a_link(relay, victim, background, config) -> LinkSetup:
     if geo.distance_3d(relay, victim) <= 0.0:
         raise ValueError("relay and destination poses coincide")
     return _interfered_link(lambda tx: _a2a_channel(tx, victim, config),
-                            relay, background, _dbm_to_w(config.tx_power_av_dbm),
-                            config.bandwidth_aa_hz, config)
+                            relay, background, config.radio("a2a"), config)
 
 
 def _h2a_link(hap, victim, sites, serving_site, config) -> LinkSetup:
@@ -484,7 +462,7 @@ def _h2a_link(hap, victim, sites, serving_site, config) -> LinkSetup:
     aims = [geo.NodePose(s.id, s.x, s.y, config.av_altitude_m)
             for s in sites if s.id != serving_site.id]
     return _link(beam(0.0), [beam(geo.angle_between_deg(hap, aim, victim)) for aim in aims],
-                 _dbm_to_w(config.tx_power_hap_dbm), config.bandwidth_ha_hz, config)
+                 config.radio("h2a"), config)
 
 
 def _g2h_link(gs, hap, config) -> LinkSetup:
@@ -498,9 +476,7 @@ def _g2h_link(gs, hap, config) -> LinkSetup:
         k_db=ch.rice_k_db(config.rice_k_db["g2h"], elevation),
         sf_sigma_db=env.sf_sigma_los_db,
     )
-    return LinkSetup(desired, RadioParams(config.bandwidth_gh_hz,
-                                          _dbm_to_w(config.tx_power_gs_dbm),
-                                          config.noise_density_w_hz(), config.noise_figure_hap_db))
+    return LinkSetup(desired, config.radio("g2h"))
 
 
 def _place_background(config: ScenarioConfig, sites, stream: RngStream) -> list:

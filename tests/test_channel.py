@@ -211,7 +211,7 @@ class TestClutterAndG2h:
             assert 0.0 <= p_los(150.0, 25.0, 300.0, Environment(q3_m=q3_m)) <= 1.0
         for q3_m in (1e-300, math.nextafter(MIN_LENGTH_M, 0.0),
                      math.nextafter(MAX_DISTANCE_M, math.inf), 1e300, math.nan):
-            with pytest.raises(ValueError, match=r"q3_m must lie in \[0.001, 1e\+06\] m"):
+            with pytest.raises(ValueError, match=r"q3_m: expected a length in \[0.001, 1e\+06\] m"):
                 Environment(q3_m=q3_m)
 
     @pytest.mark.parametrize("field", ["sf_sigma_los_db", "sf_sigma_nlos_db"])
@@ -219,7 +219,7 @@ class TestClutterAndG2h:
         # at 100 dB a shadow gain overflows only past |z| = 30.8
         Environment(**{field: SF_SIGMA_MAX_DB})
         for sigma in (-1.0, 100.5, 1e6, math.nan):
-            with pytest.raises(ValueError, match="shadow-fading sigmas"):
+            with pytest.raises(ValueError, match=f"{field}: expected a shadow sigma in"):
                 Environment(**{field: sigma})
 
     def test_channel_shadow_sigma_bounded(self):
@@ -273,7 +273,7 @@ class TestUla:
         # 4000 dBi overflows a double: gains take the config's [-300, 300] dB
         UlaSpec(8, 102.0, 300.0)
         for args in ((8, 102.0, math.nan), (8, 102.0, 4000.0), (8, 102.0, -4000.0)):
-            with pytest.raises(ValueError, match="must be finite"):
+            with pytest.raises(ValueError, match=r"element_gain_max_dbi: expected a level in \[-300, 300\] dB"):
                 UlaSpec(*args)
 
     def test_downtilt_is_a_zenith_angle(self):
@@ -281,7 +281,7 @@ class TestUla:
         for downtilt in (0.0, 180.0):
             UlaSpec(8, downtilt)
         for downtilt in (math.nan, math.inf, -1e-9, 180.0 + 1e-9, 1e300):
-            with pytest.raises(ValueError, match=r"downtilt_deg must lie in \[0, 180\]"):
+            with pytest.raises(ValueError, match=r"downtilt_deg: expected a zenith angle in \[0, 180\]"):
                 UlaSpec(8, downtilt)
 
     def test_total_is_product(self):

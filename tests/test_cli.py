@@ -146,6 +146,10 @@ class TestValidate:
         pytest.param(f"ula_elements: {int(sys.float_info.max)}\n", id="ula_elements: max"),
         # 1e3 times the rate overflowed to inf bit/s, and the row reported success
         "sweep_rates_kbps: [1.7976931348623157e+308]\n",
+        # a noise power of 0 W: every SINR draw divided by zero
+        "bandwidth_gh_hz: 5.0e-324\n",
+        # the slot packet_bits / rate overflowed, and the DA2G delay was infinite
+        "sweep_rates_kbps: [5.0e-324]\n",
     ])
     def test_config_that_crashed_or_misloaded_is_a_finding(self, runner, tmp_path, text):
         bad = tmp_path / "bad.yaml"

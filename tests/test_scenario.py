@@ -10,6 +10,7 @@ import sys
 import textwrap
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,9 +20,13 @@ from hypothesis import strategies as st
 from avlinksim import e2e
 from avlinksim import geometry as geo
 from avlinksim import scenario
-from avlinksim.channel import MAX_DISTANCE_M, MIN_LENGTH_M
-from avlinksim.link import SINR_WORK_ROWS, LinkStats, sinr_sample
-from avlinksim.mathfun import _Q_BLOCK, RngStream
+from avlinksim.channel import MAX_DISTANCE_M, MIN_LENGTH_M, Environment, ReflectorSpec, UlaSpec
+from avlinksim.e2e import BackhaulSpec, QosTarget
+from avlinksim.geometry import GridSpec
+from avlinksim.link import (SINR_WORK_ROWS, ChannelSpec, LinkSetup, LinkStats, RadioParams,
+                            sinr_sample)
+from avlinksim.mathfun import _Q_BLOCK, Interval, RngStream
+from avlinksim.queueing import DURATION_S, QueueSpec
 from avlinksim.scenario import (
     CANONICAL_COMBINATIONS,
     ConfigError,
@@ -290,11 +295,11 @@ class TestLoadConfig:
     def test_every_field_declares_a_rule(self):
         for f in dataclasses.fields(ScenarioConfig):
             rule = f.metadata.get("rule")
-            assert isinstance(rule, (scenario._Rule, scenario._Interval)), f.name
+            assert isinstance(rule, (scenario._Rule, Interval)), f.name
             # every key that takes numbers states them as an interval, which
             # TestEveryInterval reads
             if f.name not in ("interference_mode", "g2a_shadow_fading", "pl_mixture"):
-                assert isinstance(_interval(f.name), scenario._Interval), f.name
+                assert isinstance(_interval(f.name), Interval), f.name
 
     def test_batch_buffer_bounded(self):
         # a worker thread's buffer is (SINR_WORK_ROWS, min(mc_batch_size,
@@ -352,6 +357,26 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=f"'{key}'.*1e\\+06"):
             load_config(_write(tmp_path, text))
 
+    @pytest.mark.parametrize("key", ["bandwidth_ga_hz", "bandwidth_aa_hz", "bandwidth_ha_hz",
+                                     "bandwidth_gh_hz"])
+    def test_bandwidth_whose_noise_power_is_no_normal_double_rejected(self, key):
+        # a noise power that rounds to 0 W divided every SINR draw by zero
+        with pytest.raises(ConfigError, match=f"config key '{key}': noise_power_w: expected a "
+                                              r"noise power .* in \[2.22507e-308, "):
+            scenario._build_config({key: 5e-324})
+
+    def test_lowest_rate_keeps_the_slot_finite(self):
+        # at 5e-324 kbps packet_bits / rate overflowed and the DA2G delay was infinite
+        low = _interval("sweep_rates_kbps").low
+        config = scenario._build_config({"packet_bits": scenario._MAX_PACKET_BITS,
+                                         "sweep_rates_kbps": [low], "n_samples": 200})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = run_rate_sweep(config).rows
+        assert all(math.isfinite(row.delay_s) and row.eps_e2e < 1.0 for row in rows)
+        with pytest.raises(ConfigError, match="'sweep_rates_kbps': expected"):
+            scenario._build_config({"sweep_rates_kbps": [math.nextafter(low, 0.0)]})
+
     def test_distance_at_the_los_bound_accepted(self, tmp_path):
         cfg = load_config(_write(tmp_path, "r_ga_m: 1000000\nregion_r_edges_m: [0, 1000000]\n"
                                            "isd_m: 250000\ngrid_tiers: 4\n"))
@@ -400,7 +425,7 @@ def _interval(key):
     """The interval of key's numbers: its rule, or a list, table or nullable
     rule's interval of each number (None for the other rules)."""
     rule = scenario._FIELDS[key].metadata["rule"]
-    return rule if isinstance(rule, scenario._Interval) else rule.interval
+    return rule if isinstance(rule, Interval) else rule.interval
 
 
 def _accepts(key, value) -> bool:
@@ -414,8 +439,8 @@ def _accepts(key, value) -> bool:
 DEFAULTS = ScenarioConfig()
 HEIGHTS = ("gbs_height_m", "av_altitude_m", "hap_altitude_m")
 INTERVAL_KEYS = [key for key in scenario._FIELDS if _interval(key)]
-# a tiny run: one rate, one topology, one region column
-TINY = {"n_samples": 200, "sweep_rates_kbps": [100.0], "region_topologies": 1,
+# a tiny run: two rates, one topology, one region column
+TINY = {"n_samples": 200, "sweep_rates_kbps": [100.0, 200.0], "region_topologies": 1,
         "region_r_edges_m": [140.0, 160.0], "region_rates_kbps": [100.0]}
 # keys that set only how long a run takes: a value above the tiny run's is
 # checked by its rule alone, as the run would take as long as the value asks
@@ -425,9 +450,12 @@ HOLDING = {
     "clutter_loss_db": lambda v: [v] * 9,
     "rice_k_db": lambda v: dict.fromkeys(DEFAULTS.rice_k_db, [v, v]),
     "region_r_edges_m": lambda v: [v, MAX_DISTANCE_M] if v < 1.0 else [0.0, v],
-    "sweep_rates_kbps": lambda v: [v],
+    # and the tiny run's first rate, so the run has two rates inside the interval
+    "sweep_rates_kbps": lambda v: [v, TINY["sweep_rates_kbps"][0]],
     "region_rates_kbps": lambda v: [v],
 }
+# bandwidth key -> the link kind of its radio
+BANDWIDTHS = {keys[0]: kind for kind, keys in scenario._RADIO_KEYS.items()}
 
 
 def _next(x, toward, kind):
@@ -501,6 +529,14 @@ def _check(key, number, accepted):
         with pytest.raises(ConfigError, match="must exceed|expected a length"):
             scenario._build_config(keys)
         return
+    if key in BANDWIDTHS:
+        try:
+            dataclasses.replace(DEFAULTS, **{key: value}).radio(BANDWIDTHS[key])
+        except ValueError:
+            # bandwidth x noise density x noise figure is no normal double
+            with pytest.raises(ConfigError, match=f"'{key}': noise_power_w: expected"):
+                scenario._build_config(keys)
+            return
     config = scenario._build_config(keys)
     if any(getattr(config, k) > size for k, size in RUN_LENGTH.items()):
         return
@@ -508,9 +544,16 @@ def _check(key, number, accepted):
         labels = {cell.label for cell in run_operating_region(config).cells}
         assert labels <= {*CANONICAL_COMBINATIONS, "none"}, number
         return
-    for row in run_rate_sweep(config).rows:
+    rows = run_rate_sweep(config).rows
+    for row in rows:
         assert 0.0 <= row.eps_e2e <= 1.0 and row.delay_s > 0.0, (number, row)
         assert not math.isnan(row.eps_std_error + row.delay_std_error), (number, row)
+    # the same draws at the higher rate: no label's error falls
+    eps = {}
+    for row in rows:
+        eps.setdefault(row.rate_bps, {})[row.label] = row.eps_e2e
+    low, high = eps[min(eps)], eps[max(eps)]
+    assert all(high[label] >= low[label] for label in low), (number, low, high)
 
 
 class TestEveryInterval:
@@ -530,6 +573,119 @@ class TestEveryInterval:
             _check(key, number, True)
 
         inside()
+
+
+# ============================================================
+# Every interval a model field declares
+# ============================================================
+
+_DESIRED = ChannelSpec(pl_db=90.0, tx_gain=1.0, rx_gain=1.0, k_db=10.0)
+_RADIO = RadioParams(4e5, 0.2, 4e-21)
+# each model class, with a value for each field that has no default
+MODELS = {
+    RadioParams: {"bandwidth_hz": 4e5, "tx_power_w": 0.2, "noise_density_w_hz": 4e-21},
+    ChannelSpec: {"pl_db": 90.0, "tx_gain": 1.0, "rx_gain": 1.0, "k_db": 10.0},
+    LinkSetup: {"desired": _DESIRED, "radio": _RADIO},
+    Environment: {}, UlaSpec: {}, ReflectorSpec: {}, GridSpec: {},
+    QueueSpec: {"arrival_rate_pps": 1000.0, "delay_bound_s": 3e-4, "violation_prob": 1e-7},
+    BackhaulSpec: {}, QosTarget: {"eps_th": 1e-5, "d_max_s": 1e-2},
+}
+MODEL_FIELDS = [pytest.param(model, f, id=f"{model.__name__}.{f.name}") for model in MODELS
+                for f in dataclasses.fields(model) if "interval" in f.metadata]
+# the radio's noise power is the product of these two and the noise figure,
+# so a probe of one takes the reciprocal of the other
+NOISE_FACTORS = {"bandwidth_hz": "noise_density_w_hz", "noise_density_w_hz": "bandwidth_hz"}
+# config key -> the model field it feeds in the same unit
+SHARED = {
+    "q1": (Environment, "q1"), "q2_per_km2": (Environment, "q2"), "q3_m": (Environment, "q3_m"),
+    "sf_sigma_los_db": (Environment, "sf_sigma_los_db"),
+    "sf_sigma_nlos_db": (Environment, "sf_sigma_nlos_db"),
+    "clutter_loss_db": (Environment, "clutter_loss_table_db"),
+    "ula_elements": (UlaSpec, "n_elements"), "ula_downtilt_deg": (UlaSpec, "downtilt_deg"),
+    "ula_element_gain_dbi": (UlaSpec, "element_gain_max_dbi"),
+    "hap_max_gain_dbi": (ReflectorSpec, "max_gain_dbi"),
+    "hap_aperture_radius_wavelengths": (ReflectorSpec, "aperture_radius_wavelengths"),
+    "isd_m": (GridSpec, "isd_m"), "grid_tiers": (GridSpec, "tiers"),
+    "gbs_height_m": (GridSpec, "bs_height_m"),
+    **{key: (RadioParams, "bandwidth_hz") for key in BANDWIDTHS},
+    "noise_figure_av_db": (RadioParams, "noise_figure_db"),
+    "noise_figure_hap_db": (RadioParams, "noise_figure_db"),
+    "p_interf": (LinkSetup, "p_interf"), "eps_b": (BackhaulSpec, "eps"),
+    "eps_th": (QosTarget, "eps_th"), "eps_q": (QueueSpec, "violation_prob"),
+    **{keys[0]: (QueueSpec, "arrival_rate_pps") for keys in scenario._QUEUE_KEYS.values()},
+    **{keys[1]: (QueueSpec, "service_rate_pps") for keys in scenario._QUEUE_KEYS.values()},
+}
+
+
+def _numpy(number, kind):
+    """number as a numpy scalar of kind, or None where none holds it."""
+    if kind is int:
+        return np.int64(number) if abs(number) < 2 ** 63 else None
+    return np.float64(number)
+
+
+class TestEveryModelInterval:
+    """One field at a time, the others at their defaults: each end of the
+    interval a model field declares, the next numbers inside and outside
+    it, and NaN. A value inside constructs, as the same number does as a
+    numpy scalar, and one outside raises a ValueError that names the field
+    and its interval."""
+
+    @pytest.mark.parametrize("model, f", MODEL_FIELDS)
+    def test_accepted_values_construct_and_others_are_named(self, model, f):
+        interval = f.metadata["interval"]
+        for number, accepted in [*_ends(interval), (math.nan, False)]:
+            for value in (number, _numpy(number, interval.kind)):
+                if value is None:
+                    continue
+                kwargs = {**MODELS[model], f.name: (value,) * 9 if f.metadata["each"] else value}
+                if accepted and f.name in NOISE_FACTORS and model is RadioParams:
+                    kwargs[NOISE_FACTORS[f.name]] = min(1.0 / number, sys.float_info.max)
+                if accepted:
+                    model(**kwargs)
+                    continue
+                with pytest.raises(ValueError) as rejected:
+                    model(**kwargs)
+                assert str(rejected.value).startswith(f"{f.name}: expected {interval}, got "), \
+                    (number, str(rejected.value))
+
+    def test_every_bounded_model_is_probed(self):
+        assert {p.values[0] for p in MODEL_FIELDS} == set(MODELS)
+
+    @pytest.mark.parametrize("key", SHARED)
+    def test_config_key_takes_its_fields_interval(self, key):
+        # the same object, so the config accepts exactly what the model does
+        model, name = SHARED[key]
+        assert _interval(key) is model.__dataclass_fields__[name].metadata["interval"]
+
+    def test_durations_are_the_seconds_image_of_the_config_interval(self):
+        ms = scenario._DURATION
+        for model, name in ((QueueSpec, "delay_bound_s"), (BackhaulSpec, "delay_s"),
+                            (QosTarget, "d_max_s")):
+            assert model.__dataclass_fields__[name].metadata["interval"] is DURATION_S
+        for key in ("delay_threshold_ms", "backhaul_delay_ms", "queue_delay_bound_ms"):
+            assert _interval(key) is ms
+        # the lowest millisecond value the config accepts is the lowest whose
+        # value in seconds the models accept
+        assert ms.low * 1e-3 in DURATION_S
+        assert math.nextafter(ms.low, 0.0) * 1e-3 not in DURATION_S
+
+    @pytest.mark.parametrize("build, name", [
+        (lambda: UlaSpec(10 ** 31), "n_elements"),
+        (lambda: UlaSpec(10 ** 400), "n_elements"),       # an OverflowError in ula_gain
+        (lambda: QueueSpec(1000.0, 3e-4, 1e-7, service_rate_pps=0.0), "service_rate_pps"),
+        (lambda: QueueSpec(1000.0, 5e-324, 1e-7), "delay_bound_s"),   # an infinite bandwidth
+        (lambda: GridSpec(isd_m=1e-300), "isd_m"),
+        (lambda: GridSpec(bs_height_m=-5), "bs_height_m"),
+        (lambda: Environment(clutter_loss_table_db=(math.inf,) * 9), "clutter_loss_table_db"),
+        (lambda: RadioParams(math.inf, 0.2, 4e-21), "bandwidth_hz"),
+        (lambda: BackhaulSpec(delay_s=0.0), "delay_s"),
+        (lambda: RadioParams(5e-324, 0.2, 4e-21), "noise_power_w"),     # divided every SINR by 0
+    ])
+    def test_input_the_config_rejects_is_rejected_by_name(self, build, name):
+        # each was accepted by its model class while its config key refused it
+        with pytest.raises(ValueError, match=f"^{name}: expected "):
+            build()
 
 
 class TestConfigHash:
