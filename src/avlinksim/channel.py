@@ -75,6 +75,7 @@ class Environment:
                                           (0.0,) * 9, each=True)
 
     def __post_init__(self):
+        object.__setattr__(self, "clutter_loss_table_db", tuple(self.clutter_loss_table_db))
         check_fields(self)
         if len(self.clutter_loss_table_db) != 9:
             raise ValueError("clutter_loss_table_db needs one entry per 10-degree bin (9)")

@@ -337,6 +337,10 @@ def link_budget(kind, distance_m, config_path) -> None:
 # Embedded invariants
 # ============================================================
 
+# the shipped defaults, which the invariants check
+_DEFAULTS = scenario.ScenarioConfig()
+
+
 def _inv_gaussian_q_round_trip() -> None:
     for p in (1e-7, 1e-5, 1e-2, 0.4):
         x = mathfun.gaussian_q_inv(p)
@@ -351,10 +355,11 @@ def _inv_fbl_round_trip() -> None:
 
 
 def _inv_hex_grid() -> None:
-    sites = geometry.hex_grid(geometry.GridSpec())
-    assert len(sites) == 37, f"expected 37 sites, got {len(sites)}"
+    tiers, sites = _DEFAULTS.grid_tiers, geometry.hex_grid(_DEFAULTS.grid())
+    count = 3 * tiers ** 2 + 3 * tiers + 1
+    assert len(sites) == count, f"expected {count} sites, got {len(sites)}"
     dmin = min(geometry.distance_2d(sites[0], s) for s in sites[1:])
-    assert abs(dmin - 500.0) < 1e-9, "nearest-site spacing is not one ISD"
+    assert abs(dmin - _DEFAULTS.isd_m) < 1e-9, "nearest-site spacing is not one ISD"
 
 
 def _inv_rician_unit_mean() -> None:
@@ -370,7 +375,7 @@ def _inv_chain_loss() -> None:
 
 
 def _inv_effective_bandwidth() -> None:
-    spec = queueing.QueueSpec(1000.0, 0.3e-3, 1e-7)
+    spec = _DEFAULTS.queue("gbs")
     e_bw = queueing.effective_bandwidth(spec)
     assert e_bw > spec.arrival_rate_pps, "effective bandwidth below arrival rate"
     assert abs(e_bw - 13423.836634389200146) < 1e-6, "effective bandwidth drifted"
@@ -383,16 +388,16 @@ def _inv_stream_map() -> None:
 
 
 def _inv_antenna_peaks() -> None:
-    ula = channel.UlaSpec()
+    ula = _DEFAULTS.ula()
     af = channel.ula_array_factor(ula.downtilt_deg, ula)
     assert abs(af - ula.n_elements) < 1e-9, "boresight array factor is not N"
-    hap = channel.ReflectorSpec()
-    assert abs(channel.hap_gain(0.0, hap) - 10.0 ** 3.2) < 1e-9, "on-axis beam gain"
+    peak = 10.0 ** (_DEFAULTS.hap_max_gain_dbi / 10.0)
+    assert abs(channel.hap_gain(0.0, _DEFAULTS.reflector()) - peak) < 1e-9, "on-axis beam gain"
 
 
 def _inv_los_probability() -> None:
-    env = channel.Environment()
-    values = [channel.p_los(r, 25.0, 300.0, env) for r in (10, 150, 600, 2000)]
+    env, h_g, h_a = _DEFAULTS.environment(), _DEFAULTS.gbs_height_m, _DEFAULTS.av_altitude_m
+    values = [channel.p_los(r, h_g, h_a, env) for r in (10, 150, 600, 2000)]
     assert all(0.0 <= v <= 1.0 for v in values), "LoS probability out of range"
     assert all(a >= b for a, b in zip(values, values[1:])), "LoS must not grow with range"
 

@@ -35,7 +35,6 @@ from .e2e import CANONICAL_COMBINATIONS
 from .link import (
     LEVEL,
     LEVEL_MAX_DB,
-    SF_SIGMA,
     SINR_WORK_ROWS,
     ChannelSpec,
     LinkSetup,
@@ -90,11 +89,6 @@ def _floats(shape: str, ok, each: Interval) -> _Rule:
                  and all(x in each for x in v) and ok(v), lambda v: tuple(map(float, v)), each)
 
 
-# A key that feeds a model field in its unit takes the field's interval as its rule
-def _of(model, name: str) -> Interval:
-    return model.__dataclass_fields__[name].metadata["interval"]
-
-
 _COUNT = Interval("an integer in {}", 1, math.inf, "[)", kind=int)
 # a carrier frequency [GHz]: the term 20 log10(fc_ghz) of every path loss is a
 # level too, so it takes the levels' bound, fc_ghz in [1e-15, 1e15]
@@ -124,11 +118,20 @@ _MAX_AV_COUNT = 10_000
 _MAX_PACKET_BITS = 2 ** 53
 
 
-def _key(default, rule: _Rule | Interval):
-    """A config field: its default, and the rule every loaded value passes."""
+def _key(default, rule: _Rule | Interval, feeds: tuple = (None, None)):
+    """A config field: its default, its load rule and the (model, field) it feeds (_of)."""
+    metadata = {"rule": rule, "feeds": feeds}
     if isinstance(default, dict):
-        return field(default_factory=lambda: dict(default), metadata={"rule": rule})
-    return field(default=default, metadata={"rule": rule})
+        return field(default_factory=lambda: dict(default), metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
+def _of(model, name: str, default=dataclasses.MISSING, rule=lambda interval: interval):
+    """A config field declared by the model field it feeds, in its unit: the field's
+    interval, or rule(interval) for a list, and its default unless it states its own."""
+    f = model.__dataclass_fields__[name]
+    return _key(f.default if default is dataclasses.MISSING else default,
+                rule(f.metadata["interval"]), (model, name))
 
 
 # link kind -> (bandwidth key, transmit power key, noise figure key) of its radio
@@ -158,10 +161,10 @@ class ScenarioConfig:
     # traffic
     packet_bits: int = _key(256, Interval("a size in {} bits", 1, _MAX_PACKET_BITS, kind=int))
     # backhaul (BackhaulSpec)
-    eps_b: float = _key(1e-6, _of(e2e.BackhaulSpec, "eps"))
+    eps_b: float = _of(e2e.BackhaulSpec, "eps")
     backhaul_delay_ms: float = _key(1.0, _DURATION)
     # interference model (LinkSetup)
-    p_interf: float = _key(0.01, _of(LinkSetup, "p_interf"))
+    p_interf: float = _of(LinkSetup, "p_interf", 0.01)
     interference_mode: str = _key("expected", _Rule("'expected' or 'bernoulli'",
                                                     lambda v: v in ("expected", "bernoulli")))
     interferer_count: int = _key(6, _COUNT)
@@ -180,16 +183,15 @@ class ScenarioConfig:
     noise_figure_hap_db: float = _key(5.0, LEVEL)
     av_antenna_gain_dbi: float = _key(0.0, LEVEL)
     gs_antenna_gain_dbi: float = _key(0.0, LEVEL)
-    ula_elements: int = _key(8, _of(ch.UlaSpec, "n_elements"))
-    ula_downtilt_deg: float = _key(102.0, _of(ch.UlaSpec, "downtilt_deg"))
-    ula_element_gain_dbi: float = _key(8.0, LEVEL)
-    hap_max_gain_dbi: float = _key(32.0, LEVEL)
-    hap_aperture_radius_wavelengths: float = _key(
-        10.0, _of(ch.ReflectorSpec, "aperture_radius_wavelengths"))
+    ula_elements: int = _of(ch.UlaSpec, "n_elements")
+    ula_downtilt_deg: float = _of(ch.UlaSpec, "downtilt_deg")
+    ula_element_gain_dbi: float = _of(ch.UlaSpec, "element_gain_max_dbi")
+    hap_max_gain_dbi: float = _of(ch.ReflectorSpec, "max_gain_dbi")
+    hap_aperture_radius_wavelengths: float = _of(ch.ReflectorSpec, "aperture_radius_wavelengths")
     # geometry
-    isd_m: float = _key(500.0, ch.LENGTH)
-    grid_tiers: int = _key(3, _of(geo.GridSpec, "tiers"))
-    gbs_height_m: float = _key(25.0, ch.LENGTH)
+    isd_m: float = _of(geo.GridSpec, "isd_m")
+    grid_tiers: int = _of(geo.GridSpec, "tiers")
+    gbs_height_m: float = _of(geo.GridSpec, "bs_height_m")
     av_altitude_m: float = _key(300.0, ch.LENGTH)
     hap_altitude_m: float = _key(20000.0, ch.LENGTH)
     hap_gs_offset_m: float = _key(5000.0, ch.LENGTH)
@@ -197,15 +199,15 @@ class ScenarioConfig:
     av_count: int = _key(10, Interval("a vehicle count in {}", 2, _MAX_AV_COUNT, kind=int))
     r_ga_m: float = _key(150.0, ch.LENGTH)
     # propagation environment (ITU-R P.1410: built-up ratio, density, height scale)
-    q1: float = _key(0.3, _of(ch.Environment, "q1"))
-    q2_per_km2: float = _key(500.0, _of(ch.Environment, "q2"))
-    q3_m: float = _key(20.0, ch.LENGTH)
-    sf_sigma_los_db: float = _key(4.0, SF_SIGMA)
-    sf_sigma_nlos_db: float = _key(6.0, SF_SIGMA)
+    q1: float = _of(ch.Environment, "q1")
+    q2_per_km2: float = _of(ch.Environment, "q2")
+    q3_m: float = _of(ch.Environment, "q3_m")
+    sf_sigma_los_db: float = _of(ch.Environment, "sf_sigma_los_db")
+    sf_sigma_nlos_db: float = _of(ch.Environment, "sf_sigma_nlos_db")
     g2a_shadow_fading: bool = _key(False, _Rule("a boolean", lambda v: isinstance(v, bool)))
     pl_mixture: str = _key("db", _Rule("'db' or 'linear'", lambda v: v in ("db", "linear")))
-    clutter_loss_db: tuple = _key((0.0,) * 9, _floats(
-        "a list of 9", lambda v: len(v) == 9, _of(ch.Environment, "clutter_loss_table_db")))
+    clutter_loss_db: tuple = _of(ch.Environment, "clutter_loss_table_db", rule=lambda each:
+                                 _floats("a list of 9", lambda v: len(v) == 9, each))
     # [k_min, k_max] dB per link kind, linear in the 10-degree elevation bin
     rice_k_db: dict = _key(
         {"g2a": (5.0, 12.0), "a2a": (12.0, 12.0), "g2h": (5.0, 15.0), "h2a": (12.0, 15.0)},
@@ -239,24 +241,15 @@ class ScenarioConfig:
 
     # -------- derived views --------
 
-    def environment(self) -> ch.Environment:
-        return ch.Environment(
-            q1=self.q1,
-            q2=self.q2_per_km2,
-            q3_m=self.q3_m,
-            sf_sigma_los_db=self.sf_sigma_los_db,
-            sf_sigma_nlos_db=self.sf_sigma_nlos_db,
-            clutter_loss_table_db=tuple(self.clutter_loss_db),
-        )
+    def _model(self, model):
+        """model, each of its fields from the key that feeds it (_of)."""
+        return model(**{f.metadata["feeds"][1]: getattr(self, f.name)
+                        for f in _FIELDS.values() if f.metadata["feeds"][0] is model})
 
-    def ula(self) -> ch.UlaSpec:
-        return ch.UlaSpec(self.ula_elements, self.ula_downtilt_deg, self.ula_element_gain_dbi)
-
-    def reflector(self) -> ch.ReflectorSpec:
-        return ch.ReflectorSpec(self.hap_max_gain_dbi, self.hap_aperture_radius_wavelengths)
-
-    def grid(self) -> geo.GridSpec:
-        return geo.GridSpec(self.isd_m, self.grid_tiers, self.gbs_height_m)
+    environment = functools.partialmethod(_model, ch.Environment)
+    ula = functools.partialmethod(_model, ch.UlaSpec)
+    reflector = functools.partialmethod(_model, ch.ReflectorSpec)
+    grid = functools.partialmethod(_model, geo.GridSpec)
 
     def qos(self) -> e2e.QosTarget:
         return e2e.QosTarget(self.eps_th, self.delay_threshold_ms * 1e-3)
@@ -382,7 +375,7 @@ def _dbi_to_lin(dbi: float) -> float:
     return 10.0 ** (dbi / 10.0)
 
 
-def _g2a_channel(site, victim, config: ScenarioConfig, env) -> ChannelSpec:
+def _g2a_channel(site, victim, config: ScenarioConfig, env, ula) -> ChannelSpec:
     zenith = geo.zenith_angle_deg(site, victim)
     elevation = max(geo.elevation_angle_deg(site, victim), 0.0)
     pl = ch.pl_avg_g2a_db(
@@ -396,7 +389,7 @@ def _g2a_channel(site, victim, config: ScenarioConfig, env) -> ChannelSpec:
     sf = env.sf_sigma_los_db if config.g2a_shadow_fading else 0.0
     return ChannelSpec(
         pl_db=pl,
-        tx_gain=float(ch.ula_gain(zenith, config.ula())),
+        tx_gain=float(ch.ula_gain(zenith, ula)),
         rx_gain=_dbi_to_lin(config.av_antenna_gain_dbi),
         k_db=ch.rice_k_db(config.rice_k_db["g2a"], min(elevation, 90.0)),
         sf_sigma_db=sf,
@@ -422,8 +415,8 @@ def _interfered_link(channel, tx, others, radio, config: ScenarioConfig) -> Link
 
 
 def _g2a_link(site, victim, sites, config) -> LinkSetup:
-    env = config.environment()
-    return _interfered_link(lambda tx: _g2a_channel(tx, victim, config, env),
+    env, ula = config.environment(), config.ula()
+    return _interfered_link(lambda tx: _g2a_channel(tx, victim, config, env, ula),
                             site, sites, config.radio("g2a"), config)
 
 

@@ -615,6 +615,48 @@ SHARED = {
     **{keys[0]: (QueueSpec, "arrival_rate_pps") for keys in scenario._QUEUE_KEYS.values()},
     **{keys[1]: (QueueSpec, "service_rate_pps") for keys in scenario._QUEUE_KEYS.values()},
 }
+# model -> the config view that builds it, from a key for each of its fields
+VIEWS = {Environment: ScenarioConfig.environment, UlaSpec: ScenarioConfig.ula,
+         ReflectorSpec: ScenarioConfig.reflector, GridSpec: ScenarioConfig.grid}
+# the keys whose default is their model field's: each key of a view, and eps_b
+VIEW_KEYS = [key for key, (model, _) in SHARED.items() if model in VIEWS]
+FIELD_DEFAULT_KEYS = [*VIEW_KEYS, "eps_b"]
+# a value of each view key inside its interval, other than its default
+OTHER = {
+    "q1": 0.5, "q2_per_km2": 300.0, "q3_m": 15.0, "sf_sigma_los_db": 3.0,
+    "sf_sigma_nlos_db": 7.0, "clutter_loss_db": [float(i) for i in range(1, 10)],
+    "ula_elements": 4, "ula_downtilt_deg": 95.0, "ula_element_gain_dbi": 5.0,
+    "hap_max_gain_dbi": 30.0, "hap_aperture_radius_wavelengths": 5.0,
+    "isd_m": 400.0, "grid_tiers": 2, "gbs_height_m": 30.0,
+}
+
+
+class TestKeysDeclaredByTheirField:
+    """A key that feeds a model field in its unit is declared by that field:
+    it takes the field's default, and the view of its model reads it."""
+
+    @pytest.mark.parametrize("key", FIELD_DEFAULT_KEYS)
+    def test_config_default_is_its_fields(self, key):
+        model, name = SHARED[key]
+        assert scenario._FIELDS[key].metadata["feeds"] == (model, name)
+        default, want = getattr(ScenarioConfig(), key), model.__dataclass_fields__[name].default
+        assert default == want and type(default) is type(want), (default, want)
+
+    @pytest.mark.parametrize("model", VIEWS)
+    def test_view_at_defaults_is_the_models_default(self, model):
+        # and every field of the model has its key
+        assert {name for m, name in SHARED.values() if m is model} \
+            == {f.name for f in dataclasses.fields(model)}
+        assert VIEWS[model](ScenarioConfig()) == model()
+
+    @pytest.mark.parametrize("key", VIEW_KEYS)
+    def test_view_key_reaches_its_field(self, key):
+        model, name = SHARED[key]
+        cfg = scenario._build_config({key: OTHER[key]})
+        value = getattr(cfg, key)
+        assert value != getattr(ScenarioConfig(), key)
+        # that field takes the value, and every other field keeps its default
+        assert VIEWS[model](cfg) == dataclasses.replace(model(), **{name: value})
 
 
 def _numpy(number, kind):
