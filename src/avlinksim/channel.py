@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .link import LEVEL, LEVEL_MAX_DB, SF_SIGMA
-from .mathfun import Interval, bessel_j1, check_fields, within
+from .mathfun import Interval, _floats, bessel_j1, check_fields, within
 
 __all__ = [
     "Q2_MAX_PER_KM2",
@@ -71,14 +71,11 @@ class Environment:
     sf_sigma_nlos_db: float = within(SF_SIGMA, 6.0)
     # additional loss per 10-degree elevation bin for the ground->platform
     # link; all-zero placeholder until a measured table is configured
-    clutter_loss_table_db: tuple = within(Interval("a loss in {} dB", 0, math.inf, "[)"),
-                                          (0.0,) * 9, each=True)
+    clutter_loss_table_db: tuple = within(_floats("a list of 9", lambda v: len(v) == 9,
+                                                  Interval("a loss in {} dB", 0, math.inf, "[)")),
+                                          (0.0,) * 9)
 
-    def __post_init__(self):
-        object.__setattr__(self, "clutter_loss_table_db", tuple(self.clutter_loss_table_db))
-        check_fields(self)
-        if len(self.clutter_loss_table_db) != 9:
-            raise ValueError("clutter_loss_table_db needs one entry per 10-degree bin (9)")
+    __post_init__ = check_fields
 
 
 # ============================================================

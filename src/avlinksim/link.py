@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mathfun import (_Q_BLOCK, _Q_FLUSH, POSITIVE, Interval, check_fields, gaussian_q,
+from .mathfun import (_Q_BLOCK, _Q_FLUSH, POSITIVE, Interval, _Rule, check_fields, gaussian_q,
                       gaussian_q_inv, sample_rician_power, within)
 
 __all__ = [
@@ -56,6 +56,22 @@ LEVEL_MAX_DB = 300.0
 LEVEL = Interval("a level in {} dB", -LEVEL_MAX_DB, LEVEL_MAX_DB)
 SF_SIGMA = Interval("a shadow sigma in {} dB", 0, SF_SIGMA_MAX_DB)
 _GAIN = Interval("a linear gain in {}", 0, math.inf, "[)")
+
+
+def _drawable_loss(pl_db) -> bool:
+    """Whether the linear gain of pl_db [dB] is a finite double (0 included, NaN's is NaN)."""
+    try:
+        return math.isfinite(10.0 ** (-float(pl_db) / 10.0))
+    except (OverflowError, TypeError, ValueError):
+        return False
+
+
+_LOSS = _Rule("a number whose linear gain 10^(-pl_db/10) is a finite double",
+              _drawable_loss, float)
+# a Rice factor: a level, or infinite (Rayleigh or no fading)
+_RICE_FACTOR = _Rule(f"{LEVEL} or an infinite one",
+                     lambda v: v in LEVEL or v in (math.inf, -math.inf), float)
+_MODES = _Rule("'expected' or 'bernoulli'", lambda v: v in ("expected", "bernoulli"))
 # the noise power divides every SINR draw
 _NOISE_POWER = Interval("a noise power (bandwidth x noise density x noise figure) in {} W",
                         sys.float_info.min, sys.float_info.max)
@@ -85,23 +101,13 @@ class RadioParams:
 class ChannelSpec:
     """Statistical description of one fading channel."""
 
-    pl_db: float              # deterministic path-loss part
+    pl_db: float = within(_LOSS)    # deterministic path-loss part
     tx_gain: float = within(_GAIN)
     rx_gain: float = within(_GAIN)
-    k_db: float               # Rice factor
+    k_db: float = within(_RICE_FACTOR)
     sf_sigma_db: float = within(SF_SIGMA, 0.0)  # per-draw lognormal shadow sigma
 
-    def __post_init__(self):
-        try:    # NaN gives NaN, which is not finite either
-            finite = math.isfinite(10.0 ** (-float(self.pl_db) / 10.0))
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise ValueError(f"pl_db must be a number whose linear gain 10^(-pl_db/10) "
-                             f"is a finite double, got {self.pl_db!r}")
-        check_fields(self)
-        if not (self.k_db in LEVEL or self.k_db in (math.inf, -math.inf)):
-            raise ValueError(f"k_db: expected {LEVEL} or an infinite one, got {self.k_db!r}")
+    __post_init__ = check_fields
 
     @property
     def mean_gain(self) -> float:
@@ -123,13 +129,11 @@ class LinkSetup:
     radio: RadioParams
     interferers: tuple = ()
     p_interf: float = within(Interval("a probability in {}", 0, 1), 0.0)
-    mode: str = "expected"
+    mode: str = within(_MODES, "expected")
 
     def __post_init__(self):
         object.__setattr__(self, "interferers", tuple(self.interferers))    # hashable
         check_fields(self)
-        if self.mode not in ("expected", "bernoulli"):
-            raise ValueError("mode must be 'expected' or 'bernoulli'")
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ Provides:
  - bessel_j1                   : Bessel function of the reflector beam pattern
  - sample_rician_power         : unit-mean Rician power fades
  - RngStream                   : counter-based, splittable random streams
- - Interval / within / check_fields : bounds, as a model field declares them
+ - Interval / within / check_fields : the rule a field declares, and its check
 
 Only numpy and the standard library are used.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -73,20 +73,42 @@ class Interval(NamedTuple):
 POSITIVE = Interval("a number in {}", 0, math.inf, "()")
 
 
-def within(interval: Interval, default=dataclasses.MISSING, each: bool = False):
-    """A model field whose value, or each of whose values, lies in interval;
-    a default of None lets the value be None too. check_fields reads it."""
-    return dataclasses.field(default=default, metadata={"interval": interval, "each": each})
+class _Rule(NamedTuple):
+    """The values ok accepts, as want names them; coerce gives each its stored form."""
+    want: str
+    ok: Callable[[object], bool]
+    coerce: Callable = lambda v: v
+    interval: Interval | None = None    # of each number of a list or table, or of a number or null
+
+    def __str__(self) -> str:
+        return self.want
+
+    def check(self, name: str, value, error=ValueError):
+        """As Interval.check: the coerced value, or else an error naming name and want."""
+        if not self.ok(value):
+            raise error(f"{name}: expected {self}, got {value!r}")
+        return self.coerce(value)
 
 
-def check_fields(model) -> None:
-    """A model class's __post_init__: raise ValueError naming the first field
-    outside the interval it declares (within)."""
+def _floats(shape: str, ok, each: Interval) -> _Rule:
+    """A list or tuple that ok accepts, of numbers in each, stored as a tuple of floats."""
+    return _Rule(f"{shape}, each {each}", lambda v: isinstance(v, (list, tuple))
+                 and all(x in each for x in v) and ok(v), lambda v: tuple(map(float, v)), each)
+
+
+def within(rule: Interval | _Rule, default=dataclasses.MISSING):
+    """A field whose value rule checks and coerces; check_fields reads it."""
+    return dataclasses.field(default=default, metadata={"rule": rule})
+
+
+def check_fields(model, error=ValueError, name: str = "{}") -> None:
+    """A dataclass's __post_init__: store each field that declares a rule
+    (within) as the rule coerces it, or raise error naming the first field
+    the rule rejects, as name formats it."""
     for f in dataclasses.fields(model):
-        value = getattr(model, f.name)
-        if "interval" in f.metadata and not (value is None and f.default is None):
-            for v in value if f.metadata["each"] else (value,):
-                f.metadata["interval"].check(f.name, v)
+        if "rule" in f.metadata:
+            value = f.metadata["rule"].check(name.format(f.name), getattr(model, f.name), error)
+            object.__setattr__(model, f.name, value)
 
 
 # ============================================================

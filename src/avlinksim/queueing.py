@@ -11,7 +11,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .mathfun import POSITIVE, Interval, check_fields, within
+from .mathfun import POSITIVE, Interval, _Rule, check_fields, within
 
 __all__ = ["DURATION_S", "OPEN_PROBABILITY", "QueueSpec", "effective_bandwidth"]
 
@@ -19,6 +19,9 @@ __all__ = ["DURATION_S", "OPEN_PROBABILITY", "QueueSpec", "effective_bandwidth"]
 # double, and so is its value in milliseconds
 DURATION_S = Interval("a duration in {} s", 1e-303, math.inf, "[)")
 OPEN_PROBABILITY = Interval("a probability in {}", 0, 1, "()")
+# a provisioned service rate [1/s], or None (null in a config file): not provisioned
+_SERVICE = _Rule(f"{POSITIVE} or null", lambda v: v is None or v in POSITIVE,
+                 lambda v: None if v is None else float(v), POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -26,8 +29,7 @@ class QueueSpec:
     arrival_rate_pps: float = within(POSITIVE)         # mean packet arrival rate [1/s]
     delay_bound_s: float = within(DURATION_S)          # queueing-delay bound
     violation_prob: float = within(OPEN_PROBABILITY)   # allowed P[delay > bound]
-    # provisioned service rate; None: not provisioned
-    service_rate_pps: float | None = within(POSITIVE, None)
+    service_rate_pps: float | None = within(_SERVICE, None)
 
     __post_init__ = check_fields
 

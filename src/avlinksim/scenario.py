@@ -23,7 +23,6 @@ import json
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
 
 import numpy as np
 import yaml
@@ -43,7 +42,7 @@ from .link import (
     decoding_error_stats,
     sinr_sample,
 )
-from .mathfun import POSITIVE, Interval, RngStream
+from .mathfun import POSITIVE, Interval, RngStream, _floats, _Rule, check_fields
 from .queueing import DURATION_S, OPEN_PROBABILITY, QueueSpec, effective_bandwidth
 
 __all__ = [
@@ -72,30 +71,11 @@ class ConfigError(ValueError):
 # Configuration
 # ============================================================
 
-class _Rule(NamedTuple):
-    want: str                       # the accepted values, as the error names them
-    ok: Callable[[object], bool]
-    coerce: Callable = lambda v: v
-    interval: Interval | None = None    # of each number of a list or table, or of a number or null
-
-    def check(self, name: str, value, error=ConfigError):
-        if not self.ok(value):
-            raise error(f"{name}: expected {self.want}, got {value!r}")
-        return self.coerce(value)
-
-
-def _floats(shape: str, ok, each: Interval) -> _Rule:
-    return _Rule(f"{shape}, each {each}", lambda v: isinstance(v, (list, tuple))
-                 and all(x in each for x in v) and ok(v), lambda v: tuple(map(float, v)), each)
-
-
 _COUNT = Interval("an integer in {}", 1, math.inf, "[)", kind=int)
 # a carrier frequency [GHz]: the term 20 log10(fc_ghz) of every path loss is a
 # level too, so it takes the levels' bound, fc_ghz in [1e-15, 1e15]
 _FC_MAX_GHZ = 10.0 ** (LEVEL_MAX_DB / 20.0)
 _FREQUENCY = Interval("a frequency in {} GHz", 1 / _FC_MAX_GHZ, _FC_MAX_GHZ)
-_SERVICE = _Rule(f"{POSITIVE} or null", lambda v: v is None or v in POSITIVE,
-                 lambda v: None if v is None else float(v), POSITIVE)
 # a rate [kbps]: its value in bit/s, 1e3 times as large, stays a finite double,
 # and so does the slot packet_bits / rate of every size up to _MAX_PACKET_BITS
 _RATES = _floats("a non-empty list", bool, Interval("a rate in {} kbps", 1e-290, 1e300))
@@ -119,19 +99,19 @@ _MAX_PACKET_BITS = 2 ** 53
 
 
 def _key(default, rule: _Rule | Interval, feeds: tuple = (None, None)):
-    """A config field: its default, its load rule and the (model, field) it feeds (_of)."""
+    """A config field: its default, its rule and the (model, field) it feeds (_of)."""
     metadata = {"rule": rule, "feeds": feeds}
     if isinstance(default, dict):
         return field(default_factory=lambda: dict(default), metadata=metadata)
     return field(default=default, metadata=metadata)
 
 
-def _of(model, name: str, default=dataclasses.MISSING, rule=lambda interval: interval):
-    """A config field declared by the model field it feeds, in its unit: the field's
-    interval, or rule(interval) for a list, and its default unless it states its own."""
+def _of(model, name: str, default=dataclasses.MISSING):
+    """A config field declared by the model field it feeds, in its unit: the
+    field's rule, and its default unless it states its own."""
     f = model.__dataclass_fields__[name]
     return _key(f.default if default is dataclasses.MISSING else default,
-                rule(f.metadata["interval"]), (model, name))
+                f.metadata["rule"], (model, name))
 
 
 # link kind -> (bandwidth key, transmit power key, noise figure key) of its radio
@@ -153,7 +133,8 @@ _QUEUE_KEYS = {
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Every scenario parameter, with its default and its load rule."""
+    """Every scenario parameter, with its default and its rule. However a config
+    is built, each key meets its rule and the rules across keys, or a ConfigError names it."""
 
     # QoS targets (QosTarget)
     eps_th: float = _key(1e-5, OPEN_PROBABILITY)
@@ -165,8 +146,7 @@ class ScenarioConfig:
     backhaul_delay_ms: float = _key(1.0, _DURATION)
     # interference model (LinkSetup)
     p_interf: float = _of(LinkSetup, "p_interf", 0.01)
-    interference_mode: str = _key("expected", _Rule("'expected' or 'bernoulli'",
-                                                    lambda v: v in ("expected", "bernoulli")))
+    interference_mode: str = _of(LinkSetup, "mode")
     interferer_count: int = _key(6, _COUNT)
     # radio
     fc_ghz: float = _key(2.0, _FREQUENCY)
@@ -206,14 +186,14 @@ class ScenarioConfig:
     sf_sigma_nlos_db: float = _of(ch.Environment, "sf_sigma_nlos_db")
     g2a_shadow_fading: bool = _key(False, _Rule("a boolean", lambda v: isinstance(v, bool)))
     pl_mixture: str = _key("db", _Rule("'db' or 'linear'", lambda v: v in ("db", "linear")))
-    clutter_loss_db: tuple = _of(ch.Environment, "clutter_loss_table_db", rule=lambda each:
-                                 _floats("a list of 9", lambda v: len(v) == 9, each))
+    clutter_loss_db: tuple = _of(ch.Environment, "clutter_loss_table_db")
     # [k_min, k_max] dB per link kind, linear in the 10-degree elevation bin
     rice_k_db: dict = _key(
         {"g2a": (5.0, 12.0), "a2a": (12.0, 12.0), "g2h": (5.0, 15.0), "h2a": (12.0, 15.0)},
         _Rule("a mapping with keys g2a, a2a, g2h, h2a", lambda v: isinstance(v, dict)
               and set(v) == {"g2a", "a2a", "g2h", "h2a"},
-              lambda v: {k: _RICE.check(f"config key 'rice_k_db.{k}'", p) for k, p in v.items()},
+              lambda v: {k: _RICE.check(f"config key 'rice_k_db.{k}'", p, ConfigError)
+                         for k, p in v.items()},
               LEVEL))
     # queueing
     arrival_rate_gbs_pps: float = _key(1000.0, POSITIVE)
@@ -221,9 +201,9 @@ class ScenarioConfig:
     arrival_rate_hap_pps: float = _key(10000.0, POSITIVE)
     queue_delay_bound_ms: float = _key(0.3, _DURATION)
     eps_q: float = _key(1e-7, OPEN_PROBABILITY)
-    service_rate_gbs_pps: float | None = _key(None, _SERVICE)
-    service_rate_av_pps: float | None = _key(None, _SERVICE)
-    service_rate_hap_pps: float | None = _key(None, _SERVICE)
+    service_rate_gbs_pps: float | None = _of(QueueSpec, "service_rate_pps")
+    service_rate_av_pps: float | None = _of(QueueSpec, "service_rate_pps")
+    service_rate_hap_pps: float | None = _of(QueueSpec, "service_rate_pps")
     # Monte Carlo and grids
     master_seed: int = _key(1, Interval("a seed in {}", 0, 2 ** 64, "[)", kind=int))
     n_samples: int = _key(100_000, _COUNT)
@@ -239,12 +219,34 @@ class ScenarioConfig:
         lambda v: len(v) >= 2 and all(a < b for a, b in zip(v, v[1:])), _DISTANCE))
     region_rates_kbps: tuple = _key(tuple(float(v) for v in range(100, 1001, 100)), _RATES)
 
+    def __post_init__(self):
+        check_fields(self, ConfigError, "config key '{}'")
+        # the rules across keys, each named by the key it checks
+        if self.av_altitude_m <= self.gbs_height_m:
+            raise ConfigError("config key 'av_altitude_m': must exceed gbs_height_m")
+        if self.hap_altitude_m <= self.av_altitude_m:
+            raise ConfigError("config key 'hap_altitude_m': must exceed av_altitude_m")
+        if self.isd_m * self.grid_tiers not in _DISTANCE:
+            raise ConfigError("config key 'grid_tiers': the grid's extent isd_m * grid_tiers "
+                              f"must be {_DISTANCE}")
+        if self.a2a_relay_count > self.av_count - 1:
+            raise ConfigError("config key 'a2a_relay_count': needs av_count - 1 candidates")
+        if SINR_WORK_ROWS * 8 * min(self.mc_batch_size, self.n_samples) > _MAX_BATCH_BYTES:
+            raise ConfigError(f"config key 'mc_batch_size': a worker thread's batch buffer, "
+                              f"{SINR_WORK_ROWS} x 8 bytes x min(mc_batch_size, n_samples), "
+                              f"must be at most {_MAX_BATCH_BYTES} bytes")
+        for kind, (bandwidth, _, _) in _RADIO_KEYS.items():
+            try:    # each key passed its rule, so only the radio's noise power can fail
+                self.radio(kind)
+            except ValueError as exc:
+                raise ConfigError(f"config key '{bandwidth}': {exc}") from None
+
     # -------- derived views --------
 
     def _model(self, model):
         """model, each of its fields from the key that feeds it (_of)."""
         return model(**{f.metadata["feeds"][1]: getattr(self, f.name)
-                        for f in _FIELDS.values() if f.metadata["feeds"][0] is model})
+                        for f in dataclasses.fields(self) if f.metadata["feeds"][0] is model})
 
     environment = functools.partialmethod(_model, ch.Environment)
     ula = functools.partialmethod(_model, ch.UlaSpec)
@@ -272,40 +274,6 @@ class ScenarioConfig:
         return _dbm_to_w(self.noise_density_dbm_hz)
 
 
-_FIELDS = {f.name: f for f in dataclasses.fields(ScenarioConfig)}
-
-
-def _validate_field(key: str, value):
-    """Return the coerced value for one config field; raise ConfigError."""
-    if key not in _FIELDS:
-        raise ConfigError(f"unknown config key '{key}'")
-    return _FIELDS[key].metadata["rule"].check(f"config key '{key}'", value, ConfigError)
-
-
-def _build_config(overrides: dict) -> ScenarioConfig:
-    cfg = ScenarioConfig(**{key: _validate_field(key, value)
-                            for key, value in overrides.items()})
-    if cfg.av_altitude_m <= cfg.gbs_height_m:
-        raise ConfigError("config key 'av_altitude_m': must exceed gbs_height_m")
-    if cfg.hap_altitude_m <= cfg.av_altitude_m:
-        raise ConfigError("config key 'hap_altitude_m': must exceed av_altitude_m")
-    if cfg.isd_m * cfg.grid_tiers not in _DISTANCE:
-        raise ConfigError("config key 'grid_tiers': the grid's extent isd_m * grid_tiers "
-                          f"must be {_DISTANCE}")
-    if cfg.a2a_relay_count > cfg.av_count - 1:
-        raise ConfigError("config key 'a2a_relay_count': needs av_count - 1 candidates")
-    if SINR_WORK_ROWS * 8 * min(cfg.mc_batch_size, cfg.n_samples) > _MAX_BATCH_BYTES:
-        raise ConfigError(f"config key 'mc_batch_size': a worker thread's batch buffer, "
-                          f"{SINR_WORK_ROWS} x 8 bytes x min(mc_batch_size, n_samples), "
-                          f"must be at most {_MAX_BATCH_BYTES} bytes")
-    for kind, (bandwidth, _, _) in _RADIO_KEYS.items():
-        try:    # each key passed its rule, so only the radio's noise power can fail
-            cfg.radio(kind)
-        except ValueError as exc:
-            raise ConfigError(f"config key '{bandwidth}': {exc}") from None
-    return cfg
-
-
 class _ConfigLoader(yaml.SafeLoader):
     """The safe YAML loader, but a key repeated in one mapping is an error
     rather than silently overriding the first."""
@@ -326,7 +294,7 @@ class _ConfigLoader(yaml.SafeLoader):
 def load_config(path=None) -> ScenarioConfig:
     """Load a YAML key/value config; None or an empty file yields defaults.
 
-    Every key is validated on load; unknown and repeated keys are rejected
+    ScenarioConfig checks every key; unknown and repeated keys are rejected
     by name and parse errors carry the line number.
     """
     if path is None:
@@ -346,7 +314,10 @@ def load_config(path=None) -> ScenarioConfig:
         data = {}
     if not isinstance(data, dict):
         raise ConfigError("config root must be a key/value mapping")
-    return _build_config(data)
+    for key in data:
+        if key not in ScenarioConfig.__dataclass_fields__:
+            raise ConfigError(f"unknown config key '{key}'")
+    return ScenarioConfig(**data)
 
 
 def config_hash(config: ScenarioConfig) -> str:

@@ -47,7 +47,7 @@ REGION_REDRAWS = (3_000, 4_100, 5_300, 6_700, 7_100, 9_900)
 
 
 def _config(**overrides) -> scenario.ScenarioConfig:
-    return scenario._build_config({**GOLDEN, **overrides})
+    return scenario.ScenarioConfig(**{**GOLDEN, **overrides})
 
 
 def _sweep_json(config, threads=1) -> str:

@@ -14,18 +14,20 @@ import warnings
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avlinksim import e2e
 from avlinksim import geometry as geo
 from avlinksim import scenario
-from avlinksim.channel import MAX_DISTANCE_M, MIN_LENGTH_M, Environment, ReflectorSpec, UlaSpec
+from avlinksim.channel import (LENGTH, MAX_DISTANCE_M, MIN_LENGTH_M, Environment, ReflectorSpec,
+                               UlaSpec)
 from avlinksim.e2e import BackhaulSpec, QosTarget
 from avlinksim.geometry import GridSpec
 from avlinksim.link import (SINR_WORK_ROWS, ChannelSpec, LinkSetup, LinkStats, RadioParams,
                             sinr_sample)
-from avlinksim.mathfun import _Q_BLOCK, Interval, RngStream
+from avlinksim.mathfun import _Q_BLOCK, Interval, RngStream, _Rule
 from avlinksim.queueing import DURATION_S, QueueSpec
 from avlinksim.scenario import (
     CANONICAL_COMBINATIONS,
@@ -80,6 +82,16 @@ def _write(tmp_path, text):
     path = tmp_path / "config.yaml"
     path.write_text(textwrap.dedent(text), encoding="utf-8")
     return path
+
+
+def _yaml(keys: dict) -> str:
+    """keys as config file text, in their order, each tuple a list; every
+    number reads back as the same number."""
+    def plain(v):
+        if isinstance(v, dict):
+            return {k: plain(x) for k, x in v.items()}
+        return list(v) if isinstance(v, tuple) else v
+    return yaml.safe_dump(plain(keys), sort_keys=False)
 
 
 # ============================================================
@@ -184,6 +196,17 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="'av_altitude_m'"):
             load_config(_write(tmp_path, "av_altitude_m: 10.0\n"))
 
+    @pytest.mark.parametrize("key, value", [
+        ("av_altitude_m", 10.0), ("n_samples", -5), ("fc_ghz", math.nan),
+        ("interference_mode", "sometimes"), ("clutter_loss_db", [1, 2, 3]),
+    ])
+    def test_config_built_in_python_meets_the_file_rules(self, key, value):
+        # vehicles 15 m below the sites used to run, and report paths feasible
+        with pytest.raises(ConfigError, match=f"^config key '{key}'"):
+            dataclasses.replace(ScenarioConfig(), **{key: value})
+        with pytest.raises(ConfigError, match=f"^config key '{key}'"):
+            ScenarioConfig(**{key: value})
+
     def test_platform_must_fly_above_vehicles(self, tmp_path):
         with pytest.raises(ConfigError, match="'hap_altitude_m'"):
             load_config(_write(tmp_path, "hap_altitude_m: 200.0\n"))
@@ -210,12 +233,18 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="'interference_mode'"):
             load_config(_write(tmp_path, "interference_mode: sometimes\n"))
 
-    def test_every_default_passes_its_rule_unchanged(self):
-        # writing a default into a config file must leave the config as it is
+    def test_every_default_passes_its_rule_unchanged(self, tmp_path):
+        # the rules store each declared default as it is, and writing the
+        # defaults into a config file leaves the config as it is
+        config = ScenarioConfig()
         for f in dataclasses.fields(ScenarioConfig):
-            default = getattr(ScenarioConfig(), f.name)
-            got = scenario._validate_field(f.name, default)
+            default = f.default_factory() if f.default is dataclasses.MISSING else f.default
+            got = getattr(config, f.name)
             assert got == default and type(got) is type(default), f.name
+        loaded = load_config(_write(tmp_path, _yaml(dataclasses.asdict(config))))
+        assert loaded == config
+        assert all(type(getattr(loaded, f.name)) is type(getattr(config, f.name))
+                   for f in dataclasses.fields(ScenarioConfig))
 
     @pytest.mark.parametrize("text", [
         "eps_q: 0\n",       # QueueSpec needs a violation probability in (0, 1)
@@ -256,24 +285,26 @@ class TestLoadConfig:
         # every site but the serving one sends an h2a side-lobe beam
         assert len(topo.links["h2a"].interferers) == 3 * cfg.grid_tiers * (cfg.grid_tiers + 1)
 
-    @pytest.mark.parametrize("key, value, build", [
-        ("q3_m", math.nan, ScenarioConfig.environment),
-        ("clutter_loss_db", (math.nan,) * 9, ScenarioConfig.environment),
-        ("isd_m", math.nan, ScenarioConfig.grid),
-        ("arrival_rate_gbs_pps", math.nan, lambda c: c.queue("gbs")),
-        ("queue_delay_bound_ms", math.nan, lambda c: c.queue("gbs")),
-        ("backhaul_delay_ms", math.nan, ScenarioConfig.backhaul),
-        ("delay_threshold_ms", math.nan, ScenarioConfig.qos),
-        ("bandwidth_gh_hz", math.nan, lambda c: instantiate(c, RngStream(1), c.r_ga_m)),
-        ("tx_power_gs_dbm", math.nan, lambda c: instantiate(c, RngStream(1), c.r_ga_m)),
-        ("noise_density_dbm_hz", math.nan, lambda c: instantiate(c, RngStream(1), c.r_ga_m)),
+    @pytest.mark.parametrize("key, view, name", [
+        ("q3_m", ScenarioConfig.environment, "q3_m"),
+        ("clutter_loss_db", ScenarioConfig.environment, "clutter_loss_table_db"),
+        ("isd_m", ScenarioConfig.grid, "isd_m"),
+        ("arrival_rate_gbs_pps", lambda c: c.queue("gbs"), "arrival_rate_pps"),
+        ("queue_delay_bound_ms", lambda c: c.queue("gbs"), "delay_bound_s"),
+        ("backhaul_delay_ms", ScenarioConfig.backhaul, "delay_s"),
+        ("delay_threshold_ms", ScenarioConfig.qos, "d_max_s"),
+        ("bandwidth_gh_hz", lambda c: c.radio("g2h"), "bandwidth_hz"),
+        ("tx_power_gs_dbm", lambda c: c.radio("g2h"), "tx_power_w"),
+        ("noise_density_dbm_hz", lambda c: c.radio("g2h"), "noise_density_w_hz"),
     ])
-    def test_nan_fails_the_rule_and_the_model(self, key, value, build):
-        # NaN compares False, so every check must be written to fail on it
-        with pytest.raises(ConfigError):
-            scenario._validate_field(key, value)
-        with pytest.raises(ValueError):
-            build(dataclasses.replace(ScenarioConfig(), **{key: value}))
+    def test_nan_fails_the_rule_and_the_model(self, key, view, name):
+        # NaN compares False, so every check must be written to fail on it:
+        # the key's rule, and that of the model field it feeds (NaN in any unit)
+        value = (math.nan,) * 9 if key == "clutter_loss_db" else math.nan
+        with pytest.raises(ConfigError, match=f"^config key '{key}': expected"):
+            ScenarioConfig(**{key: value})
+        with pytest.raises(ValueError, match=f"^{name}: expected"):
+            dataclasses.replace(view(ScenarioConfig()), **{name: value})
 
     @pytest.mark.parametrize("key", ["sf_sigma_los_db", "sf_sigma_nlos_db"])
     def test_shadow_sigma_above_100_db_rejected(self, tmp_path, key):
@@ -295,7 +326,7 @@ class TestLoadConfig:
     def test_every_field_declares_a_rule(self):
         for f in dataclasses.fields(ScenarioConfig):
             rule = f.metadata.get("rule")
-            assert isinstance(rule, (scenario._Rule, Interval)), f.name
+            assert isinstance(rule, (_Rule, Interval)), f.name
             # every key that takes numbers states them as an interval, which
             # TestEveryInterval reads
             if f.name not in ("interference_mode", "g2a_shadow_fading", "pl_mixture"):
@@ -305,11 +336,11 @@ class TestLoadConfig:
         # a worker thread's buffer is (SINR_WORK_ROWS, min(mc_batch_size,
         # n_samples)) float64, so a batch above the draws costs only the draws
         most = scenario._MAX_BATCH_BYTES // (SINR_WORK_ROWS * 8)
-        assert scenario._build_config({"mc_batch_size": 10 ** 8}).mc_batch_size == 10 ** 8
-        assert scenario._build_config({"n_samples": most, "mc_batch_size": most})
+        assert ScenarioConfig(mc_batch_size=10 ** 8).mc_batch_size == 10 ** 8
+        assert ScenarioConfig(n_samples=most, mc_batch_size=most)
         with pytest.raises(ConfigError, match="'mc_batch_size': a worker thread's batch "
                                               f"buffer.*at most {1 << 30} bytes"):
-            scenario._build_config({"n_samples": most + 1, "mc_batch_size": most + 1})
+            ScenarioConfig(n_samples=most + 1, mc_batch_size=most + 1)
 
     def test_building_density_bounded(self, tmp_path):
         # p_los loops once per building the ray crosses
@@ -363,19 +394,19 @@ class TestLoadConfig:
         # a noise power that rounds to 0 W divided every SINR draw by zero
         with pytest.raises(ConfigError, match=f"config key '{key}': noise_power_w: expected a "
                                               r"noise power .* in \[2.22507e-308, "):
-            scenario._build_config({key: 5e-324})
+            ScenarioConfig(**{key: 5e-324})
 
     def test_lowest_rate_keeps_the_slot_finite(self):
         # at 5e-324 kbps packet_bits / rate overflowed and the DA2G delay was infinite
         low = _interval("sweep_rates_kbps").low
-        config = scenario._build_config({"packet_bits": scenario._MAX_PACKET_BITS,
-                                         "sweep_rates_kbps": [low], "n_samples": 200})
+        config = ScenarioConfig(packet_bits=scenario._MAX_PACKET_BITS, sweep_rates_kbps=[low],
+                                n_samples=200)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rows = run_rate_sweep(config).rows
         assert all(math.isfinite(row.delay_s) and row.eps_e2e < 1.0 for row in rows)
         with pytest.raises(ConfigError, match="'sweep_rates_kbps': expected"):
-            scenario._build_config({"sweep_rates_kbps": [math.nextafter(low, 0.0)]})
+            ScenarioConfig(sweep_rates_kbps=[math.nextafter(low, 0.0)])
 
     def test_distance_at_the_los_bound_accepted(self, tmp_path):
         cfg = load_config(_write(tmp_path, "r_ga_m: 1000000\nregion_r_edges_m: [0, 1000000]\n"
@@ -384,20 +415,21 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("key", LENGTH_KEYS)
     def test_lengths_share_one_interval(self, key):
+        assert _rule(key) is LENGTH
         for value in (MIN_LENGTH_M, MAX_DISTANCE_M):
-            assert scenario._validate_field(key, value) == value
+            assert _accepts(key, value)
         for value in (math.nextafter(MIN_LENGTH_M, 0.0), math.nextafter(MAX_DISTANCE_M, math.inf),
                       0, 1e-300, 1e300):
             with pytest.raises(ConfigError, match=f"config key '{key}': expected a length "
                                                   r"in \[0.001, 1e\+06\] m"):
-                scenario._validate_field(key, value)
+                ScenarioConfig(**{key: value})
 
     @pytest.mark.parametrize("ends", LENGTH_ENDS)
     def test_lengths_at_the_ends_run(self, ends):
         # within the interval every path loss and p_los stay finite
-        config = scenario._build_config({"n_samples": 200, "mc_batch_size": 200,
-                                         "sweep_rates_kbps": [100], "av_count": 4,
-                                         "a2a_relay_count": 1, **ends})
+        config = ScenarioConfig(**{"n_samples": 200, "mc_batch_size": 200,
+                                   "sweep_rates_kbps": [100], "av_count": 4,
+                                   "a2a_relay_count": 1, **ends})
         for row in run_rate_sweep(config).rows:
             assert 0.0 <= row.eps_e2e <= 1.0 and math.isfinite(row.eps_std_error), row
             assert row.delay_s > 0.0, row      # infinite where no path delivers
@@ -421,24 +453,45 @@ class TestLoadConfig:
 # Every interval a config rule states
 # ============================================================
 
+def _rule(key):
+    """The rule that key's field declares."""
+    return ScenarioConfig.__dataclass_fields__[key].metadata["rule"]
+
+
 def _interval(key):
     """The interval of key's numbers: its rule, or a list, table or nullable
     rule's interval of each number (None for the other rules)."""
-    rule = scenario._FIELDS[key].metadata["rule"]
+    rule = _rule(key)
     return rule if isinstance(rule, Interval) else rule.interval
 
 
 def _accepts(key, value) -> bool:
+    """Whether key's rule, alone, accepts value."""
     try:
-        scenario._validate_field(key, value)
-    except ConfigError:
+        _rule(key).check(key, value)
+    except ValueError:
         return False
     return True
 
 
+def _both_routes(tmp_path, keys: dict) -> ScenarioConfig:
+    """keys as a config by both routes, a config file through load_config
+    and the constructor: both give the same config, or raise the same
+    ConfigError."""
+    try:
+        config = ScenarioConfig(**keys)
+    except ConfigError as exc:
+        with pytest.raises(ConfigError) as loaded:
+            load_config(_write(tmp_path, _yaml(keys)))
+        assert str(loaded.value) == str(exc)
+        raise
+    assert load_config(_write(tmp_path, _yaml(keys))) == config
+    return config
+
+
 DEFAULTS = ScenarioConfig()
 HEIGHTS = ("gbs_height_m", "av_altitude_m", "hap_altitude_m")
-INTERVAL_KEYS = [key for key in scenario._FIELDS if _interval(key)]
+INTERVAL_KEYS = [f.name for f in dataclasses.fields(ScenarioConfig) if _interval(f.name)]
 # a tiny run: two rates, one topology, one region column
 TINY = {"n_samples": 200, "sweep_rates_kbps": [100.0, 200.0], "region_topologies": 1,
         "region_r_edges_m": [140.0, 160.0], "region_rates_kbps": [100.0]}
@@ -512,13 +565,14 @@ def _tiny_run_keys(key, value) -> dict:
     return keys
 
 
-def _check(key, number, accepted):
-    """A value of key that holds number: rejected by name, with the rule's
-    interval, or else a tiny run of it gives finite rows."""
+def _check(tmp_path, key, number, accepted):
+    """A value of key that holds number, given by both routes (_both_routes):
+    rejected by name, with the rule's interval, or else a tiny run of it
+    gives finite rows."""
     value = HOLDING.get(key, lambda v: v)(number)
     if not accepted:
         with pytest.raises(ConfigError) as rejected:
-            scenario._build_config({key: value})
+            _both_routes(tmp_path, {key: value})
         assert f"config key '{key}" in str(rejected.value), number
         assert f"expected {_interval(key)}" in str(rejected.value) or \
             f"each {_interval(key)}" in str(rejected.value), number
@@ -527,17 +581,17 @@ def _check(key, number, accepted):
     if not all(_accepts(k, v) for k, v in keys.items()):
         # no config holds the value: the heights have no room to keep their order
         with pytest.raises(ConfigError, match="must exceed|expected a length"):
-            scenario._build_config(keys)
+            _both_routes(tmp_path, keys)
         return
     if key in BANDWIDTHS:
         try:
-            dataclasses.replace(DEFAULTS, **{key: value}).radio(BANDWIDTHS[key])
+            dataclasses.replace(DEFAULTS.radio(BANDWIDTHS[key]), bandwidth_hz=value)
         except ValueError:
             # bandwidth x noise density x noise figure is no normal double
             with pytest.raises(ConfigError, match=f"'{key}': noise_power_w: expected"):
-                scenario._build_config(keys)
+                _both_routes(tmp_path, keys)
             return
-    config = scenario._build_config(keys)
+    config = _both_routes(tmp_path, keys)
     if any(getattr(config, k) > size for k, size in RUN_LENGTH.items()):
         return
     if key.startswith("region_"):
@@ -559,18 +613,19 @@ def _check(key, number, accepted):
 class TestEveryInterval:
     """One key at a time, the others at their defaults: each end of its
     rule's interval, the next numbers inside and outside it, and draws from
-    inside. A value the config accepts runs, and one it rejects is named."""
+    inside, each given by a config file and by the constructor. A value the
+    config accepts runs, and one it rejects is named alike by both."""
 
     @pytest.mark.parametrize("key", INTERVAL_KEYS)
-    def test_accepted_values_run_and_others_are_named(self, key):
+    def test_accepted_values_run_and_others_are_named(self, tmp_path, key):
         interval = _interval(key)
         for number, accepted in _ends(interval):
-            _check(key, number, accepted)
+            _check(tmp_path, key, number, accepted)
 
         @settings(max_examples=3, derandomize=True, deadline=None)
         @given(_inside(interval))
         def inside(number):
-            _check(key, number, True)
+            _check(tmp_path, key, number, True)
 
         inside()
 
@@ -590,8 +645,13 @@ MODELS = {
     QueueSpec: {"arrival_rate_pps": 1000.0, "delay_bound_s": 3e-4, "violation_prob": 1e-7},
     BackhaulSpec: {}, QosTarget: {"eps_th": 1e-5, "d_max_s": 1e-2},
 }
+# the fields whose rule states an interval: itself, or that of a list or nullable rule
 MODEL_FIELDS = [pytest.param(model, f, id=f"{model.__name__}.{f.name}") for model in MODELS
-                for f in dataclasses.fields(model) if "interval" in f.metadata]
+                for f in dataclasses.fields(model)
+                if isinstance(f.metadata.get("rule"), Interval)
+                or getattr(f.metadata.get("rule"), "interval", None)]
+# the value of a list field that holds the number v
+MODEL_HOLDING = {"clutter_loss_table_db": lambda v: (v,) * 9}
 # the radio's noise power is the product of these two and the noise figure,
 # so a probe of one takes the reciprocal of the other
 NOISE_FACTORS = {"bandwidth_hz": "noise_density_w_hz", "noise_density_w_hz": "bandwidth_hz"}
@@ -610,7 +670,8 @@ SHARED = {
     **{key: (RadioParams, "bandwidth_hz") for key in BANDWIDTHS},
     "noise_figure_av_db": (RadioParams, "noise_figure_db"),
     "noise_figure_hap_db": (RadioParams, "noise_figure_db"),
-    "p_interf": (LinkSetup, "p_interf"), "eps_b": (BackhaulSpec, "eps"),
+    "p_interf": (LinkSetup, "p_interf"), "interference_mode": (LinkSetup, "mode"),
+    "eps_b": (BackhaulSpec, "eps"),
     "eps_th": (QosTarget, "eps_th"), "eps_q": (QueueSpec, "violation_prob"),
     **{keys[0]: (QueueSpec, "arrival_rate_pps") for keys in scenario._QUEUE_KEYS.values()},
     **{keys[1]: (QueueSpec, "service_rate_pps") for keys in scenario._QUEUE_KEYS.values()},
@@ -618,9 +679,11 @@ SHARED = {
 # model -> the config view that builds it, from a key for each of its fields
 VIEWS = {Environment: ScenarioConfig.environment, UlaSpec: ScenarioConfig.ula,
          ReflectorSpec: ScenarioConfig.reflector, GridSpec: ScenarioConfig.grid}
-# the keys whose default is their model field's: each key of a view, and eps_b
+# the keys whose default is their model field's: each key of a view, eps_b, the
+# interference mode and the service rates
 VIEW_KEYS = [key for key, (model, _) in SHARED.items() if model in VIEWS]
-FIELD_DEFAULT_KEYS = [*VIEW_KEYS, "eps_b"]
+FIELD_DEFAULT_KEYS = [*VIEW_KEYS, "eps_b", "interference_mode",
+                      *dict.fromkeys(keys[1] for keys in scenario._QUEUE_KEYS.values())]
 # a value of each view key inside its interval, other than its default
 OTHER = {
     "q1": 0.5, "q2_per_km2": 300.0, "q3_m": 15.0, "sf_sigma_los_db": 3.0,
@@ -638,7 +701,7 @@ class TestKeysDeclaredByTheirField:
     @pytest.mark.parametrize("key", FIELD_DEFAULT_KEYS)
     def test_config_default_is_its_fields(self, key):
         model, name = SHARED[key]
-        assert scenario._FIELDS[key].metadata["feeds"] == (model, name)
+        assert ScenarioConfig.__dataclass_fields__[key].metadata["feeds"] == (model, name)
         default, want = getattr(ScenarioConfig(), key), model.__dataclass_fields__[name].default
         assert default == want and type(default) is type(want), (default, want)
 
@@ -652,7 +715,7 @@ class TestKeysDeclaredByTheirField:
     @pytest.mark.parametrize("key", VIEW_KEYS)
     def test_view_key_reaches_its_field(self, key):
         model, name = SHARED[key]
-        cfg = scenario._build_config({key: OTHER[key]})
+        cfg = ScenarioConfig(**{key: OTHER[key]})
         value = getattr(cfg, key)
         assert value != getattr(ScenarioConfig(), key)
         # that field takes the value, and every other field keeps its default
@@ -668,19 +731,20 @@ def _numpy(number, kind):
 
 class TestEveryModelInterval:
     """One field at a time, the others at their defaults: each end of the
-    interval a model field declares, the next numbers inside and outside
-    it, and NaN. A value inside constructs, as the same number does as a
-    numpy scalar, and one outside raises a ValueError that names the field
-    and its interval."""
+    interval a model field's rule states, the next numbers inside and
+    outside it, and NaN. A value inside constructs, as the same number does
+    as a numpy scalar, and one outside raises a ValueError that names the
+    field and its rule."""
 
     @pytest.mark.parametrize("model, f", MODEL_FIELDS)
     def test_accepted_values_construct_and_others_are_named(self, model, f):
-        interval = f.metadata["interval"]
+        rule = f.metadata["rule"]
+        interval = rule if isinstance(rule, Interval) else rule.interval
         for number, accepted in [*_ends(interval), (math.nan, False)]:
             for value in (number, _numpy(number, interval.kind)):
                 if value is None:
                     continue
-                kwargs = {**MODELS[model], f.name: (value,) * 9 if f.metadata["each"] else value}
+                kwargs = {**MODELS[model], f.name: MODEL_HOLDING.get(f.name, lambda v: v)(value)}
                 if accepted and f.name in NOISE_FACTORS and model is RadioParams:
                     kwargs[NOISE_FACTORS[f.name]] = min(1.0 / number, sys.float_info.max)
                 if accepted:
@@ -688,23 +752,23 @@ class TestEveryModelInterval:
                     continue
                 with pytest.raises(ValueError) as rejected:
                     model(**kwargs)
-                assert str(rejected.value).startswith(f"{f.name}: expected {interval}, got "), \
+                assert str(rejected.value).startswith(f"{f.name}: expected {rule}, got "), \
                     (number, str(rejected.value))
 
     def test_every_bounded_model_is_probed(self):
         assert {p.values[0] for p in MODEL_FIELDS} == set(MODELS)
 
     @pytest.mark.parametrize("key", SHARED)
-    def test_config_key_takes_its_fields_interval(self, key):
+    def test_config_key_takes_its_fields_rule(self, key):
         # the same object, so the config accepts exactly what the model does
         model, name = SHARED[key]
-        assert _interval(key) is model.__dataclass_fields__[name].metadata["interval"]
+        assert _rule(key) is model.__dataclass_fields__[name].metadata["rule"]
 
     def test_durations_are_the_seconds_image_of_the_config_interval(self):
         ms = scenario._DURATION
         for model, name in ((QueueSpec, "delay_bound_s"), (BackhaulSpec, "delay_s"),
                             (QosTarget, "d_max_s")):
-            assert model.__dataclass_fields__[name].metadata["interval"] is DURATION_S
+            assert model.__dataclass_fields__[name].metadata["rule"] is DURATION_S
         for key in ("delay_threshold_ms", "backhaul_delay_ms", "queue_delay_bound_ms"):
             assert _interval(key) is ms
         # the lowest millisecond value the config accepts is the lowest whose
