@@ -153,12 +153,16 @@ def fspl_db(d_m, fc_ghz):
     return 32.45 + 20.0 * np.log10(d_m) + 20.0 * np.log10(fc_ghz)
 
 
-def clutter_loss_db(elevation_deg: float, env: Environment) -> float:
-    """Table lookup of ground-clutter loss by elevation decile."""
+def _elevation_bin(elevation_deg: float) -> int:
+    """Index 0..8 of the 10-degree elevation bin, 90 degrees in the last."""
     if not 0.0 <= elevation_deg <= 90.0:
         raise ValueError("elevation_deg must lie in [0, 90]")
-    bin_ix = min(int(elevation_deg // 10.0), 8)
-    return env.clutter_loss_table_db[bin_ix]
+    return min(int(elevation_deg // 10.0), 8)
+
+
+def clutter_loss_db(elevation_deg: float, env: Environment) -> float:
+    """Table lookup of ground-clutter loss by elevation decile."""
+    return env.clutter_loss_table_db[_elevation_bin(elevation_deg)]
 
 
 def pl_g2h_db(d_m: float, fc_ghz: float, elevation_deg: float, env: Environment) -> float:
@@ -246,8 +250,5 @@ def hap_gain(offset_deg, spec: ReflectorSpec):
 def rice_k_db(k_range, elevation_deg: float) -> float:
     """Rice factor [dB] of a link kind's (k_min, k_max) range, linear
     across nine 10-degree elevation bins."""
-    if not 0.0 <= elevation_deg <= 90.0:
-        raise ValueError("elevation_deg must lie in [0, 90]")
     k_min, k_max = k_range
-    bin_ix = min(int(elevation_deg // 10.0), 8)
-    return k_min + (k_max - k_min) * bin_ix / 8.0
+    return k_min + (k_max - k_min) * _elevation_bin(elevation_deg) / 8.0

@@ -247,10 +247,9 @@ def _db(linear: float) -> float:
 
 
 def _mean_snr(setup: scenario.LinkSetup) -> float:
-    """Mean SNR [dB] of the desired channel, without interference."""
-    spec, radio = setup.desired, setup.radio
-    signal = radio.tx_power_w * spec.tx_gain * spec.rx_gain * 10.0 ** (-spec.pl_db / 10.0)
-    return _db(signal / radio.noise_power_w)
+    """Mean SNR [dB] of the desired channel, without interference: its
+    mean gain at the radio's power, in sinr_sample's operation order."""
+    return _db(setup.desired.mean_gain * setup.radio.tx_power_w / setup.radio.noise_power_w)
 
 
 def _pose(x: float, altitude: float) -> geometry.NodePose:

@@ -165,8 +165,9 @@ def _channel_draw(spec: ChannelSpec, rng: np.random.Generator, work) -> np.ndarr
 
 
 # batch-length rows sinr_sample works in: the desired fade and its scratch,
-# the interference sum, and an interferer's fade and its scratch
-SINR_WORK_ROWS = 5
+# which holds the interference sum once the fade is drawn, and an
+# interferer's fade and its scratch
+SINR_WORK_ROWS = 4
 
 
 def sinr_sample(setup: LinkSetup, rng: np.random.Generator, size: int = 1,
@@ -192,13 +193,13 @@ def sinr_sample(setup: LinkSetup, rng: np.random.Generator, size: int = 1,
         signal /= radio.noise_power_w
         return signal
     bernoulli = setup.mode == "bernoulli"
-    interference = work[2]
+    interference = work[1]
     interference.fill(0.0)
     for channel in setup.interferers:
-        power = _channel_draw(channel, rng, work[3:5])
+        power = _channel_draw(channel, rng, work[2:4])
         power *= radio.tx_power_w
         if bernoulli:
-            active = rng.random(out=work[4])
+            active = rng.random(out=work[3])
             np.less(active, setup.p_interf, out=active)
             power *= active
         interference += power
@@ -225,7 +226,7 @@ def _fbl_terms(gamma: np.ndarray, bandwidth_hz: float, out=None):
     a = B ln(1 + gamma) / sqrt(B V) and b = ln 2 / sqrt(B V). gamma == 0
     has zero dispersion and zero capacity, which is certain failure:
     a = -inf there. out, if given, is a (2, *gamma.shape) array whose rows
-    receive a and b.
+    receive a and b; gamma may be its first row.
     """
     if out is None:
         out = np.empty((2, *gamma.shape))
@@ -331,12 +332,10 @@ def _count_below(a, b, rates, scale, x):
     return np.concatenate(counts)
 
 
-# batch-length rows _batch_moments works in: the sorted batch, a, b, and
-# Q's arguments (one long window, or the short windows packed); the rows
-# 1 to 4 of sinr_sample's work, which are scratch once a batch is drawn
-_KERNEL_ROWS = 4
-# windows up to this many elements share one gaussian_q call per batch
-_SHORT = 4096
+# batch-length rows _batch_moments works in: the sorted batch, which
+# becomes a, then b and Q's arguments; the rows 1 to 3 of sinr_sample's
+# work, which are scratch once a batch is drawn
+_KERNEL_ROWS = 3
 
 
 def _batch_moments(gamma, bandwidth_hz, packet_bits, rates, work):
@@ -351,10 +350,10 @@ def _batch_moments(gamma, bandwidth_hz, packet_bits, rates, work):
     ascending-SINR order. work is a (_KERNEL_ROWS, gamma.size) array.
     """
     n = gamma.size
-    ordered, args = work[0], work[3]
-    np.copyto(ordered, gamma.reshape(-1))
-    ordered.sort()
-    a, b = _fbl_terms(ordered, bandwidth_hz, out=work[1:3])
+    np.copyto(work[0], gamma.reshape(-1))
+    work[0].sort()
+    a, b = _fbl_terms(work[0], bandwidth_hz, out=work[0:2])
+    args = work[2]
     scale = np.sqrt(packet_bits / rates)
     ones = _count_below(a, b, rates, scale, _Q_ONE)
     # the certain failures plus the window's first (largest) error bound the
@@ -367,28 +366,27 @@ def _batch_moments(gamma, bandwidth_hz, packet_bits, rates, work):
     with np.errstate(divide="ignore"):
         x_cut = np.sqrt(-2.0 * np.log(bound * (_TAIL_REL / n)))
     cut = _count_below(a, b, rates, scale, np.minimum(x_cut, _Q_FLUSH))
-    spans = list(zip(ones.tolist(), cut.tolist()))
+    # the windows are packed back to back into args, in rate order, a new
+    # row starting where the next one does not fit; each row takes one
+    # gaussian_q call, whose fixed cost outweighs a short window's work.
+    # Q is elementwise, so no value depends on the packing
+    rows, packed = [[]], 0
+    for i, (lo, hi) in enumerate(zip(ones.tolist(), cut.tolist())):
+        if packed + hi - lo > n:
+            rows.append([])
+            packed = 0
+        rows[-1].append((i, lo, hi, slice(packed, packed + hi - lo)))
+        packed += hi - lo
     mean = np.empty(rates.size)
     m2 = np.empty(rates.size)
-    # short windows are packed back to back into args for one gaussian_q
-    # call, since below _SHORT elements a call's fixed cost outweighs its
-    # work; Q is elementwise, so no value changes
-    short, packed = [], 0
-    for i, (lo, hi) in enumerate(spans):
-        if hi - lo <= _SHORT and packed + hi - lo <= n:
-            short.append((i, packed))
-            _fbl_arg(a[lo:hi], b[lo:hi], rates[i], scale[i], args[packed:packed + hi - lo])
-            packed += hi - lo
-    if packed:
-        gaussian_q(args[:packed], out=args[:packed])
-    for i, at in short:
-        lo, hi = spans[i]
-        mean[i], m2[i] = _moments(args[at:at + hi - lo], lo, hi, n)
-    done = {i for i, _ in short}
-    for i, (lo, hi) in enumerate(spans):
-        if i not in done:
-            q = _fbl_arg(a[lo:hi], b[lo:hi], rates[i], scale[i], args[:hi - lo])
-            mean[i], m2[i] = _moments(gaussian_q(q, out=q), lo, hi, n)
+    for row in rows:
+        for i, lo, hi, at in row:
+            _fbl_arg(a[lo:hi], b[lo:hi], rates[i], scale[i], args[at])
+        run = args[:row[-1][3].stop]
+        if run.size:
+            gaussian_q(run, out=run)
+        for i, lo, hi, at in row:
+            mean[i], m2[i] = _moments(args[at], lo, hi, n)
     return mean, m2
 
 
@@ -410,7 +408,7 @@ def decoding_error_stats(batches, bandwidth_hz: float, packet_bits: float,
     all rates (slot d_t = packet_bits / rate) before the next is drawn, so
     a producer may yield one buffer that it overwrites with each batch.
     The kernel works in work, a (_KERNEL_ROWS, m) array that no batch
-    overlaps, such as rows 1 to 4 of the buffer sinr_sample draws into
+    overlaps, such as rows 1 to 3 of the buffer sinr_sample draws into
     (the batch is its row 0); without work, or for a batch longer than m,
     the rows are allocated once per call. Besides them a batch allocates
     only a fraction of a row and temporaries bounded by gaussian_q's

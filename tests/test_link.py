@@ -30,7 +30,7 @@ from avlinksim.link import (
     fbl_rate,
     sinr_sample,
 )
-from avlinksim.mathfun import _Q_FLUSH, RngStream, gaussian_q, gaussian_q_inv
+from avlinksim.mathfun import _Q_BLOCK, _Q_FLUSH, RngStream, gaussian_q, gaussian_q_inv
 
 
 def _radio(bandwidth_hz=0.4e6, tx_power_w=1.0, nf_db=0.0):
@@ -670,30 +670,35 @@ class TestSortedKernel:
         for got, (mean, _) in zip(stats, _full_array_stats(gamma, _RATES)):
             assert_allclose(got.eps_t_bar, mean, rtol=1e-12, atol=0.0)
 
-    def test_packing_short_windows_changes_no_value(self, monkeypatch):
-        # Q is elementwise, so evaluating the short windows of a batch in
-        # one call must give bit-identical statistics
-        gamma = _rician_draws(40_000, seed=16)
+    def test_a_rate_sharing_its_batches_changes_no_value(self, monkeypatch):
+        # the windows of every rate are packed into rows, one gaussian_q call
+        # each; Q is elementwise, so each rate's statistics are those it gets
+        # evaluated alone, field for field
+        batches = np.split(_rician_draws(40_000, seed=16), 2)
         rates = list(np.geomspace(20e3, 2e6, 30))
-        sizes = []
+        moments, windows, calls = link._moments, [], []
+
+        def recording_moments(q, lo, hi, n):
+            windows.append(q.size)
+            return moments(q, lo, hi, n)
 
         def counting_q(x, out=None):
-            sizes.append(np.size(x))
+            calls.append(np.size(x))
             return gaussian_q(x, out=out)
 
+        monkeypatch.setattr(link, "_moments", recording_moments)
         monkeypatch.setattr(link, "gaussian_q", counting_q)
-        packed = decoding_error_stats([gamma], _BW, _BITS, rates)
-        calls_packed, short = len(sizes), link._SHORT
-        monkeypatch.setattr(link, "_SHORT", 0)
-        sizes.clear()
-        assert decoding_error_stats([gamma], _BW, _BITS, rates) == packed
-        # both kinds of window occur, and packing saved calls
-        assert max(sizes) > short and calls_packed < len(sizes)
+        shared = decoding_error_stats(batches, _BW, _BITS, rates)
+        # windows longer and shorter than a Q block occur, and they share calls
+        assert min(windows) < _Q_BLOCK < max(windows)
+        assert len(calls) < len(windows) == 2 * len(rates)
+        for rate, stats in zip(rates, shared):
+            assert decoding_error_stats(batches, _BW, _BITS, [rate]) == [stats]
 
     def test_sampler_scratch_rows_change_no_value(self):
-        # the kernel run in rows 1-4 of the buffer each batch is drawn into
+        # the kernel run in rows 1-3 of the buffer each batch is drawn into
         # (the batch is row 0) gives the statistics of its own rows, field
-        # for field; 40 rates make both packed and long windows
+        # for field; 40 rates fill more than one row of windows
         desired = ChannelSpec(pl_db=135.0, tx_gain=1.0, rx_gain=1.0, k_db=6.0)
         setup = LinkSetup(desired, _radio(),
                           (ChannelSpec(pl_db=150.0, tx_gain=1.0, rx_gain=1.0, k_db=3.0),),

@@ -1084,7 +1084,7 @@ class TestLinkItemMemory:
 
     def test_peak_is_one_batch_buffer(self):
         # the default batch at 40 rates from 10 kbps to 1 Mbps, so the
-        # short windows of each batch are packed into one Q call
+        # windows of each batch fill rows of one Q call each
         config = ScenarioConfig()
         rates = [10e3 * 100.0 ** (i / 39) for i in range(40)]
         peak = self._traced_peak(config, rates)
@@ -1277,6 +1277,22 @@ class TestFeasibilityDecision:
         cfg = dataclasses.replace(FAST, delay_threshold_ms=0.5)   # backhaul 1 ms
         assert all(cell.label == "none" for cell in run_operating_region(cfg).cells)
         assert not any(row.feasible for row in run_rate_sweep(cfg).rows)
+
+    def test_combinations_multiply_their_paths_backhaul(self):
+        # each combined path carries its own backhaul and queue losses, so
+        # with eps_b = eps_th no single path is feasible, yet combinations
+        # are: a combination's eps is the product of its paths' eps exactly
+        cfg = ScenarioConfig(eps_b=1e-5, n_samples=4000, sweep_topologies=1,
+                             sweep_rates_kbps=[100.0, 300.0, 700.0])
+        rows = {(row.rate_bps, row.label): row for row in run_rate_sweep(cfg).rows}
+        assert not any(rows[key].feasible for key in rows if key[1] in ("DA2G", "A2A", "HAP"))
+        assert any(row.feasible for row in rows.values())
+        for rate in (100e3, 300e3, 700e3):
+            for combination, paths in (("DA2G + HAP", ("DA2G", "HAP")),
+                                       ("DA2G + 1-A2A", ("DA2G", "A2A")),
+                                       ("DA2G + 1-A2A + HAP", ("DA2G", "A2A", "HAP"))):
+                assert rows[rate, combination].eps_e2e == math.prod(
+                    rows[rate, path].eps_e2e for path in paths)
 
 
 # ============================================================
