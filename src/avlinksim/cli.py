@@ -181,14 +181,14 @@ def main() -> None:
 _common = [
     click.option("--config", "config_path", type=str, default=None,
                  help="YAML config file (defaults applied for missing keys)."),
-    click.option("--seed", type=click.IntRange(0, 2 ** 64 - 1), default=None,
+    click.option("--seed", type=int, default=None,
                  help="Override the master seed from the config."),
     click.option("--out", "out_path", type=str, default=None,
                  help="Output file (atomic replace); stdout when omitted."),
     click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
                  default="csv", show_default=True),
-    click.option("--threads", type=click.IntRange(1, 256), default=1,
-                 show_default=True,
+    click.option("--threads", type=click.IntRange(scenario._THREADS.low, scenario._THREADS.high),
+                 default=1, show_default=True,
                  help="Worker threads; results are identical for any value."),
     click.option("--quiet", is_flag=True, help="Suppress progress messages."),
 ]

@@ -115,6 +115,11 @@ def check_fields(model, error=ValueError, name: str = "{}") -> None:
 # Counter-based random streams
 # ============================================================
 
+# a stream's seed and its id, each one 64-bit half of Philox's 128-bit key
+SEED = Interval("a seed in {}", 0, 2 ** 64, "[)", kind=int)
+_INDEX = Interval("a stream index in {}", 0, math.inf, "[)", kind=int)
+
+
 def _mix64(z: int) -> int:
     # splitmix64 finalizer; bijective on 64-bit ints
     z = (z + 0x9E3779B97F4A7C15) & _MASK64
@@ -133,25 +138,19 @@ class RngStream:
     tuple maps to a fixed, collision-resistant stream.
     """
 
-    seed: int
-    stream_id: int = 0
+    seed: int = within(SEED)
+    stream_id: int = within(SEED, 0)
 
-    def __post_init__(self):
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
-        if not 0 <= self.stream_id < 2 ** 64:
-            raise ValueError("stream_id must be a 64-bit unsigned integer")
+    __post_init__ = check_fields
 
     def child(self, *indices: int) -> "RngStream":
         sid = self.stream_id
         for ix in indices:
-            if ix < 0:
-                raise ValueError("stream indices must be non-negative")
-            sid = _mix64(sid ^ _mix64(int(ix)))
+            sid = _mix64(sid ^ _mix64(_INDEX.check("index", ix)))
         return RngStream(self.seed, sid)
 
     def generator(self) -> np.random.Generator:
-        key = (self.seed & _MASK64) | ((self.stream_id & _MASK64) << 64)
+        key = self.seed | (self.stream_id << 64)
         return np.random.Generator(np.random.Philox(key=key))
 
 

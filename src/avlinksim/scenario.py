@@ -83,6 +83,8 @@ _RICE = _floats("a [k_min, k_max] pair with k_min <= k_max",
                 lambda v: len(v) == 2 and v[0] <= v[1], LEVEL)
 # a distance from the serving site, which may be 0
 _DISTANCE = Interval("a distance in {} m", 0, ch.MAX_DISTANCE_M)
+# the drivers' worker thread count, bounded so that _parallel_map's window is
+_THREADS = Interval("a worker count in {}", 1, 256, kind=int)
 # a duration [ms]: the numbers whose value in seconds, times 1e-3, lies in DURATION_S
 _DURATION = DURATION_S._replace(what="a duration in {} ms", low=DURATION_S.low * 1e3)
 
@@ -205,7 +207,7 @@ class ScenarioConfig:
     service_rate_av_pps: float | None = _of(QueueSpec, "service_rate_pps")
     service_rate_hap_pps: float | None = _of(QueueSpec, "service_rate_pps")
     # Monte Carlo and grids
-    master_seed: int = _key(1, Interval("a seed in {}", 0, 2 ** 64, "[)", kind=int))
+    master_seed: int = _of(RngStream, "seed", 1)
     n_samples: int = _key(100_000, _COUNT)
     mc_batch_size: int = _key(1 << 15, _COUNT)
     diversity_branches: int = _key(1, _COUNT)
@@ -268,10 +270,8 @@ class ScenarioConfig:
     def radio(self, kind: str) -> RadioParams:
         """One link kind's radio, from its keys (_RADIO_KEYS)."""
         bandwidth, power, figure = (getattr(self, key) for key in _RADIO_KEYS[kind])
-        return RadioParams(bandwidth, _dbm_to_w(power), self.noise_density_w_hz(), figure)
-
-    def noise_density_w_hz(self) -> float:
-        return _dbm_to_w(self.noise_density_dbm_hz)
+        return RadioParams(bandwidth, _dbm_to_w(power), _dbm_to_w(self.noise_density_dbm_hz),
+                           figure)
 
 
 class _ConfigLoader(yaml.SafeLoader):
@@ -459,7 +459,7 @@ def _build_links(config: ScenarioConfig, sites, background, r_ga_m: float) -> To
     background vehicles nearest to it, at least 1 m away, act as relays.
     """
     serving = sites[0]
-    destination = geo.NodePose(0, r_ga_m, 0.0, config.av_altitude_m)
+    destination = geo.NodePose(0, _DISTANCE.check("r_ga_m", r_ga_m), 0.0, config.av_altitude_m)
     hap = geo.NodePose(0, 0.0, 0.0, config.hap_altitude_m)
     gs = geo.NodePose(0, config.hap_gs_offset_m, 0.0, 0.0)
     candidates = [b for b in background if geo.distance_3d(b, destination) >= 1.0]
@@ -592,6 +592,7 @@ def _group_means(config: ScenarioConfig, groups, n_topo: int, rates_bps,
     dropped, so a run holds the topologies of the map's window and one
     group's sums, however many groups and topologies there are.
     """
+    threads = _THREADS.check("threads", threads)
     root = RngStream(config.master_seed)
     pending = collections.deque()       # instantiated, results not yet collected
 

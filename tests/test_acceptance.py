@@ -23,7 +23,7 @@ from avlinksim import channel, e2e, mathfun
 from avlinksim.cli import main as cli_main
 from avlinksim.link import LinkStats, fbl_error, fbl_rate
 from avlinksim.queueing import QueueSpec, effective_bandwidth
-from avlinksim.scenario import ScenarioConfig, run_operating_region, run_rate_sweep
+from avlinksim.scenario import _THREADS, ScenarioConfig, run_operating_region, run_rate_sweep
 
 
 def _max_feasible_kbps(rows, label):
@@ -279,15 +279,17 @@ def test_single_cell_rate_ladder():
 # Operating-region grids
 # ============================================================
 
-# Both grids run on every core: no output depends on the worker count
-# (test_outputs_identical_for_any_worker_count).
+# Both grids run on every core, up to the drivers' worker bound: no output
+# depends on the worker count (test_outputs_identical_for_any_worker_count).
+WORKERS = min(os.cpu_count(), _THREADS.high)
+
 
 def test_saturated_interference_leaves_uncovered_region():
     """With heavy interferer activity and a weak backhaul there must be
     cells no combination can serve, all at 300 kbps or more."""
     config = dataclasses.replace(ScenarioConfig(), p_interf=0.1, eps_b=1e-5)
     started = time.monotonic()
-    result = run_operating_region(config, threads=os.cpu_count())
+    result = run_operating_region(config, threads=WORKERS)
     elapsed = time.monotonic() - started
     assert elapsed < 600.0
 
@@ -303,7 +305,7 @@ def test_platform_path_required_at_rate_extremes():
     both under the site (near zero ground distance) and at the cell edge."""
     config = ScenarioConfig()
     started = time.monotonic()
-    result = run_operating_region(config, threads=os.cpu_count())
+    result = run_operating_region(config, threads=WORKERS)
     elapsed = time.monotonic() - started
     assert elapsed < 600.0
 

@@ -290,6 +290,18 @@ class TestSweep:
         assert base.stdout == same.stdout
         assert base.stdout != other.stdout
 
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_outside_its_rule_is_a_config_error(self, runner, fast_config, seed):
+        res = runner.invoke(main, ["sweep", "--config", str(fast_config), "--seed", seed])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("config error: config key 'master_seed': expected a seed in ")
+
+    @pytest.mark.parametrize("threads", ["0", "257"])
+    def test_worker_count_outside_its_rule_is_a_usage_error(self, runner, fast_config, threads):
+        res = runner.invoke(main, ["sweep", "--config", str(fast_config), "--threads", threads])
+        assert res.exit_code == 2
+        assert "'--threads'" in res.stderr and "1<=x<=256" in res.stderr
+
     def test_unknown_config_key_is_usage_error(self, runner, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("no_such_option: 1\n", encoding="utf-8")

@@ -314,6 +314,35 @@ class TestRngStream:
         with pytest.raises(ValueError):
             RngStream(0).child(-1)
 
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint64(7)])
+    def test_numpy_seed_is_stored_as_an_int(self, seed):
+        # a numpy seed used to construct, then overflow in generator()
+        stream = RngStream(seed)
+        assert stream.seed == 7 and type(stream.seed) is int
+        for got, want in ((stream, RngStream(7)), (stream.child(3), RngStream(7).child(3))):
+            assert_allclose(got.generator().random(4), want.generator().random(4),
+                            rtol=0, atol=0)
+
+    @pytest.mark.parametrize("field", ["seed", "stream_id"])
+    @pytest.mark.parametrize("value", [-1, 2 ** 64, 5.0, True, None])
+    def test_seed_and_stream_id_rule_is_named(self, field, value):
+        # 5.0 used to construct and fail in generator(); True to stand for 1
+        with pytest.raises(ValueError) as rejected:
+            RngStream(**{"seed": 1, field: value})
+        assert str(rejected.value) == \
+            f"{field}: expected a seed in [0, 18446744073709551616), got {value!r}"
+
+    @pytest.mark.parametrize("index", [1.5, True, -1])
+    def test_child_index_must_be_a_non_negative_int(self, index):
+        # 1.5 and True used to give child(1)'s stream
+        with pytest.raises(ValueError, match="expected a stream index in "):
+            RngStream(7).child(2, index)
+
+    def test_numpy_child_index_is_its_int(self):
+        s = RngStream(7)
+        assert s.child(np.int64(3)) == s.child(3)
+        assert s.child(np.uint64(2), np.int32(4)) == s.child(2, 4)
+
     @given(st.integers(min_value=0, max_value=2 ** 64 - 1),
            st.integers(min_value=0, max_value=2 ** 32),
            st.integers(min_value=0, max_value=2 ** 32))

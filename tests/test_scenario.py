@@ -643,7 +643,7 @@ MODELS = {
     LinkSetup: {"desired": _DESIRED, "radio": _RADIO},
     Environment: {}, UlaSpec: {}, ReflectorSpec: {}, GridSpec: {},
     QueueSpec: {"arrival_rate_pps": 1000.0, "delay_bound_s": 3e-4, "violation_prob": 1e-7},
-    BackhaulSpec: {}, QosTarget: {"eps_th": 1e-5, "d_max_s": 1e-2},
+    BackhaulSpec: {}, QosTarget: {"eps_th": 1e-5, "d_max_s": 1e-2}, RngStream: {"seed": 1},
 }
 # the fields whose rule states an interval: itself, or that of a list or nullable rule
 MODEL_FIELDS = [pytest.param(model, f, id=f"{model.__name__}.{f.name}") for model in MODELS
@@ -675,6 +675,7 @@ SHARED = {
     "eps_th": (QosTarget, "eps_th"), "eps_q": (QueueSpec, "violation_prob"),
     **{keys[0]: (QueueSpec, "arrival_rate_pps") for keys in scenario._QUEUE_KEYS.values()},
     **{keys[1]: (QueueSpec, "service_rate_pps") for keys in scenario._QUEUE_KEYS.values()},
+    "master_seed": (RngStream, "seed"),
 }
 # model -> the config view that builds it, from a key for each of its fields
 VIEWS = {Environment: ScenarioConfig.environment, UlaSpec: ScenarioConfig.ula,
@@ -835,6 +836,18 @@ class TestInstantiate:
         assert topo.links["g2a_dest"] == scenario._g2a_link(
             sites[0], _destination(config, 150.0), sites, config)
         assert sum(name.startswith("a2a_") for name in topo.links) == 3
+
+    @pytest.mark.parametrize("r_ga_m", [math.nan, math.inf, -1.0, 1e300,
+                                        math.nextafter(1e6, math.inf), True])
+    def test_destination_distance_outside_its_interval_is_named(self, r_ga_m):
+        # 1e300 used to build links with an 8 619 dB path loss, and NaN to
+        # fail inside p_los naming no input
+        with pytest.raises(ValueError, match=r"^r_ga_m: expected a distance in \[0, 1e\+06\] m"):
+            instantiate(ScenarioConfig(), RngStream(7), r_ga_m)
+
+    def test_destination_at_the_serving_site_is_placed(self):
+        topo = instantiate(ScenarioConfig(), RngStream(7), 0.0)
+        assert topo.d_h2a_m == ScenarioConfig().hap_altitude_m - ScenarioConfig().av_altitude_m
 
     def test_topology_is_what_composition_reads(self):
         assert [f.name for f in dataclasses.fields(scenario.Topology)] == [
@@ -1474,6 +1487,21 @@ class TestWorkItems:
         finally:
             sys.setswitchinterval(interval)
         assert contended.rows == run_rate_sweep(FAST, threads=1).rows
+
+    @pytest.mark.parametrize("run", [run_rate_sweep, run_operating_region])
+    @pytest.mark.parametrize("threads", [0, -1, 257, 2.5, True, "2"])
+    def test_worker_count_outside_its_interval_is_named(self, monkeypatch, run, threads):
+        # checked before any topology is built or any thread starts: a count
+        # of 0 or below used to run serially. FAST has two topologies per
+        # group, so even an unchecked count starts only a few threads.
+        built = []
+        monkeypatch.setattr(scenario, "instantiate", lambda *args, **kwargs: built.append(args))
+        before = threading.active_count()
+        with pytest.raises(ValueError,
+                           match=r"^threads: expected a worker count in \[1, 256\], got "):
+            run(FAST, threads=threads)
+        assert built == []
+        assert threading.active_count() <= before
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_one_batch_buffer_per_worker_thread(self, monkeypatch, threads):
