@@ -428,13 +428,11 @@ def decoding_error_stats(batches, bandwidth_hz: float, packet_bits: float,
     count = 0
     mean = np.zeros(rates.size)
     m2 = np.zeros(rates.size)
-    if work is None:
-        work = np.empty((_KERNEL_ROWS, 0))
     for gamma in batches:
         g = _check_gamma(gamma)
         if g.size == 0:
             continue
-        if work.shape[1] < g.size:
+        if work is None or work.shape[1] < g.size:
             work = np.empty((_KERNEL_ROWS, g.size))
         b_mean, b_m2 = _batch_moments(g, bandwidth_hz, packet_bits, rates,
                                       work[:, :g.size])

@@ -305,10 +305,10 @@ def gaussian_q(x, out=None):
     -8.3, exactly 0.0 from 38.5 on (subnormals just below), 1.0 and 0.0 at
     -inf and +inf, and NaN at NaN. The input is evaluated _Q_BLOCK
     elements at a time: an ascending block range by range on contiguous
-    runs, any other block sorted first and its result put back in place.
-    So no temporary outgrows a block, whatever the input's length or
-    order. out, if given, is a C-contiguous float array shaped like x that
-    receives Q; it may be x itself.
+    runs, any other block stable-sorted first (which merges ascending
+    runs, such as packed windows) and its result put back in place. So no
+    temporary outgrows a block. out, if given, is a C-contiguous float
+    array shaped like x that receives Q; it may be x itself.
     """
     arr = np.asarray(x, dtype=float)
     flat = arr.ravel()
@@ -321,7 +321,7 @@ def gaussian_q(x, out=None):
         if np.all(block[1:] >= block[:-1]):    # NaN compares False: sorted first
             _q_block(block, res[lo:lo + _Q_BLOCK])
         else:
-            order = np.argsort(block)
+            order = np.argsort(block, kind="stable")
             ordered = block[order]
             res[lo:lo + _Q_BLOCK][order] = _q_block(ordered, ordered)
     res = res.reshape(arr.shape) if out is None else out

@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 import textwrap
@@ -30,6 +31,20 @@ FAST_YAML = """\
 """
 
 SWEEP_LABELS = 6   # DA2G, A2A, HAP, DA2G+1-A2A, DA2G+HAP, DA2G+1-A2A+HAP
+HANG_LIMIT_S = 60  # several configs below once ran for minutes
+
+
+@pytest.fixture(autouse=True)
+def hang_limit():
+    # pytest's Failed is no Exception, so CliRunner passes it on
+    def hung(signum, frame):
+        pytest.fail(f"the test ran past its {HANG_LIMIT_S} s hang limit", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(HANG_LIMIT_S)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture()
@@ -132,6 +147,11 @@ class TestValidate:
         "tx_power_av_dbm: 4000\n",             # overflowed to an OverflowError
         "noise_density_dbm_hz: -4000\n",       # rounded to 0 W/Hz
         "fc_ghz: 1.0e-300\n",                  # a -6000 dB path loss overflowed
+        # a 4000 dB Rice factor: OverflowError in sample_rician_power
+        "rice_k_db: {g2a: [4000, 4000], a2a: [12, 12], g2h: [5, 15], h2a: [12, 15]}\n",
+        # the reflector's Bessel quadrature takes a node per unit of 2 pi a sin(offset)
+        "hap_aperture_radius_wavelengths: 1000000000.0\n",
+        "isd_m: 1\ngrid_tiers: 200\n",         # 120 601 sites: a sweep ran past 30 s
         "n_samples: 200\nn_samples: 300\n",     # loaded as 300 with no message
         "ula_downtilt_deg: 1.0e+300\n",        # a boresight 1e300 degrees from zenith ran
         # the ms -> s conversion rounded the bound to 0 s: ValueError in QueueSpec
@@ -201,11 +221,14 @@ class TestValidate:
         assert all(value is not None for row in payload["rows"] for value in row.values())
         assert None not in payload["diagnostics"]["effective_bandwidth_pps"].values()
 
-    def test_far_destination_is_a_config_error_not_a_hang(self, tmp_path):
+    def test_far_destination_is_a_config_error_not_a_hang(self, runner, tmp_path):
         # p_los loops once per building: at 1e9 m the sweep ran for minutes
         far = tmp_path / "far.yaml"
         far.write_text("r_ga_m: 1000000000.0\nq3_m: 0.01\nn_samples: 200\n"
                        "sweep_rates_kbps: [100]\n", encoding="utf-8")
+        res = runner.invoke(main, ["validate", "--config", str(far)])
+        assert res.exit_code == 1
+        assert "FAIL - config file: config key 'r_ga_m'" in res.stdout
         src = str(pathlib.Path(avlinksim.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
